@@ -2,11 +2,12 @@
 //! non-complete topologies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rls_core::Config;
-use rls_graph::{GraphRls, Topology};
+use rls_core::{Config, RlsRule};
+use rls_graph::{DestSampler, Topology};
 use rls_protocols::speeds::{SpeedGoal, SpeedRls};
 use rls_protocols::weighted::{WeightedGoal, WeightedRls};
 use rls_rng::{rng_from_seed, RngExt};
+use rls_sim::{RlsPolicy, Simulation, StopWhen};
 
 fn weighted_balls(c: &mut Criterion) {
     let mut group = c.benchmark_group("e15_weighted_balls");
@@ -66,13 +67,19 @@ fn topologies(c: &mut Criterion) {
         Topology::Torus2D,
         Topology::Cycle,
     ] {
-        let graph = topology.build(n, &mut rng_from_seed(1)).unwrap();
+        let sampler = DestSampler::Sparse {
+            graph: topology.build(n, &mut rng_from_seed(1)).unwrap(),
+        };
+        let stop = StopWhen::perfectly_balanced().with_max_activations(100_000_000);
         group.bench_function(BenchmarkId::from_parameter(topology.name()), |b| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
                 let start = Config::all_in_one_bin(n, m).unwrap();
-                GraphRls::new(graph.clone(), 100_000_000).run(&start, 0.0, &mut rng_from_seed(seed))
+                let policy = RlsPolicy::new(RlsRule::paper());
+                Simulation::with_sampler(start, policy, sampler.clone())
+                    .unwrap()
+                    .run(&mut rng_from_seed(seed), stop)
             });
         });
     }

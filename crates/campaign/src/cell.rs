@@ -2,7 +2,7 @@
 //! own derived random stream, aggregated into a [`CellResult`].
 
 use rls_core::{RebalancePolicy, RlsRule, RlsVariant};
-use rls_graph::GraphRls;
+use rls_graph::DestSampler;
 use rls_live::{LiveEngine, LiveParams, Reconvergence, SteadyState, DEFAULT_RECONV_THRESHOLD};
 use rls_protocols::crs_local_search::{CrsLocalSearch, CrsPlacement};
 use rls_protocols::{GreedyD, SelfishDistributed, SelfishGlobal, ThresholdProtocol};
@@ -110,13 +110,7 @@ pub fn run_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignError>
     // Dynamic cells run the live engine over the cell's whole
     // (protocol, topology) pair; the static dispatch below is offline-only.
     match cell.protocol {
-        ProtocolSpec::RlsGeq | ProtocolSpec::RlsStrict if cell.topology.is_complete() => {
-            run_simulation_cell(cell, seed)
-        }
-        ProtocolSpec::RlsGeq => run_graph_cell(cell, seed),
-        ProtocolSpec::RlsStrict => Err(CampaignError::unsupported(
-            "rls-strict is only available on the complete topology",
-        )),
+        ProtocolSpec::RlsGeq | ProtocolSpec::RlsStrict => run_simulation_cell(cell, seed),
         _ if !cell.topology.is_complete() => Err(CampaignError::unsupported(format!(
             "protocol `{}` is only available on the complete topology",
             cell.protocol
@@ -291,8 +285,9 @@ fn run_dynamic_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignEr
     Ok(result)
 }
 
-/// The paper's continuous-time process on the complete topology, via the
-/// O(1)-per-event superposition engine, with first-hit tracking.
+/// The paper's continuous-time process via the superposition engine, with
+/// first-hit tracking, on any topology: the destination sampler is the
+/// uniform draw on the complete graph and neighbour sampling otherwise.
 fn run_simulation_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignError> {
     let variant = match cell.protocol {
         ProtocolSpec::RlsGeq => RlsVariant::Geq,
@@ -313,6 +308,10 @@ fn run_simulation_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, Campaig
     }
 
     let factory = StreamFactory::new(seed);
+    // One graph instance per cell, shared by every trial.
+    let mut graph_rng = factory.rng(StreamId::trial(0).with_component(COMPONENT_GRAPH));
+    let sampler = DestSampler::build_with(cell.topology.0, cell.n, &mut graph_rng)
+        .map_err(|e| CampaignError::spec(format!("cell topology: {e}")))?;
     let mut acc = Accumulator::new(cell, thresholds.len());
     for trial in 0..cell.trials as u64 {
         let mut wl_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_WORKLOAD));
@@ -324,7 +323,8 @@ fn run_simulation_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, Campaig
         let initial_disc = initial.discrepancy();
 
         let mut tracker = PhaseTracker::new(thresholds.clone());
-        let mut sim = Simulation::new(initial, RlsPolicy::new(RlsRule::new(variant)))
+        let policy = RlsPolicy::new(RlsRule::new(variant));
+        let mut sim = Simulation::with_sampler(initial, policy, sampler.clone())
             .map_err(|e| CampaignError::spec(format!("cell instance: {e}")))?;
         let mut run_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_DYNAMICS));
         let outcome = sim.run_with(&mut run_rng, stop, &mut NoAdversary, &mut tracker);
@@ -346,53 +346,6 @@ fn run_simulation_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, Campaig
             outcome.migrations as f64,
             outcome.final_discrepancy,
             outcome.reached_goal,
-        );
-    }
-    Ok(acc.finish())
-}
-
-/// Graph-restricted RLS on a non-complete topology.
-fn run_graph_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignError> {
-    if !cell.hits.is_empty() {
-        return Err(CampaignError::unsupported(
-            "hit tracking is only available on the complete topology",
-        ));
-    }
-    if cell.stop.max_time.is_some() {
-        // The graph runner only counts activations; silently ignoring a
-        // requested cap would cache results under an identity that claims
-        // the cap was applied.
-        return Err(CampaignError::unsupported(
-            "stop.max_time is only available on the complete topology (use max_activations)",
-        ));
-    }
-    let factory = StreamFactory::new(seed);
-    // One graph per cell (same instance for every trial, like E16).
-    let mut graph_rng = factory.rng(StreamId::trial(0).with_component(COMPONENT_GRAPH));
-    let graph = cell
-        .topology
-        .0
-        .build(cell.n, &mut graph_rng)
-        .map_err(|e| CampaignError::spec(format!("cell topology: {e}")))?;
-    let budget = cell.stop.max_activations.unwrap_or(u64::MAX);
-    let process = GraphRls::new(graph, budget);
-
-    let mut acc = Accumulator::new(cell, 0);
-    for trial in 0..cell.trials as u64 {
-        let mut wl_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_WORKLOAD));
-        let initial = cell
-            .workload
-            .0
-            .generate(cell.n, cell.m, &mut wl_rng)
-            .map_err(|e| CampaignError::spec(format!("cell workload: {e}")))?;
-        let mut run_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_DYNAMICS));
-        let out = process.run(&initial, cell.stop.target_discrepancy, &mut run_rng);
-        acc.push(
-            out.time,
-            out.activations as f64,
-            out.migrations as f64,
-            out.final_discrepancy,
-            out.reached_goal,
         );
     }
     Ok(acc.finish())
@@ -457,7 +410,7 @@ fn run_protocol_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignE
             .run(cell.n, cell.m, target, &mut wl_rng),
             ProtocolSpec::GreedyD { d } => GreedyD::new(d).run(cell.n, cell.m, target, &mut wl_rng),
             ProtocolSpec::RlsGeq | ProtocolSpec::RlsStrict => {
-                unreachable!("RLS cells dispatch to the simulation/graph runners")
+                unreachable!("RLS cells dispatch to the simulation runner")
             }
         };
         acc.push(
@@ -471,7 +424,7 @@ fn run_protocol_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignE
     Ok(acc.finish())
 }
 
-/// Per-trial sample collector shared by the three cell runners.
+/// Per-trial sample collector shared by the cell runners.
 struct Accumulator {
     unit: String,
     trials: usize,
@@ -602,16 +555,20 @@ mod tests {
         cell.stop.max_time = Some(5.0);
         assert!(run_cell(&cell, 1).is_err());
 
-        // Graph cells honour max_activations but reject max_time.
+        // RLS cells on a sparse topology honour max_time: the run stops at
+        // the first event past the cap.
         let mut graph = base_cell();
         graph.topology = TopologySpec(Topology::Cycle);
-        graph.stop.max_time = Some(5.0);
-        let err = run_cell(&graph, 1).unwrap_err().to_string();
-        assert!(err.contains("max_time"), "{err}");
+        graph.m = 8 * 64;
+        graph.stop.max_time = Some(0.05);
+        let r = run_cell(&graph, 1).unwrap();
+        assert_eq!(r.goal_rate, 0.0);
+        assert!(r.cost.min >= 0.05, "{:?}", r.cost);
+        assert!(r.cost.max < 0.1, "{:?}", r.cost);
     }
 
     #[test]
-    fn graph_cell_runs_and_strict_on_graph_is_rejected() {
+    fn graph_cells_run_both_rls_variants_with_hits() {
         let mut cell = base_cell();
         cell.topology = TopologySpec(Topology::Cycle);
         cell.stop.max_activations = Some(200_000);
@@ -619,13 +576,36 @@ mod tests {
         assert_eq!(r.goal_rate, 1.0);
         assert_eq!(r.unit, "time");
 
+        // rls-strict skips neutral moves, so on a sparse graph it can
+        // settle where neighbours differ by one: its absorbing states are
+        // only guaranteed to be diameter-balanced (4 on the 8-cycle).
         let mut strict = cell.clone();
         strict.protocol = ProtocolSpec::RlsStrict;
-        assert!(run_cell(&strict, 5).is_err());
+        strict.stop.target_discrepancy = 4.0;
+        let r = run_cell(&strict, 5).unwrap();
+        assert_eq!(r.goal_rate, 1.0);
 
         let mut with_hits = cell.clone();
-        with_hits.hits = vec![HitSpec::Absolute(1.0)];
-        assert!(run_cell(&with_hits, 5).is_err());
+        with_hits.hits = vec![HitSpec::LnFactor(4.0), HitSpec::Absolute(1.0)];
+        let r = run_cell(&with_hits, 5).unwrap();
+        assert_eq!(r.hit_means.len(), 2);
+        assert!(
+            r.hit_means.iter().all(|h| h.is_finite()),
+            "{:?}",
+            r.hit_means
+        );
+        assert!(r.hit_means[0] <= r.hit_means[1]);
+        assert!(r.hit_means[1] <= r.cost.mean);
+
+        // The non-RLS protocols have no graph form.
+        let mut greedy = cell.clone();
+        greedy.protocol = ProtocolSpec::GreedyD { d: 2 };
+        greedy.stop = StopSpec::default();
+        let err = run_cell(&greedy, 5).unwrap_err().to_string();
+        assert!(
+            err.contains("only available on the complete topology"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -312,10 +312,10 @@ impl Deserialize for WorkloadSpec {
 }
 
 /// A topology named in a campaign grid (string form of
-/// [`rls_graph::Topology`]).  For static cells, `complete` runs on the
-/// O(1)-per-event superposition engine and anything else runs
-/// graph-restricted RLS; dynamic cells run the live engine on any
-/// topology (destinations sampled from the ringing bin's neighbourhood).
+/// [`rls_graph::Topology`]).  Static RLS cells run the superposition
+/// engine on any topology and dynamic cells the live engine; both sample
+/// destinations from the ringing bin's neighbourhood (uniform over all
+/// bins on `complete`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologySpec(pub Topology);
 
@@ -325,7 +325,8 @@ impl TopologySpec {
         TopologySpec(Topology::Complete)
     }
 
-    /// Whether this is the complete topology (simulated by `rls-sim`).
+    /// Whether this is the complete topology (the only one the offline
+    /// non-RLS protocols run on).
     pub fn is_complete(&self) -> bool {
         matches!(self.0, Topology::Complete)
     }
@@ -727,8 +728,7 @@ impl DynamicSpec {
 
 /// When a cell's runs stop.
 ///
-/// The budgets apply to RLS cells (`max_time` only on the complete
-/// topology).  Cells whose protocol carries its own budget (rounds /
+/// The budgets apply to RLS cells on any topology.  Cells whose protocol carries its own budget (rounds /
 /// steps / choices) *reject* a stop budget instead of silently ignoring
 /// it — mix such protocols with budgeted RLS via separate campaigns.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -736,7 +736,7 @@ pub struct StopSpec {
     /// Stop once the discrepancy is at most this value (`0` = perfect
     /// balance).
     pub target_discrepancy: f64,
-    /// Optional simulated-time budget (complete-topology RLS cells).
+    /// Optional simulated-time budget (RLS cells, any topology).
     pub max_time: Option<f64>,
     /// Optional activation budget (RLS cells, any topology).
     pub max_activations: Option<u64>,

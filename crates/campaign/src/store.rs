@@ -40,8 +40,11 @@ use crate::CampaignError;
 /// cell's canonical identity; 6 = the grid gained the elastic-membership
 /// `churn` axis (`CellSpec` carries `churn`, `DynamicAggregate` the
 /// re-convergence aggregates), which extends every cell's canonical
-/// identity.
-pub const ENGINE_VERSION: u32 = 6;
+/// identity; 7 = offline RLS cells on sparse topologies run the
+/// superposition engine with a neighbour-restricted destination sampler
+/// (the same graph instances, but a Fenwick bin draw replaces the per-ball
+/// map — same law, different trajectories per seed).
+pub const ENGINE_VERSION: u32 = 7;
 
 /// The content address of a cell: hex SHA-256 of its identity.
 pub fn cell_key(campaign_seed: u64, cell: &CellSpec) -> String {

@@ -15,13 +15,13 @@
 //! * [`topology`] — generators for the standard topologies: complete, cycle,
 //!   path, 2-D torus, hypercube, star, balanced binary tree, random
 //!   `d`-regular and Erdős–Rényi `G(n, p)`.
-//! * [`rls_on_graph`] — the RLS process restricted to graph neighbourhoods,
-//!   with the same continuous-time semantics as the complete-graph engine.
 //! * [`mixing`] — spectral-gap and mixing-time estimation for the lazy
 //!   random walk on the graph (power iteration, no external linear algebra).
-//! * [`sampler`] — the [`DestSampler`] the online engines (`rls-live`,
-//!   `rls-serve`) hold: the complete-graph O(1) uniform draw, or uniform
-//!   neighbour sampling over a CSR adjacency built once at boot.
+//! * [`sampler`] — the [`DestSampler`] every engine holds (the offline
+//!   `rls-sim` superposition engine and the online `rls-live`/`rls-serve`
+//!   ones): the complete-graph O(1) uniform draw, or uniform neighbour
+//!   sampling over a CSR adjacency built once.  The graph-restricted RLS
+//!   process is `rls_sim::Simulation::with_sampler` over a sparse sampler.
 //! * [`elastic`] — [`ElasticDest`], the membership-aware sampler for
 //!   engines whose bin set changes mid-run: incremental adjacency patches
 //!   for random families, full rebuilds for structured ones, and live-set
@@ -33,12 +33,10 @@
 pub mod elastic;
 mod graph;
 pub mod mixing;
-pub mod rls_on_graph;
 pub mod sampler;
 pub mod topology;
 
 pub use elastic::{ElasticDest, ElasticDestStats};
 pub use graph::{Graph, GraphError};
-pub use rls_on_graph::{GraphRls, GraphRlsOutcome};
 pub use sampler::DestSampler;
 pub use topology::Topology;

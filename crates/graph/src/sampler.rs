@@ -1,9 +1,10 @@
-//! Neighbor-restricted destination sampling for the online engines.
+//! Neighbor-restricted destination sampling for every engine.
 //!
 //! The paper's process samples a ring destination uniformly over *all*
 //! bins — the complete graph.  The graph-restricted variant samples
 //! uniformly over the ringing bin's *neighbours*.  [`DestSampler`] folds
-//! both into one value the engines can hold:
+//! both into one value the engines (the offline `rls-sim` superposition
+//! engine and the online `rls-live`/`rls-serve` ones) hold:
 //!
 //! * [`Complete`](DestSampler::Complete) keeps the O(1) uniform draw (no
 //!   adjacency is materialized — an `n`-vertex complete graph would cost
@@ -41,6 +42,16 @@ impl DestSampler {
     /// are drawn from `graph_seed`; the same `(topology, n, graph_seed)`
     /// always yields the same adjacency.
     pub fn build(topology: Topology, n: usize, graph_seed: u64) -> Result<Self, GraphError> {
+        Self::build_with(topology, n, &mut rng_from_seed(graph_seed))
+    }
+
+    /// Build the sampler for `topology` on `n` bins, drawing a random
+    /// topology from `rng` (the complete graph draws nothing).
+    pub fn build_with<R: Rng64 + ?Sized>(
+        topology: Topology,
+        n: usize,
+        rng: &mut R,
+    ) -> Result<Self, GraphError> {
         match topology {
             Topology::Complete => {
                 if n == 0 {
@@ -49,7 +60,7 @@ impl DestSampler {
                 Ok(DestSampler::Complete { n })
             }
             other => Ok(DestSampler::Sparse {
-                graph: other.build(n, &mut rng_from_seed(graph_seed))?,
+                graph: other.build(n, rng)?,
             }),
         }
     }

@@ -131,47 +131,25 @@ impl Snapshot {
         let object = value
             .as_object()
             .ok_or_else(|| LiveError::snapshot("snapshot must be a JSON object"))?;
-        match object.get("version").and_then(|v| v.as_u64()) {
-            Some(v) if v == SNAPSHOT_VERSION as u64 => {}
-            Some(4) => {
-                return Err(LiveError::snapshot(format!(
-                    "legacy v4 snapshot (pre-elastic membership): it records no membership \
-                     epoch log, so a restore cannot tell which bins were live or replay the \
-                     elastic adjacency patches; re-record the run with this build to produce \
-                     a version-{SNAPSHOT_VERSION} snapshot"
-                )))
-            }
-            Some(3) => {
-                return Err(LiveError::snapshot(format!(
-                    "legacy v3 snapshot (pre-heterogeneity): it does not record whether \
-                     the engine carried ball weights or bin speeds, so a restore cannot \
-                     rebuild the weight/rate bookkeeping bit-identically; re-record the \
-                     run with this build to produce a version-{SNAPSHOT_VERSION} snapshot"
-                )))
-            }
-            Some(2) => {
-                return Err(LiveError::snapshot(format!(
-                    "legacy v2 snapshot (pre-policy, hard-wired to RLS on the complete \
-                     graph): the engine is now generic over a rebalance policy and a \
-                     topology, and a v2 `rule` field cannot be resumed without guessing \
-                     them; re-record the run with this build to produce a \
-                     version-{SNAPSHOT_VERSION} snapshot"
-                )))
-            }
-            Some(v) => {
-                return Err(LiveError::snapshot(format!(
-                    "unsupported snapshot version {v} (this build reads version \
-                     {SNAPSHOT_VERSION})"
-                )))
-            }
-            None => {
-                return Err(LiveError::snapshot(format!(
-                    "legacy v1 snapshot (per-ball map, no `version` field): the engine now \
-                     samples exchangeable balls from the load vector and cannot resume a v1 \
-                     ball map bit-identically; re-record the run with this build to produce a \
-                     version-{SNAPSHOT_VERSION} snapshot"
-                )))
-            }
+        let version = match object.get("version") {
+            // The unversioned format is v1.
+            None => 1,
+            Some(v) => v.as_u64().ok_or_else(|| {
+                LiveError::snapshot(format!("snapshot version must be an integer, got {v}"))
+            })?,
+        };
+        if (1..SNAPSHOT_VERSION as u64).contains(&version) {
+            return Err(LiveError::snapshot(format!(
+                "legacy v{version} snapshot: this build reads version {SNAPSHOT_VERSION} and \
+                 cannot resume an older format bit-identically (see the format history in \
+                 the snapshot module docs); re-record the run with this build"
+            )));
+        }
+        if version != SNAPSHOT_VERSION as u64 {
+            return Err(LiveError::snapshot(format!(
+                "unsupported snapshot version {version} (this build reads version \
+                 {SNAPSHOT_VERSION})"
+            )));
         }
         serde_json::from_value(value)
             .map_err(|e| LiveError::snapshot(format!("parse snapshot: {e}")))

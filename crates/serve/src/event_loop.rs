@@ -302,8 +302,8 @@ fn answer_buffered(conn: &mut Conn, core: &mut ServeCore, metrics: Option<&Serve
 
 /// Route one frame and execute it inline, appending the response.
 /// Mirrors the worker pool's routing/metrics/flight behavior exactly —
-/// minus the channel: queue wait is identically zero here, and is
-/// recorded as such so the stage histograms stay comparable.
+/// minus the channel: there is no queue here, so no `stage=queue`
+/// sample is recorded.
 fn answer_frame(
     frame: &http::Frame<'_>,
     keep_alive: bool,
@@ -349,7 +349,6 @@ fn answer_frame(
             };
             if let Some(m) = metrics {
                 let apply_ns = elapsed_ns(apply_start);
-                m.stage_queue_ns.record(0);
                 m.stage_apply_ns.record(apply_ns);
                 let (kind, a, b) = flight_coords(&cmd);
                 m.flight.record(kind, a, b, 0, apply_ns);

@@ -14,12 +14,18 @@
 //!
 //! The engine is generic over a [`Policy`] (which move rule to apply) and an
 //! [`Adversary`] (the destructive-move injector used by
-//! the Lemma 2 experiments).  Progress quantities (discrepancy, overloaded
+//! the Lemma 2 experiments).  Where the activated ball looks for a
+//! destination is a [`DestSampler`]: the paper's uniform draw over all bins
+//! ([`Simulation::new`]) or a uniform neighbour of the source bin in a
+//! sparse topology ([`Simulation::with_sampler`]) — the graph-restricted
+//! process of the paper's Section 7 outlook, with the same clocks, rule and
+//! stopping conditions.  Progress quantities (discrepancy, overloaded
 //! balls, Phase-2 potential) are maintained incrementally through
 //! [`LoadTracker`], so checking a stopping condition after every event is
 //! O(1) too.
 
 use rls_core::{Config, LoadIndex, LoadTracker, Move, RlsRule};
+use rls_graph::DestSampler;
 use rls_rng::dist::{Distribution, Exponential};
 use rls_rng::{Rng64, RngExt};
 
@@ -92,6 +98,7 @@ pub struct Simulation<P: Policy> {
     index: LoadIndex,
     tracker: LoadTracker,
     policy: P,
+    sampler: DestSampler,
     time: f64,
     activations: u64,
     migrations: u64,
@@ -103,12 +110,25 @@ pub struct Simulation<P: Policy> {
 pub enum SimError {
     /// The process needs at least one ball to have any events.
     NoBalls,
+    /// The destination sampler and the configuration disagree on the
+    /// number of bins (one bin per graph vertex is required).
+    SamplerSize {
+        /// Bins in the configuration.
+        bins: usize,
+        /// Bins the sampler draws from.
+        sampler: usize,
+    },
 }
 
 impl core::fmt::Display for SimError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SimError::NoBalls => write!(f, "simulation requires at least one ball"),
+            SimError::SamplerSize { bins, sampler } => write!(
+                f,
+                "configuration has {bins} bins but the destination sampler has {sampler} \
+                 (one bin per graph vertex is required)"
+            ),
         }
     }
 }
@@ -116,14 +136,34 @@ impl core::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 impl<P: Policy> Simulation<P> {
-    /// Create a simulation starting from `initial` under the given policy.
+    /// Create a simulation starting from `initial` under the given policy,
+    /// on the complete graph (the paper's uniform destination draw).
     ///
     /// Any `m ≥ 1` up to `u64::MAX` is accepted: the engine holds `O(n)`
     /// state regardless of the ball count.
     pub fn new(initial: Config, policy: P) -> Result<Self, SimError> {
+        let n = initial.n();
+        Self::with_sampler(initial, policy, DestSampler::Complete { n })
+    }
+
+    /// Create a simulation whose activated balls draw their destination
+    /// from `sampler` — uniform over all bins, or over the source bin's
+    /// neighbours in a sparse topology.  The sampler must cover exactly
+    /// the configuration's bins.
+    pub fn with_sampler(
+        initial: Config,
+        policy: P,
+        sampler: DestSampler,
+    ) -> Result<Self, SimError> {
         let m = initial.m();
         if m == 0 {
             return Err(SimError::NoBalls);
+        }
+        if sampler.n() != initial.n() {
+            return Err(SimError::SamplerSize {
+                bins: initial.n(),
+                sampler: sampler.n(),
+            });
         }
         let index = LoadIndex::new(&initial);
         let tracker = LoadTracker::new(&initial);
@@ -134,6 +174,7 @@ impl<P: Policy> Simulation<P> {
             index,
             tracker,
             policy,
+            sampler,
             time: 0.0,
             activations: 0,
             migrations: 0,
@@ -178,7 +219,6 @@ impl<P: Policy> Simulation<P> {
 
     /// Advance by exactly one activation and return the event.
     pub fn step<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> Event {
-        let n = self.cfg.n();
         let dt = self.waiting_time.sample(rng);
         self.time += dt;
         self.activations += 1;
@@ -187,7 +227,9 @@ impl<P: Policy> Simulation<P> {
         // that identical in law to "bin i with probability load_i / m".
         let rank = rng.next_below(self.index.total());
         let source = self.index.bin_at(rank);
-        let dest = rng.next_index(n);
+        // On the complete graph this is exactly `rng.next_index(n)`; an
+        // isolated vertex has no candidate and the ring is a no-op.
+        let dest = self.sampler.sample(source, rng).unwrap_or(source);
 
         let mut moved = false;
         if source != dest && self.policy.permits(self.cfg.loads(), source, dest) {
@@ -263,10 +305,19 @@ impl<P: Policy> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rls_graph::{Graph, Topology};
     use rls_rng::rng_from_seed;
 
     fn rls() -> RlsPolicy {
         RlsPolicy::new(RlsRule::paper())
+    }
+
+    /// A simulation restricted to `topology` on `n` bins (graph drawn from
+    /// a fixed seed), starting with all `m` balls in bin 0.
+    fn on_graph(topology: Topology, n: usize, m: u64) -> Simulation<RlsPolicy> {
+        let graph = topology.build(n, &mut rng_from_seed(3)).unwrap();
+        let initial = Config::all_in_one_bin(n, m).unwrap();
+        Simulation::with_sampler(initial, rls(), DestSampler::Sparse { graph }).unwrap()
     }
 
     #[test]
@@ -277,6 +328,25 @@ mod tests {
             SimError::NoBalls
         );
         assert!(SimError::NoBalls.to_string().contains("at least one ball"));
+    }
+
+    #[test]
+    fn complete_graph_stream_is_pinned() {
+        // Golden values of the paper process's random stream: any change
+        // to how a complete-graph step draws from the RNG (waiting time,
+        // source rank, destination) changes these numbers.
+        let cfg = Config::all_in_one_bin(16, 160).unwrap();
+        let mut sim = Simulation::new(cfg, rls()).unwrap();
+        let out = sim.run(&mut rng_from_seed(2024), StopWhen::perfectly_balanced());
+        assert!(out.reached_goal);
+        assert_eq!(
+            out.time.to_bits(),
+            0x4011_72a1_880d_6270,
+            "time {}",
+            out.time
+        );
+        assert_eq!(out.activations, 698);
+        assert_eq!(out.migrations, 273);
     }
 
     #[test]
@@ -418,6 +488,145 @@ mod tests {
         assert!(outcome.reached_goal);
         assert_eq!(outcome.activations, 0);
         assert_eq!(outcome.time, 0.0);
+    }
+
+    // Graph-restricted destinations (`with_sampler` on a sparse graph).
+
+    #[test]
+    fn csr_complete_graph_reaches_balance() {
+        // The complete graph as an explicit adjacency: neighbour sampling
+        // excludes self-samples but the process still balances.
+        let mut sim = on_graph(Topology::Complete, 8, 64);
+        let out = sim.run(&mut rng_from_seed(2), StopWhen::perfectly_balanced());
+        assert!(out.reached_goal);
+        assert!(out.final_discrepancy < 1.0);
+        assert!(out.migrations >= 56);
+    }
+
+    #[test]
+    fn cycle_reaches_perfect_balance_but_more_slowly() {
+        let (n, m) = (16, 16 * 8);
+        let mut complete = Simulation::new(Config::all_in_one_bin(n, m).unwrap(), rls()).unwrap();
+        let mut cycle = on_graph(Topology::Cycle, n, m);
+        let out_complete = complete.run(&mut rng_from_seed(4), StopWhen::perfectly_balanced());
+        let out_cycle = cycle.run(&mut rng_from_seed(5), StopWhen::perfectly_balanced());
+        assert!(out_complete.reached_goal);
+        assert!(out_cycle.reached_goal);
+        assert!(
+            out_cycle.time > out_complete.time,
+            "cycle ({}) should be slower than complete ({})",
+            out_cycle.time,
+            out_complete.time
+        );
+    }
+
+    #[test]
+    fn star_balances_through_the_hub() {
+        let mut sim = on_graph(Topology::Star, 9, 45);
+        let out = sim.run(&mut rng_from_seed(7), StopWhen::perfectly_balanced());
+        assert!(out.reached_goal);
+        assert!(sim.config().is_perfectly_balanced());
+    }
+
+    #[test]
+    fn graph_activation_budget_is_respected() {
+        let mut sim = on_graph(Topology::Cycle, 32, 512);
+        let out = sim.run(
+            &mut rng_from_seed(9),
+            StopWhen::perfectly_balanced().with_max_activations(100),
+        );
+        assert!(!out.reached_goal);
+        assert_eq!(out.activations, 100);
+    }
+
+    #[test]
+    fn mismatched_sampler_size_is_a_typed_error() {
+        let graph = Topology::Cycle.build(8, &mut rng_from_seed(10)).unwrap();
+        let initial = Config::all_in_one_bin(4, 16).unwrap();
+        let err =
+            Simulation::with_sampler(initial, rls(), DestSampler::Sparse { graph }).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::SamplerSize {
+                bins: 4,
+                sampler: 8
+            }
+        );
+        assert!(
+            err.to_string().contains("one bin per graph vertex"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn isolated_vertices_never_receive_balls() {
+        // A path plus one isolated vertex: balls can never reach vertex 3,
+        // so perfect balance is unreachable, but the process must not panic
+        // and must respect its budget.
+        let graph = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
+        let initial = Config::all_in_one_bin(4, 12).unwrap();
+        let mut sim =
+            Simulation::with_sampler(initial, rls(), DestSampler::Sparse { graph }).unwrap();
+        let out = sim.run(
+            &mut rng_from_seed(12),
+            StopWhen::perfectly_balanced().with_max_activations(50_000),
+        );
+        assert!(!out.reached_goal);
+        assert_eq!(out.activations, 50_000);
+        assert_eq!(sim.config().load(3), 0);
+        assert!(out.final_discrepancy >= 1.0);
+
+        // A ball sitting on the isolated vertex rings as a no-op.
+        let initial = Config::from_loads(vec![0, 0, 0, 5]).unwrap();
+        let graph = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
+        let mut sim =
+            Simulation::with_sampler(initial, rls(), DestSampler::Sparse { graph }).unwrap();
+        let event = sim.step(&mut rng_from_seed(13));
+        assert_eq!((event.source, event.dest, event.moved), (3, 3, false));
+        assert_eq!(sim.config().loads(), &[0, 0, 0, 5]);
+    }
+
+    #[test]
+    fn graph_migrations_run_along_edges() {
+        struct EdgeCheck<'g> {
+            graph: &'g Graph,
+            migrations: u64,
+        }
+        impl Observer for EdgeCheck<'_> {
+            fn on_event(&mut self, event: &Event, _: &LoadTracker, _: f64) {
+                if event.moved {
+                    assert!(
+                        self.graph.has_edge(event.source, event.dest),
+                        "migration {} -> {} is not an edge",
+                        event.source,
+                        event.dest
+                    );
+                    self.migrations += 1;
+                }
+            }
+        }
+        for topology in [Topology::Cycle, Topology::Torus2D] {
+            let graph = topology.build(16, &mut rng_from_seed(3)).unwrap();
+            let initial = Config::all_in_one_bin(16, 16 * 8).unwrap();
+            let sampler = DestSampler::Sparse {
+                graph: graph.clone(),
+            };
+            let mut sim = Simulation::with_sampler(initial, rls(), sampler).unwrap();
+            let mut check = EdgeCheck {
+                graph: &graph,
+                migrations: 0,
+            };
+            let out = sim.run_with(
+                &mut rng_from_seed(14),
+                StopWhen::perfectly_balanced(),
+                &mut NoAdversary,
+                &mut check,
+            );
+            assert!(out.reached_goal, "{topology}");
+            assert_eq!(check.migrations, out.migrations, "{topology}");
+            assert!(sim.index().matches(sim.config()), "{topology}");
+            assert!(sim.tracker().matches(sim.config()), "{topology}");
+        }
     }
 
     #[test]

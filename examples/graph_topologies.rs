@@ -7,9 +7,10 @@
 //! cargo run --release -p rls-cli --example graph_topologies
 //! ```
 
-use rls_core::Config;
-use rls_graph::{mixing::estimate_mixing, GraphRls, Topology};
+use rls_core::{Config, RlsRule};
+use rls_graph::{mixing::estimate_mixing, DestSampler, Topology};
 use rls_rng::rng_from_seed;
+use rls_sim::{RlsPolicy, Simulation, StopWhen};
 
 fn main() {
     let n = 64;
@@ -35,12 +36,16 @@ fn main() {
         };
         let mixing = estimate_mixing(&graph, 400);
         let start = Config::all_in_one_bin(n, m).expect("valid sizes");
-        let process = GraphRls::new(graph.clone(), 200_000_000);
-        let out = process.run(&start, 0.0, &mut rng);
+        let max_degree = graph.max_degree();
+        let policy = RlsPolicy::new(RlsRule::paper());
+        let mut sim = Simulation::with_sampler(start, policy, DestSampler::Sparse { graph })
+            .expect("one bin per vertex");
+        let stop = StopWhen::perfectly_balanced().with_max_activations(200_000_000);
+        let out = sim.run(&mut rng, stop);
         println!(
             "{:<16} {:>10} {:>14.4} {:>14.1} {:>12.2} {:>10}",
             topology.name(),
-            graph.max_degree(),
+            max_degree,
             mixing.spectral_gap,
             mixing.mixing_time,
             out.time,
