@@ -29,7 +29,7 @@ use crate::CampaignError;
 /// Version history: 1 = static cells only; 2 = `CellSpec` gained the
 /// `dynamic` cell kind and `CellResult` the steady-state aggregates, which
 /// changes every cell's canonical identity; 3 = the engines moved to
-/// Fenwick-indexed exchangeable-ball sampling (no per-ball map, no
+/// load-indexed exchangeable-ball sampling (no per-ball map, no
 /// `u32::MAX` ball cap) — same law, different random trajectories per
 /// seed, so every cached trial is stale; 4 = dynamic cells run the live
 /// engine over the cell's `(protocol, topology)` pair (previously
@@ -42,7 +42,7 @@ use crate::CampaignError;
 /// re-convergence aggregates), which extends every cell's canonical
 /// identity; 7 = offline RLS cells on sparse topologies run the
 /// superposition engine with a neighbour-restricted destination sampler
-/// (the same graph instances, but a Fenwick bin draw replaces the per-ball
+/// (the same graph instances, but a load-index bin draw replaces the per-ball
 /// map — same law, different trajectories per seed).
 pub const ENGINE_VERSION: u32 = 7;
 

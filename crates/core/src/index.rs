@@ -1,12 +1,12 @@
-//! Fenwick-indexed load vector: exchangeable-ball sampling in O(log n).
+//! Counted-tree load vector: exchangeable-ball sampling in O(log n).
 //!
 //! The paper's process only ever needs *a uniformly random ball* — and
 //! balls are exchangeable, so the law of the process depends on the load
 //! vector alone.  Picking a uniform ball is therefore the same thing as
-//! picking a **bin with probability `ℓ_i / m`**, which a Fenwick tree
-//! (binary indexed tree) over the loads answers in `O(log n)` time and
-//! `O(n)` memory: draw a uniform rank `r ∈ [0, m)` and descend to the
-//! first bin whose cumulative load exceeds `r`.
+//! picking a **bin with probability `ℓ_i / m`**, which a counted tree
+//! over the loads answers in `O(log n)` time and `O(n)` memory: draw a
+//! uniform rank `r ∈ [0, m)` and descend to the first bin whose cumulative
+//! load exceeds `r`.
 //!
 //! This replaces the engines' historical `balls: Vec<u32>` map (4 bytes
 //! *per ball*, hard-capped at `u32::MAX` balls) with a structure whose
@@ -16,17 +16,29 @@
 //! [`LoadTracker`](crate::LoadTracker) hooks — so the engines never pay an
 //! `O(n)` rebuild on the hot path.
 //!
+//! The tree is 8-ary: each node is the 8 subtree sums of its children,
+//! one 64-byte cache line, so a descent reads one line per level —
+//! `⌈log₈ capacity⌉` levels (4 at `n = 1024`, 7 at `n = 2²⁰`) instead
+//! of a binary tree's `log₂ capacity + 1` dependent loads.
+//!
 //! The index is deliberately RNG-free (this crate is purely combinatorial):
 //! callers draw the rank themselves and ask [`bin_at`](LoadIndex::bin_at)
 //! for the bin, which keeps the random-stream accounting in the engines.
 
 use crate::Config;
 
-/// A Fenwick (binary indexed) tree over the `n` bin loads.
+/// Children per tree node: 8 `u64` subtree sums fill one 64-byte line.
+const FANOUT: usize = 8;
+/// `log₂ FANOUT`: a bin's ancestor word at level `k` is `bin >> (3k)`.
+const FANOUT_BITS: u32 = 3;
+/// Most levels a `usize` capacity can need: `⌈64 / 3⌉`.
+const MAX_LEVELS: usize = 22;
+
+/// An 8-ary counted tree over the `n` bin loads.
 ///
 /// Supports `O(log n)` rank queries (`bin_at`), prefix sums and point
-/// updates, with the total load kept alongside so sampling needs no extra
-/// traversal.
+/// updates, `O(1)` single-bin loads, with the total load kept alongside so
+/// sampling needs no extra traversal.
 ///
 /// ```
 /// use rls_core::{Config, LoadIndex, Move};
@@ -47,16 +59,22 @@ use crate::Config;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadIndex {
-    /// 1-based Fenwick array over `capacity` slots; `tree[i]` covers
-    /// `lowbit(i)` bins ending at bin `i − 1`.  Slots `len..capacity` are
-    /// spare: they carry zero mass and are invisible to rank descent.
+    /// Every level of the tree, leaves first.  Level `k` holds one word
+    /// per aligned block of `8^k` bins — that block's load — padded to
+    /// whole 8-word nodes, so word `bin >> 3k` of level `k` is the
+    /// ancestor of `bin`, and each node of level `k + 1` is one cache
+    /// line of child sums over level `k`.  Level 0 is the load vector
+    /// itself.  Bins `len..capacity` and the padding carry zero mass, so
+    /// rank descent never selects them.
     tree: Vec<u64>,
+    /// Offset of each level in `tree`; the top level is the single root node.
+    level_start: [usize; MAX_LEVELS],
+    /// Number of levels, `max(1, ⌈log₈ capacity⌉)`.
+    levels: u32,
+    /// Leaf slots (a power of two `≥ len`); grows by doubling.
+    capacity: usize,
     /// Number of allocated bins (`≤ capacity`); bin ids are `0..len`.
     len: usize,
-    /// Starting stride of the descent.  Capacity is kept a power of two,
-    /// so this always equals `capacity` and the root node covers the whole
-    /// prefix (which is what lets the descent drop its bounds checks).
-    top: usize,
     /// Total load `m = Σ ℓ_i` (`u64` end to end — no `u32` ball cap).
     total: u64,
     /// How many O(capacity) rebuilds [`add_bin`](Self::add_bin) has paid.
@@ -79,20 +97,56 @@ impl LoadIndex {
     pub fn from_loads(loads: &[u64]) -> Self {
         let n = loads.len();
         assert!(n > 0, "LoadIndex requires at least one bin");
-        // Capacity is kept a power of two (padding slots carry zero mass
-        // and are invisible to rank descent): the root then covers the
-        // whole prefix, so `bin_at_depth` needs no per-level bounds check
-        // and its inner loop is branch-free.  `add_bin` preserves the
-        // invariant by doubling.
-        let cap = n.next_power_of_two();
-        let (tree, top, total) = build_tree(loads, cap);
+        Self::build(loads, n.next_power_of_two(), 0)
+    }
+
+    /// Lay out and fill the tree over `loads` padded to `capacity` leaves,
+    /// in one allocation of the exact final size.
+    fn build(loads: &[u64], capacity: usize, rebuilds: u64) -> Self {
+        debug_assert!(loads.len() <= capacity && capacity.is_power_of_two());
+        let mut level_start = [0usize; MAX_LEVELS];
+        let mut levels = 0usize;
+        let mut words = 0usize;
+        let mut width = capacity;
+        loop {
+            level_start[levels] = words;
+            levels += 1;
+            let nodes = width.div_ceil(FANOUT);
+            words += nodes * FANOUT;
+            if nodes == 1 {
+                break;
+            }
+            width = nodes;
+        }
+        let mut tree = vec![0u64; words];
+        let mut total = 0u64;
+        for (slot, &load) in tree.iter_mut().zip(loads) {
+            *slot = load;
+            total = total.checked_add(load).expect("total load fits in u64");
+        }
+        // Every interior sum is bounded by `total`, so none can overflow.
+        for k in 1..levels {
+            let (below, above) = tree.split_at_mut(level_start[k]);
+            let below = &below[level_start[k - 1]..];
+            for (sum, node) in above.iter_mut().zip(below.chunks_exact(FANOUT)) {
+                *sum = node.iter().sum();
+            }
+        }
         Self {
             tree,
-            len: n,
-            top,
+            level_start,
+            levels: levels.try_into().expect("at most MAX_LEVELS levels"),
+            capacity,
+            len: loads.len(),
             total,
-            rebuilds: 0,
+            rebuilds,
         }
+    }
+
+    /// Offsets of the levels in `tree`, leaves first.
+    #[inline]
+    fn level_starts(&self) -> &[usize] {
+        &self.level_start[..self.levels as usize]
     }
 
     /// Number of allocated bins `n` (including retired bins still holding
@@ -102,11 +156,11 @@ impl LoadIndex {
         self.len
     }
 
-    /// Allocated tree capacity (`≥ n`); grows by doubling in
-    /// [`add_bin`](Self::add_bin).
+    /// Allocated leaf capacity (a power of two `≥ n`); grows by doubling
+    /// in [`add_bin`](Self::add_bin).
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.tree.len() - 1
+        self.capacity
     }
 
     /// How many capacity-doubling rebuilds this index has performed.
@@ -124,14 +178,8 @@ impl LoadIndex {
     /// # Panics
     /// Panics if the total would overflow `u64`.
     pub fn add_bin(&mut self, mass: u64) -> usize {
-        if self.len == self.capacity() {
-            let mut loads: Vec<u64> = (0..self.len).map(|i| self.load(i)).collect();
-            let cap = self.capacity() * 2;
-            loads.resize(cap, 0);
-            let (tree, top, _) = build_tree(&loads, cap);
-            self.tree = tree;
-            self.top = top;
-            self.rebuilds += 1;
+        if self.len == self.capacity {
+            *self = Self::build(&self.tree[..self.len], self.capacity * 2, self.rebuilds + 1);
         }
         let bin = self.len;
         self.len += 1;
@@ -161,21 +209,30 @@ impl LoadIndex {
         self.total
     }
 
-    /// Sum of the loads of bins `0..bin` (`bin` may equal `n`).
+    /// Sum of the loads of bins `0..bin` (`bin` may equal `n`): at each
+    /// level, the left siblings of `bin`'s ancestor within its node.
     pub fn prefix(&self, bin: usize) -> u64 {
         debug_assert!(bin <= self.n());
+        if bin == self.capacity {
+            // The whole tree: past the root's last child, which has no
+            // parent node to hold the sum.
+            return self.total;
+        }
         let mut i = bin;
         let mut sum = 0u64;
-        while i > 0 {
-            sum += self.tree[i];
-            i -= lowbit(i);
+        for &start in self.level_starts() {
+            let node = start + (i & !(FANOUT - 1));
+            sum += self.tree[node..start + i].iter().sum::<u64>();
+            i >>= FANOUT_BITS;
         }
         sum
     }
 
-    /// Load of a single bin, recovered from the tree in `O(log n)`.
+    /// Load of a single bin: its leaf, read in `O(1)`.
+    #[inline]
     pub fn load(&self, bin: usize) -> u64 {
-        self.prefix(bin + 1) - self.prefix(bin)
+        debug_assert!(bin < self.n(), "bin {bin} outside 0..{}", self.n());
+        self.tree[bin]
     }
 
     /// The bin holding the ball of rank `rank` when balls are laid out bin
@@ -193,8 +250,8 @@ impl LoadIndex {
     }
 
     /// Like [`bin_at`](Self::bin_at), but also reports how many tree
-    /// nodes the descent inspected — the telemetry layer's "Fenwick
-    /// descent depth" metric.  `bin_at` is a thin wrapper, so the
+    /// levels the descent read — one cache line each, the telemetry
+    /// layer's "descent depth" metric.  `bin_at` is a thin wrapper, so the
     /// selection arithmetic is bit-identical whether or not the caller
     /// keeps the depth.
     ///
@@ -207,39 +264,18 @@ impl LoadIndex {
             "rank {rank} out of range (total {})",
             self.total
         );
-        // Capacity is a power of two (`from_loads` pads, `add_bin`
-        // doubles), so `top == capacity` and the root node aggregates the
-        // *entire* prefix: `tree[top] == total > rank` means the root
-        // child is never taken, which in turn bounds `pos + step <= top`
-        // at every level — no per-level range check needed.
-        let cap = self.capacity();
-        debug_assert_eq!(self.top, cap, "capacity is kept a power of two");
+        // The root node sums to `total > rank`, and `select_child` only
+        // enters a child whose sum exceeds the remaining rank, so the
+        // descent never reaches a zero-mass (padding or spare) slot.
         let mut pos = 0usize;
-        let mut step = self.top;
-        let mut depth = 0u32;
-        while step > 0 {
-            let next = pos + step;
-            let node = self.tree[next];
-            // Warm both nodes the next level can touch before the select
-            // below resolves: their addresses depend only on `pos`/`step`
-            // (not on the compare), so these loads overlap the serial
-            // descent chain — a safe-code software prefetch.  The clamp
-            // keeps the speculative index in bounds at the root.
-            let half = step >> 1;
-            if half > 0 {
-                std::hint::black_box(self.tree[pos + half]);
-                std::hint::black_box(self.tree[(next + half).min(cap)]);
-            }
-            // Branch-free child select: mask arithmetic instead of a
-            // data-dependent branch, so an unpredictable rank costs no
-            // pipeline flush on the hot sampling path.
-            let take = (node <= rank) as u64;
-            rank -= node & take.wrapping_neg();
-            pos += step & (take as usize).wrapping_neg();
-            step >>= 1;
-            depth += 1;
+        for &start in self.level_starts().iter().rev() {
+            let base = start + pos * FANOUT;
+            let node: &[u64; FANOUT] = self.tree[base..base + FANOUT]
+                .try_into()
+                .expect("levels are padded to whole nodes");
+            pos = pos * FANOUT + select_child(node, &mut rank);
         }
-        (pos, depth)
+        (pos, self.levels)
     }
 
     /// Add one ball to `bin`.
@@ -277,11 +313,10 @@ impl LoadIndex {
             .total
             .checked_add(delta)
             .expect("total load fits in u64");
-        let cap = self.capacity();
-        let mut i = bin + 1;
-        while i <= cap {
-            self.tree[i] += delta;
-            i += lowbit(i);
+        let mut i = bin;
+        for &start in &self.level_start[..self.levels as usize] {
+            self.tree[start + i] += delta;
+            i >>= FANOUT_BITS;
         }
     }
 
@@ -301,11 +336,10 @@ impl LoadIndex {
             "cannot remove a ball from an empty bin"
         );
         self.total -= delta;
-        let cap = self.capacity();
-        let mut i = bin + 1;
-        while i <= cap {
-            self.tree[i] -= delta;
-            i += lowbit(i);
+        let mut i = bin;
+        for &start in &self.level_start[..self.levels as usize] {
+            self.tree[start + i] -= delta;
+            i >>= FANOUT_BITS;
         }
     }
 
@@ -315,8 +349,20 @@ impl LoadIndex {
     #[inline]
     pub fn record_move(&mut self, from: usize, to: usize) {
         debug_assert_ne!(from, to, "self-loops must not be recorded");
-        self.decrement(from);
-        self.increment(to);
+        assert!(from < self.n(), "bin {from} outside 0..{}", self.n());
+        assert!(to < self.n(), "bin {to} outside 0..{}", self.n());
+        debug_assert!(
+            self.load(from) > 0,
+            "cannot remove a ball from an empty bin"
+        );
+        // One walk up both paths; where they meet, the two updates cancel.
+        let (mut f, mut t) = (from, to);
+        for &start in &self.level_start[..self.levels as usize] {
+            self.tree[start + f] -= 1;
+            self.tree[start + t] += 1;
+            f >>= FANOUT_BITS;
+            t >>= FANOUT_BITS;
+        }
     }
 
     /// Record a dynamic arrival into `bin` (the companion of
@@ -341,35 +387,35 @@ impl LoadIndex {
     }
 }
 
-#[inline]
-fn lowbit(i: usize) -> usize {
-    i & i.wrapping_neg()
-}
+/// The child of `node` holding `rank` — the first whose running sum
+/// exceeds it — with the skipped mass subtracted from `rank`.
+///
+/// A branch-free binary select over pair sums: the lower half
+/// `s01 + s23`, then the pair `s01` or `s45`, then one child.  That is
+/// three dependent compares instead of an 8-long serial prefix chain, and
+/// mask arithmetic instead of data-dependent branches, so an unpredictable
+/// rank costs no pipeline flush.
+#[inline(always)]
+fn select_child(node: &[u64; FANOUT], rank: &mut u64) -> usize {
+    let s01 = node[0] + node[1];
+    let s23 = node[2] + node[3];
+    let s45 = node[4] + node[5];
+    let mut r = *rank;
 
-/// O(cap) Fenwick construction over `loads` padded to `cap` slots.
-fn build_tree(loads: &[u64], cap: usize) -> (Vec<u64>, usize, u64) {
-    debug_assert!(loads.len() <= cap);
-    let mut tree = vec![0u64; cap + 1];
-    let mut total = 0u64;
-    for i in 0..cap {
-        // Propagation must visit every slot (not just the populated
-        // prefix): interior nodes past `loads.len()` still aggregate
-        // earlier children.
-        let l = loads.get(i).copied().unwrap_or(0);
-        tree[i + 1] = tree[i + 1].checked_add(l).expect("total load fits in u64");
-        total = total.checked_add(l).expect("total load fits in u64");
-        let parent = (i + 1) + lowbit(i + 1);
-        if parent <= cap {
-            tree[parent] = tree[parent]
-                .checked_add(tree[i + 1])
-                .expect("total load fits in u64");
-        }
-    }
-    let mut top = 1usize;
-    while top * 2 <= cap {
-        top *= 2;
-    }
-    (tree, top, total)
+    let upper = s01 + s23 <= r;
+    let mask = u64::from(upper).wrapping_neg();
+    r -= (s01 + s23) & mask;
+    let pair = s01 ^ ((s01 ^ s45) & mask);
+
+    let odd_pair = pair <= r;
+    r -= pair & u64::from(odd_pair).wrapping_neg();
+    let child = usize::from(upper) * 4 + usize::from(odd_pair) * 2;
+
+    let single = node[child];
+    let odd = single <= r;
+    r -= single & u64::from(odd).wrapping_neg();
+    *rank = r;
+    child + usize::from(odd)
 }
 
 #[cfg(test)]
@@ -670,5 +716,39 @@ mod tests {
             }
         }
         assert!(idx.rebuilds() > 0, "the walk must have exercised growth");
+    }
+
+    /// The tree holds at most `capacity·8/7 + 8·levels` words (≈ 1.14
+    /// words per bin) in a vector allocated at exactly that size, both
+    /// at construction and after a doubling rebuild.
+    fn assert_memory_pinned(idx: &LoadIndex) {
+        let levels = idx.levels as usize;
+        let bound = idx.capacity() * 8 / 7 + 8 * levels;
+        assert!(
+            idx.tree.len() <= bound,
+            "{} words exceed {bound} at capacity {}",
+            idx.tree.len(),
+            idx.capacity()
+        );
+        assert_eq!(idx.tree.capacity(), idx.tree.len(), "no slack allocation");
+    }
+
+    #[test]
+    fn memory_is_pinned_to_the_exact_tree_size() {
+        for n in [1usize, 7, 8, 9, 63, 64, 65, 512, 513, 1024, 1 << 20] {
+            let mut idx = LoadIndex::from_loads(&vec![1; n]);
+            assert_memory_pinned(&idx);
+            while idx.n() < idx.capacity() {
+                idx.add_bin(1);
+            }
+            let rebuilds = idx.rebuilds();
+            idx.add_bin(1);
+            assert_eq!(idx.rebuilds(), rebuilds + 1);
+            assert_memory_pinned(&idx);
+        }
+        // 2²⁰ bins: 2²⁰ + 2¹⁷ + 2¹⁴ + 2¹¹ + 2⁸ + 2⁵ + 8 words over 7 levels.
+        let idx = LoadIndex::from_loads(&vec![1; 1 << 20]);
+        assert_eq!(idx.levels, 7);
+        assert_eq!(idx.tree.len(), 1_198_376);
     }
 }

@@ -31,8 +31,8 @@
 //!    to decide whether the ball moves there.
 //!
 //! Every step is `O(d · cost(sample) + d · cost(load))`, i.e. `O(log n)`
-//! for the engines (both the Fenwick [`LoadIndex`](crate::LoadIndex) and a
-//! raw load vector answer a load query in at most `O(log n)`).
+//! for the engines (both the [`LoadIndex`](crate::LoadIndex) and a
+//! raw load vector answer a load query in `O(1)`).
 
 use serde::{Deserialize, Serialize};
 

@@ -8,7 +8,9 @@
 //! [`LoadTracker`] maintains them in `O(1)` amortized per move by exploiting
 //! that a single move changes exactly two loads by exactly one:
 //!
-//! * a histogram of loads (`load value → number of bins`),
+//! * a histogram of loads (`load value → number of bins`), kept in a
+//!   flat open-addressing table, so a move costs a few probes and
+//!   allocates only when the table resizes,
 //! * the minimum and maximum load (adjusted by at most one step per move),
 //! * the number of overloaded balls and of holes,
 //! * the counts of bins above / at / below the exact average.
@@ -21,14 +23,12 @@
 // x-balance) is a read-only statistic derived from integer state on
 // demand; nothing float-valued is ever written back into the histogram
 // or the aggregates, so the trajectory cannot be perturbed.
-use std::collections::BTreeMap;
-
 use crate::{BinCounts, Config, Membership};
 
 /// Incrementally maintained summary of a load configuration.
 #[derive(Debug, Clone)]
 pub struct LoadTracker {
-    counts: BTreeMap<u64, usize>,
+    counts: LoadCounts,
     n: usize,
     m: u64,
     floor_avg: u64,
@@ -45,9 +45,9 @@ pub struct LoadTracker {
 impl LoadTracker {
     /// Build the tracker for an initial configuration.
     pub fn new(cfg: &Config) -> Self {
-        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut counts = LoadCounts::new();
         for &l in cfg.loads() {
-            *counts.entry(l).or_insert(0) += 1;
+            counts.increment(l);
         }
         let bc = cfg.bin_counts();
         Self {
@@ -184,7 +184,7 @@ impl LoadTracker {
     pub fn bin_joined(&mut self, load: u64) {
         self.n += 1;
         self.m += load;
-        *self.counts.entry(load).or_insert(0) += 1;
+        self.counts.increment(load);
         if load < self.min_load {
             self.min_load = load;
         }
@@ -204,19 +204,19 @@ impl LoadTracker {
     /// bin is the last one.
     pub fn bin_retired(&mut self) {
         assert!(self.n > 1, "cannot retire the last tracked bin");
-        let c = self
+        let emptied = self
             .counts
-            .get_mut(&0)
+            .decrement(0)
             .unwrap_or_else(|| panic!("tracker inconsistency: retiring a non-empty bin"));
-        *c -= 1;
-        let emptied = *c == 0;
-        if emptied {
-            self.counts.remove(&0);
-        }
         self.n -= 1;
         if emptied && self.min_load == 0 {
             // The histogram is non-empty (n ≥ 1 bins remain).
-            self.min_load = *self.counts.keys().next().expect("tracker non-empty");
+            self.min_load = self
+                .counts
+                .iter()
+                .map(|(load, _)| load)
+                .min()
+                .expect("tracker non-empty");
         }
         self.refresh_average_relative();
     }
@@ -232,16 +232,23 @@ impl LoadTracker {
         self.bins_above = 0;
         self.bins_at = 0;
         self.bins_below = 0;
-        for (&load, &bins) in &self.counts {
+        for (load, bins) in self.counts.iter() {
             self.overloaded += load.saturating_sub(self.ceil_avg) * bins as u64;
             self.holes += self.floor_avg.saturating_sub(load) * bins as u64;
-            let lhs = load as u128 * self.n as u128;
-            match lhs.cmp(&(self.m as u128)) {
-                core::cmp::Ordering::Greater => self.bins_above += bins,
-                core::cmp::Ordering::Equal => self.bins_at += bins,
-                core::cmp::Ordering::Less => self.bins_below += bins,
+            match self.class(load) {
+                1 => self.bins_above += bins,
+                0 => self.bins_at += bins,
+                _ => self.bins_below += bins,
             }
         }
+    }
+
+    /// Where a bin of load `l` stands against the exact average `m/n`:
+    /// `1` above, `0` at, `-1` below.  Branch-free, because `l > m/n` iff
+    /// `l > ⌊m/n⌋` and `l < m/n` iff `l < ⌈m/n⌉`.
+    #[inline]
+    fn class(&self, l: u64) -> i8 {
+        i8::from(l > self.floor_avg) - i8::from(l < self.ceil_avg)
     }
 
     /// Move one bin from load `old` to load `new` in the histogram and
@@ -249,16 +256,11 @@ impl LoadTracker {
     fn shift_load(&mut self, old: u64, new: u64) {
         debug_assert!(old.abs_diff(new) == 1);
         // Histogram.
-        let c = self
+        let emptied = self
             .counts
-            .get_mut(&old)
+            .decrement(old)
             .unwrap_or_else(|| panic!("tracker inconsistency: no bin at load {old}"));
-        *c -= 1;
-        let emptied = *c == 0;
-        if emptied {
-            self.counts.remove(&old);
-        }
-        *self.counts.entry(new).or_insert(0) += 1;
+        self.counts.increment(new);
 
         // Min / max: a single ±1 change moves the extremes by at most one.
         if new > self.max_load {
@@ -285,17 +287,8 @@ impl LoadTracker {
         self.holes =
             self.holes + self.floor_avg.saturating_sub(new) - self.floor_avg.saturating_sub(old);
 
-        // Bins above / at / below the exact average (compare l·n with m).
-        let class = |l: u64| -> i8 {
-            let lhs = l as u128 * self.n as u128;
-            let rhs = self.m as u128;
-            match lhs.cmp(&rhs) {
-                core::cmp::Ordering::Greater => 1,
-                core::cmp::Ordering::Equal => 0,
-                core::cmp::Ordering::Less => -1,
-            }
-        };
-        let (old_class, new_class) = (class(old), class(new));
+        // Bins above / at / below the exact average.
+        let (old_class, new_class) = (self.class(old), self.class(new));
         if old_class != new_class {
             match old_class {
                 1 => self.bins_above -= 1,
@@ -310,15 +303,16 @@ impl LoadTracker {
         }
     }
 
-    /// The load histogram as ascending `(load, bin count)` pairs.
+    /// The load histogram as ascending `(load, bin count)` pairs, sorted
+    /// on demand in `O(d log d)` for `d` distinct loads.
     ///
-    /// Iteration order is deterministic by construction (`BTreeMap`),
-    /// so any export or serialization built on it is byte-stable across
-    /// runs and across identically-driven trackers — the predecessor
-    /// `HashMap` iterated in a per-instance random order, which detlint
-    /// rule D001 now bans in trajectory crates.
+    /// The order is fixed by the loads alone, so any export or
+    /// serialization built on it is byte-stable across runs and across
+    /// trackers that reach the same load multiset by different paths.
     pub fn histogram(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.counts.iter().map(|(&l, &c)| (l, c))
+        let mut pairs: Vec<(u64, usize)> = self.counts.iter().collect();
+        pairs.sort_unstable();
+        pairs.into_iter()
     }
 
     /// Verify the tracker against the *live* sub-configuration of an
@@ -347,6 +341,146 @@ impl LoadTracker {
             && self.bins_above == bc.above
             && self.bins_at == bc.at
             && self.bins_below == bc.below
+    }
+}
+
+/// Multiplier of the Fibonacci hash: `2⁶⁴ / φ`, odd, so consecutive loads
+/// land far apart in the table.
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Smallest table size; the table never shrinks below it.
+const MIN_SLOTS: usize = 8;
+
+/// The load histogram: a deterministic open-addressing table from load
+/// value to the number of bins holding it.
+///
+/// Multiplicative (Fibonacci) hashing into a power-of-two table, linear
+/// probing, and backward-shift deletion, so there are no tombstones and a
+/// lookup stops at the first vacant slot.  Occupancy stays within
+/// `(1/8, 1/2]` of the slots (above the minimum size): the table doubles
+/// when it passes half full and halves when it falls under an eighth, so
+/// a scan of every entry costs `O(distinct loads)`.  The hash is a fixed
+/// function of the load, so identically-driven tables are identical —
+/// layout and iteration order included.
+#[derive(Debug, Clone)]
+struct LoadCounts {
+    /// `(load, bins)`; `bins == 0` marks a vacant slot.
+    slots: Vec<(u64, usize)>,
+    /// Occupied slots, i.e. distinct loads.
+    len: usize,
+    /// `64 − log₂ slots.len()`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl LoadCounts {
+    fn new() -> Self {
+        Self::with_slots(MIN_SLOTS)
+    }
+
+    fn with_slots(slots: usize) -> Self {
+        debug_assert!(slots.is_power_of_two());
+        Self {
+            slots: vec![(0, 0); slots],
+            len: 0,
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// Home slot of `load`.
+    #[inline]
+    fn home(&self, load: u64) -> usize {
+        // The top `log₂ slots` bits of the product: always `< slots.len()`.
+        usize::try_from(load.wrapping_mul(HASH_MUL) >> self.shift).expect("slot index fits usize")
+    }
+
+    /// The slot holding `load`, or the vacant slot ending its probe run.
+    #[inline]
+    fn probe(&self, load: u64) -> usize {
+        let mask = self.mask();
+        let mut i = self.home(load);
+        loop {
+            let (key, bins) = self.slots[i];
+            if bins == 0 || key == load {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// One more bin at `load`.
+    fn increment(&mut self, load: u64) {
+        let i = self.probe(load);
+        let slot = &mut self.slots[i];
+        if slot.1 == 0 {
+            *slot = (load, 1);
+            self.len += 1;
+            if self.len * 2 > self.slots.len() {
+                self.resize(self.slots.len() * 2);
+            }
+        } else {
+            slot.1 += 1;
+        }
+    }
+
+    /// One fewer bin at `load`: `Some(emptied)` reports whether that was
+    /// the last such bin, `None` that no bin holds `load`.
+    fn decrement(&mut self, load: u64) -> Option<bool> {
+        let i = self.probe(load);
+        let slot = &mut self.slots[i];
+        if slot.1 == 0 {
+            return None;
+        }
+        slot.1 -= 1;
+        if slot.1 > 0 {
+            return Some(false);
+        }
+        self.len -= 1;
+        self.backward_shift(i);
+        if self.len * 8 < self.slots.len() && self.slots.len() > MIN_SLOTS {
+            self.resize(self.slots.len() / 2);
+        }
+        Some(true)
+    }
+
+    /// Close the hole at vacant slot `hole`: pull each later entry of the
+    /// probe run back into it unless that would move the entry before its
+    /// home slot.
+    fn backward_shift(&mut self, mut hole: usize) {
+        let mask = self.mask();
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let (key, bins) = self.slots[i];
+            if bins == 0 {
+                break;
+            }
+            // The entry may fill the hole iff the hole lies between its
+            // home and its current slot (cyclically).
+            if (i.wrapping_sub(self.home(key)) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = (key, bins);
+                self.slots[i] = (0, 0);
+                hole = i;
+            }
+        }
+    }
+
+    /// Rehash every entry into a table of `slots` slots.
+    fn resize(&mut self, slots: usize) {
+        let old = std::mem::replace(self, Self::with_slots(slots));
+        for (load, bins) in old.iter() {
+            let i = self.probe(load);
+            self.slots[i] = (load, bins);
+        }
+        self.len = old.len;
+    }
+
+    /// Every `(load, bins)` entry, in table order.
+    fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.slots.iter().copied().filter(|&(_, bins)| bins > 0)
     }
 }
 
@@ -638,5 +772,60 @@ mod tests {
         let mut sorted = loads.clone();
         sorted.sort_unstable();
         assert_eq!(loads, sorted);
+    }
+
+    #[test]
+    fn histogram_table_grows_and_shrinks_over_an_rls_run_to_balance() {
+        // All 4096 balls start in one of 64 bins; the paper's RLS rule
+        // spreads them through dozens of distinct loads before every bin
+        // settles at 64.  A `BTreeMap` kept beside the tracker is the
+        // reference histogram at every step.
+        let mut cfg = Config::all_in_one_bin(64, 4096).unwrap();
+        let mut t = LoadTracker::new(&cfg);
+        let mut reference: std::collections::BTreeMap<u64, usize> = [(0, 63), (4096, 1)].into();
+        let shift = |reference: &mut std::collections::BTreeMap<u64, usize>, old: u64, new: u64| {
+            let c = reference.get_mut(&old).unwrap();
+            *c -= 1;
+            if *c == 0 {
+                reference.remove(&old);
+            }
+            *reference.entry(new).or_insert(0) += 1;
+        };
+        let rule = RlsRule::paper();
+        let mut state = 0x0BA1_A4CEu64;
+        let mut widest = 0;
+        while !t.is_perfectly_balanced() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            // A uniform ball: the bin of rank `r` in the bin-by-bin layout.
+            let mut r = (state >> 20) % cfg.m();
+            let from = cfg
+                .loads()
+                .iter()
+                .position(|&l| {
+                    r < l || {
+                        r -= l;
+                        false
+                    }
+                })
+                .unwrap();
+            let to = (state >> 8) as usize % cfg.n();
+            if from == to || !rule.permits(&cfg, Move::new(from, to)) {
+                continue;
+            }
+            let (lf, lt) = (cfg.load(from), cfg.load(to));
+            cfg.apply(Move::new(from, to)).unwrap();
+            t.record_move(lf, lt);
+            shift(&mut reference, lf, lf - 1);
+            shift(&mut reference, lt, lt + 1);
+            assert!(t.histogram().eq(reference.iter().map(|(&l, &c)| (l, c))));
+            assert!(t.matches(&cfg));
+            widest = widest.max(t.counts.slots.len());
+        }
+        assert!(
+            widest >= 4 * MIN_SLOTS,
+            "the table must double at least twice"
+        );
+        assert_eq!(t.histogram().collect::<Vec<_>>(), vec![(64, 64)]);
+        assert_eq!(t.counts.slots.len(), MIN_SLOTS, "the table shrinks back");
     }
 }

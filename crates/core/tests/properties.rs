@@ -2,6 +2,8 @@
 //! paper lists as "desirable properties" of RLS, plus structural invariants
 //! of the bookkeeping types.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use rls_core::{
     is_close, majorizes, Config, LoadIndex, LoadTracker, Move, Phase2Snapshot, RlsRule, RlsVariant,
@@ -196,7 +198,7 @@ proptest! {
         }
     }
 
-    /// The Fenwick load index tracks the same interleavings: every rank
+    /// The load index tracks the same interleavings: every rank
     /// maps to the bin a cumulative scan would give, and point updates
     /// agree with the configuration.
     #[test]
@@ -284,52 +286,131 @@ proptest! {
         prop_assert_eq!(sorted, original);
     }
 
-    /// The branch-free, prefetched Fenwick descent agrees with a reference
-    /// cumulative scan for *every* rank, on arbitrary load vectors (zero
-    /// bins, non-power-of-two lengths) and across elastic add/retire
-    /// churn — and the power-of-two capacity invariant that lets the
-    /// descent drop its per-level bounds check actually holds throughout.
+    /// The 8-ary counted tree agrees with a reference cumulative scan on
+    /// arbitrary load vectors — sizes on both sides of every level
+    /// boundary, zero bins, weighted/rate-mass deltas up to 2⁴⁰ — across
+    /// interleaved `add`/`sub`/`add_bin`/`retire_bin`: `bin_at` at both
+    /// ends of every bin's rank range, `load` and `prefix` at every bin,
+    /// and a descent depth of exactly `max(1, ⌈log₈ capacity⌉)` levels.
     #[test]
-    fn branch_free_descent_matches_reference_scan(
-        loads in prop::collection::vec(0u64..=12, 1..=40),
-        churn in prop::collection::vec((0u8..2, 0u64..=9, 0usize..40), 0..12),
+    fn counted_tree_descent_matches_reference_scan(
+        loads in (0usize..18, 1usize..=40).prop_flat_map(|(pick, random)| {
+            let n = [1usize, 7, 8, 9, 63, 64, 65, 512, 513].get(pick).copied().unwrap_or(random);
+            prop::collection::vec(0u64..=12, n)
+        }),
+        ops in prop::collection::vec((0u8..4, 0u64..=1 << 40, 0usize..1 << 20), 0..24),
     ) {
         let mut loads = loads;
         let mut index = LoadIndex::from_loads(&loads);
-        prop_assert!(index.capacity().is_power_of_two());
-        prop_assert!(index.capacity() >= loads.len());
-
-        // Interleave elastic scale events so the invariant is exercised
-        // across capacity-doubling rebuilds, not just at construction.
-        for (kind, mass, pick) in churn {
-            if kind == 0 {
-                let bin = index.add_bin(mass);
-                prop_assert_eq!(bin, loads.len());
-                loads.push(mass);
-            } else {
-                let bin = pick % loads.len();
-                let drained = index.retire_bin(bin);
-                prop_assert_eq!(drained, loads[bin]);
-                loads[bin] = 0;
+        for (kind, mass, pick) in ops {
+            let bin = pick % loads.len();
+            match kind {
+                0 => {
+                    index.add(bin, mass);
+                    loads[bin] += mass;
+                }
+                1 => {
+                    let delta = mass.min(loads[bin]);
+                    index.sub(bin, delta);
+                    loads[bin] -= delta;
+                }
+                2 => {
+                    prop_assert_eq!(index.add_bin(mass), loads.len());
+                    loads.push(mass);
+                }
+                _ => {
+                    prop_assert_eq!(index.retire_bin(bin), loads[bin]);
+                    loads[bin] = 0;
+                }
             }
             prop_assert!(index.capacity().is_power_of_two());
             prop_assert!(index.capacity() >= loads.len());
         }
 
-        // Reference path: a cumulative linear scan over the load vector.
-        // The descent must agree bin-for-bin on every rank, and its depth
-        // must equal the (constant) number of Fenwick levels.
-        let total: u64 = loads.iter().sum();
-        prop_assert_eq!(index.total(), total);
-        let levels = index.capacity().trailing_zeros() + 1;
-        let mut rank = 0u64;
+        let levels = index.capacity().trailing_zeros().div_ceil(3).max(1);
+        let mut cumulative = 0u64;
         for (bin, &load) in loads.iter().enumerate() {
-            for _ in 0..load {
-                let (got, depth) = index.bin_at_depth(rank);
-                prop_assert_eq!(got, bin);
-                prop_assert_eq!(depth, levels);
-                rank += 1;
+            prop_assert_eq!(index.prefix(bin), cumulative);
+            prop_assert_eq!(index.load(bin), load);
+            if load > 0 {
+                for rank in [cumulative, cumulative + load / 2, cumulative + load - 1] {
+                    prop_assert_eq!(index.bin_at_depth(rank), (bin, levels));
+                }
             }
+            cumulative += load;
+        }
+        prop_assert_eq!(index.prefix(loads.len()), cumulative);
+        prop_assert_eq!(index.total(), cumulative);
+    }
+
+    /// The tracker's flat histogram agrees with a `BTreeMap` reference
+    /// under random ±1 moves, arrivals, departures, joins and retirements:
+    /// equal ascending `histogram()`, the reference's extremes as min and
+    /// max, and `matches()` against the rebuilt live configuration.
+    #[test]
+    fn tracker_histogram_matches_btreemap_reference(
+        cfg in config_strategy(),
+        ops in prop::collection::vec((0u8..5, 0usize..64, 0u64..=40), 0..120),
+    ) {
+        let mut loads = cfg.loads().to_vec();
+        let mut tracker = LoadTracker::new(&cfg);
+        let mut reference: BTreeMap<u64, usize> = BTreeMap::new();
+        for &l in &loads {
+            *reference.entry(l).or_insert(0) += 1;
+        }
+        let shift = |reference: &mut BTreeMap<u64, usize>, old: u64, new: u64| {
+            let c = reference.get_mut(&old).expect("reference holds the old load");
+            *c -= 1;
+            if *c == 0 {
+                reference.remove(&old);
+            }
+            *reference.entry(new).or_insert(0) += 1;
+        };
+        for (kind, pick, load) in ops {
+            let a = pick % loads.len();
+            let b = (pick / 7) % loads.len();
+            match kind {
+                0 if a != b && loads[a] > 0 => {
+                    tracker.record_move(loads[a], loads[b]);
+                    shift(&mut reference, loads[a], loads[a] - 1);
+                    shift(&mut reference, loads[b], loads[b] + 1);
+                    loads[a] -= 1;
+                    loads[b] += 1;
+                }
+                1 => {
+                    tracker.record_insert(loads[a]);
+                    shift(&mut reference, loads[a], loads[a] + 1);
+                    loads[a] += 1;
+                }
+                2 if loads[a] > 0 => {
+                    tracker.record_remove(loads[a]);
+                    shift(&mut reference, loads[a], loads[a] - 1);
+                    loads[a] -= 1;
+                }
+                3 => {
+                    tracker.bin_joined(load);
+                    *reference.entry(load).or_insert(0) += 1;
+                    loads.push(load);
+                }
+                4 if loads.len() > 1 && loads.contains(&0) => {
+                    tracker.bin_retired();
+                    let c = reference.get_mut(&0).expect("a zero-load bin is tracked");
+                    *c -= 1;
+                    if *c == 0 {
+                        reference.remove(&0);
+                    }
+                    let zero = loads.iter().position(|&l| l == 0).expect("checked above");
+                    loads.swap_remove(zero);
+                }
+                _ => continue,
+            }
+            let histogram: Vec<(u64, usize)> = tracker.histogram().collect();
+            let expected: Vec<(u64, usize)> = reference.iter().map(|(&l, &c)| (l, c)).collect();
+            prop_assert_eq!(&histogram, &expected);
+            prop_assert!(histogram.windows(2).all(|w| w[0].0 < w[1].0));
+            prop_assert_eq!(tracker.min_load(), *reference.keys().next().unwrap());
+            prop_assert_eq!(tracker.max_load(), *reference.keys().next_back().unwrap());
+            prop_assert!(tracker.matches(&Config::from_loads(loads.clone()).unwrap()));
         }
     }
 

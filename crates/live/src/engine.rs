@@ -18,7 +18,7 @@
 //!
 //! Because balls are exchangeable, "a uniform ball" (the departing ball,
 //! the ringing ball) is the same law as "a bin with probability `load/m`",
-//! which the Fenwick-indexed load vector ([`LoadIndex`]) answers in
+//! which a counted tree over the load vector ([`LoadIndex`]) answers in
 //! `O(log n)`.  The engine therefore holds `O(n)` state with no per-ball
 //! map and no `u32::MAX` ball cap: `m` is `u64` end to end.
 
@@ -117,7 +117,7 @@ pub struct LiveCounters {
 /// holds carries an `Exp(μ·s_i)` remaining lifetime and an `Exp(s_i)` ring
 /// clock — faster bins drain and rebalance proportionally faster.  The
 /// superposition therefore runs on the *rate mass* `R = Σ s_i·ℓ_i`
-/// (maintained as a second Fenwick tree) instead of the ball count `m`,
+/// (maintained as a second [`LoadIndex`]) instead of the ball count `m`,
 /// and departing/ringing balls are sampled rate-proportionally.  Within a
 /// bin all balls share one clock rate, so the activated ball is uniform in
 /// its bin; the per-ball weight vectors are only materialized for non-unit
@@ -133,9 +133,9 @@ struct Hetero {
     total_speed: u64,
     /// Per-bin total ball weight (mirror of `weight_index` for O(1) reads).
     weights: Vec<u64>,
-    /// Fenwick tree over per-bin total weight (weight-rank descent).
+    /// Counted tree over per-bin total weight (weight-rank descent).
     weight_index: LoadIndex,
-    /// Fenwick tree over per-bin rate mass `s_i·ℓ_i` — the law of the
+    /// Counted tree over per-bin rate mass `s_i·ℓ_i` — the law of the
     /// departure and ring clocks.
     rate_index: LoadIndex,
     /// Per-ball weights, bin by bin; `None` iff `dist` is unit (weights
@@ -190,7 +190,7 @@ impl Hetero {
 pub struct LiveEngine {
     cfg: Config,
     tracker: LoadTracker,
-    /// Fenwick tree over the loads: uniform-ball sampling (departures and
+    /// Counted tree over the loads: uniform-ball sampling (departures and
     /// rings) in O(log n) with no per-ball state.
     index: LoadIndex,
     params: LiveParams,
@@ -323,7 +323,7 @@ impl LiveEngine {
     }
 
     /// Attach heterogeneity state to a freshly built engine, rebuilding
-    /// the weight and rate Fenwick trees from the current loads (also the
+    /// the weight and rate index trees from the current loads (also the
     /// snapshot-restore path).
     pub(crate) fn attach_hetero(
         &mut self,
@@ -435,7 +435,7 @@ impl LiveEngine {
         &self.tracker
     }
 
-    /// The Fenwick index over the loads (exchangeable-ball sampling).
+    /// The counted-tree index over the loads (exchangeable-ball sampling).
     pub fn index(&self) -> &LoadIndex {
         &self.index
     }
@@ -556,13 +556,13 @@ impl LiveEngine {
             .map(|balls| balls[bin].as_slice())
     }
 
-    /// The Fenwick tree over per-bin total weight, when heterogeneous
+    /// The counted tree over per-bin total weight, when heterogeneous
     /// state is attached (exposed for property tests).
     pub fn weight_index(&self) -> Option<&LoadIndex> {
         self.hetero.as_ref().map(|h| &h.weight_index)
     }
 
-    /// The Fenwick tree over per-bin rate mass `s_i·ℓ_i`, when
+    /// The counted tree over per-bin rate mass `s_i·ℓ_i`, when
     /// heterogeneous state is attached (exposed for property tests).
     pub fn rate_index(&self) -> Option<&LoadIndex> {
         self.hetero.as_ref().map(|h| &h.rate_index)
@@ -586,7 +586,7 @@ impl LiveEngine {
     }
 
     /// Verify the heterogeneity bookkeeping against a from-scratch rebuild
-    /// (test/debug helper, `O(n + m)`): weight and rate Fenwick totals,
+    /// (test/debug helper, `O(n + m)`): weight and rate index totals,
     /// the weight mirror, and the per-ball vectors must all agree with the
     /// configuration.
     pub fn hetero_matches(&self) -> bool {
@@ -864,7 +864,7 @@ impl LiveEngine {
     /// *kind* (and optionally its coordinates), while the engine samples
     /// any coordinate left open under the law the simulation would have
     /// used, advances the clock by the superposed process's holding time
-    /// `Exp(total_rate)`, and keeps the load vector, tracker, Fenwick
+    /// `Exp(total_rate)`, and keeps the load vector, tracker, load
     /// index and counters in sync — exactly like [`step`](Self::step).
     ///
     /// On error the engine is untouched and no randomness has been
@@ -1164,7 +1164,7 @@ impl LiveEngine {
     /// engine provably leave the total rate unchanged, so the
     /// `Exp(total_rate)` construction (a `total_rate()` walk plus
     /// validation) runs once per run of rings instead of once per ring.
-    /// Reordering or coalescing the Fenwick descents themselves would
+    /// Reordering or coalescing the index descents themselves would
     /// *not* be legal here: each ring's descent depends on every move the
     /// previous ring made, and the draw order is pinned by replay.  (The
     /// sharded engine may reuse slice-start loads, but only because its
@@ -1445,7 +1445,7 @@ impl LiveEngine {
 
     /// Admit one bin at the next fresh id, warm-starting it when asked:
     /// the newcomer steals `⌊m/live⌋` exchangeable balls (each uniform
-    /// among the balls currently outside it — one Fenwick rank draw per
+    /// among the balls currently outside it — one load-index rank draw per
     /// steal, rejection-resampled if the rank lands on the newcomer
     /// itself), which lands it at the post-join average.  Every resolved
     /// draw is recorded in the [`JoinRecord`], so replay is RNG-free.
@@ -1456,10 +1456,7 @@ impl LiveEngine {
         let cfg_bin = self.cfg.push_bin();
         debug_assert_eq!(bin, cfg_bin, "membership and load vector grow in lockstep");
         let idx_bin = self.index.add_bin(0);
-        debug_assert_eq!(
-            bin, idx_bin,
-            "membership and Fenwick index grow in lockstep"
-        );
+        debug_assert_eq!(bin, idx_bin, "membership and load index grow in lockstep");
         self.tracker.bin_joined(0);
         if let Some(h) = &mut self.hetero {
             // Joining bins run at the baseline speed with no balls; the
@@ -1937,7 +1934,7 @@ mod tests {
     #[test]
     fn constructs_and_steps_past_the_old_u32_ball_cap() {
         // m = u32::MAX + 256 — impossible under the old Vec<u32> ball map,
-        // O(n) memory with the Fenwick index.  Tier-1 smoke test pinning
+        // O(n) memory with the load index.  Tier-1 smoke test pinning
         // the lifted cap.
         let n = 256usize;
         let per_bin = (u32::MAX as u64 + 256) / n as u64; // 16_777_216

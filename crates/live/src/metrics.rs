@@ -33,7 +33,7 @@ pub struct LiveMetrics {
     pub moves_rejected: Arc<Counter>,
     /// Candidate destinations sampled by the policy (labeled by policy).
     pub probes: Arc<Counter>,
-    /// Fenwick tree nodes inspected per clock descent.
+    /// Load-index tree levels read per clock descent (one cache line each).
     pub descent_depth: Arc<Histogram>,
 }
 
@@ -65,7 +65,7 @@ impl LiveMetrics {
             ),
             descent_depth: registry.histogram(
                 "rls_engine_descent_depth",
-                "Fenwick tree nodes inspected per clock-rank descent",
+                "Load-index tree levels read per clock-rank descent",
             ),
         })
     }

@@ -18,7 +18,7 @@
 //! * the barrier applies cross-shard deliveries in deterministic
 //!   `(shard, draw)` order and publishes the new global load vector.
 //!
-//! Each shard keeps a Fenwick subtree ([`LoadIndex`]) over its own bins —
+//! Each shard keeps a counted tree ([`LoadIndex`]) over its own bins —
 //! per-shard subtree sums — so sampling a resident ball (departures, RLS
 //! rings) is `O(log local_n)` with `O(local_n)` memory and no per-ball
 //! state: like the sequential engines, the sharded engine has no
@@ -71,7 +71,7 @@ struct Shard {
     bins: Range<usize>,
     /// Loads of the owned bins (indexed by `global − bins.start`).
     loads: Vec<u64>,
-    /// Fenwick subtree over the owned bins: resident-ball sampling in
+    /// Counted tree over the owned bins: resident-ball sampling in
     /// O(log local_n) with no per-ball state (`index.total()` is the
     /// shard's ball count).
     index: LoadIndex,
@@ -88,9 +88,9 @@ struct Shard {
 struct ShardHetero {
     /// Per-bin total ball weight.
     weights: Vec<u64>,
-    /// Fenwick subtree over the per-bin weights.
+    /// Counted tree over the per-bin weights.
     weight_index: LoadIndex,
-    /// Fenwick subtree over the per-bin rate mass `s_i·ℓ_i` — the local
+    /// Counted tree over the per-bin rate mass `s_i·ℓ_i` — the local
     /// law of the departure and ring clocks.
     rate_index: LoadIndex,
     /// Per-ball weights, bin by bin; `None` iff the weight distribution is
@@ -702,7 +702,7 @@ impl ShardedEngine {
 
     /// Rebuild the shard partition over the current capacity (same
     /// contiguous arithmetic as boot, so [`owner_of`](Self::owner_of)
-    /// stays consistent), refreshing loads, Fenwicks and live lists from
+    /// stays consistent), refreshing loads, index trees and live lists from
     /// the published state.  Only reached on unit engines: churn is
     /// rejected on weighted ones.
     fn repartition(&mut self) {
@@ -1204,7 +1204,7 @@ mod tests {
     #[test]
     fn weighted_books_stay_consistent_at_every_barrier() {
         // After every barrier: published weights mirror the per-shard
-        // books, the Fenwicks agree with the dense vectors, and each bin's
+        // books, the index trees agree with the dense vectors, and each bin's
         // ball list carries exactly `load` balls summing to its weight.
         let mut engine = weighted(16, 256, 4, 9);
         for _ in 0..40 {

@@ -11,7 +11,7 @@
 //!
 //! * **v1** (unversioned, PR 2): carried a `balls: Vec<u32>` ball→bin slot
 //!   map because uniform-ball sampling permuted concrete slots.  The
-//!   Fenwick-sampled engine derives its entire sampling state from the
+//!   load-index-sampled engine derives its entire sampling state from the
 //!   load vector, so the map is gone — and with it the `u32::MAX` ball
 //!   cap.
 //! * **v2** (PR 3): an explicit `version` field plus the load vector only;
@@ -117,7 +117,7 @@ impl Snapshot {
     /// Parse a snapshot from JSON, rejecting unsupported format versions
     /// with a clear error (a v1 snapshot — recognizable by its per-ball
     /// map and missing `version` field — cannot be resumed bit-identically
-    /// by the Fenwick-sampled engine).
+    /// by the load-index-sampled engine).
     pub fn from_json(text: &str) -> Result<Self, LiveError> {
         let value = serde_json::parse_value(text)
             .map_err(|e| LiveError::snapshot(format!("parse snapshot: {e}")))?;

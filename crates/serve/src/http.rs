@@ -468,7 +468,10 @@ mod tests {
         assert!(is_too_large(&err));
         // An oversized Content-Length is rejected from the head alone,
         // before any body bytes arrive.
-        let big_body = format!("POST /v1/restore HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        let big_body = format!(
+            "POST /v1/restore HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
         let err = parse_frame(big_body.as_bytes()).unwrap_err();
         assert!(is_too_large(&err));
         let bad_len = b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n";

@@ -297,8 +297,8 @@ fn run_connection(
                             // Every response still owed on this
                             // connection is lost.
                             stats.errors += (sent_at.len() - done) as u64;
-                            client = HttpClient::connect(addr)
-                                .map_err(|e| format!("reconnect: {e}"))?;
+                            client =
+                                HttpClient::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
                             break;
                         }
                     }

@@ -15,9 +15,7 @@ use std::time::Duration;
 use rls_core::{Config, RlsRule};
 use rls_live::{LiveEngine, LiveParams};
 use rls_obs::Registry;
-use rls_serve::{
-    serve, Frontend, HttpClient, HttpServer, ServeCore, ServePolicy, ServerConfig,
-};
+use rls_serve::{serve, Frontend, HttpClient, HttpServer, ServeCore, ServePolicy, ServerConfig};
 use rls_workloads::ArrivalProcess;
 
 const FRONTENDS: [Frontend; 2] = [Frontend::WorkerPool, Frontend::EventLoop];

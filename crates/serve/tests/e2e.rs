@@ -7,8 +7,7 @@ use rls_live::{LiveEngine, LiveParams, Recorder, Snapshot, SteadyState};
 use rls_rng::rng_from_seed;
 use rls_serve::{
     core_from_log, replay_over_http, serve, ArriveReply, ArriveRequest, DepartReply, DepartRequest,
-    Frontend, HealthReply, HttpClient, RingReply, ServeCore, ServePolicy, ServerConfig,
-    StatsReply,
+    Frontend, HealthReply, HttpClient, RingReply, ServeCore, ServePolicy, ServerConfig, StatsReply,
 };
 use rls_workloads::ArrivalProcess;
 
@@ -851,7 +850,9 @@ fn both_frontends_are_bit_equal_to_an_offline_core() {
                     } else {
                         serde_json::from_str(&body).unwrap()
                     };
-                    offline.arrive(&req).map(|r| serde_json::to_string(&r).unwrap())
+                    offline
+                        .arrive(&req)
+                        .map(|r| serde_json::to_string(&r).unwrap())
                 }
                 ("POST", "/v1/depart") => offline
                     .depart(&DepartRequest::default())
@@ -866,7 +867,13 @@ fn both_frontends_are_bit_equal_to_an_offline_core() {
             };
             let (offline_status, offline_body) = match offline_reply {
                 Ok(body) => (200, body),
-                Err(e) => (e.status, format!(r#"{{"error":{}}}"#, serde_json::to_string(&e.message).unwrap())),
+                Err(e) => (
+                    e.status,
+                    format!(
+                        r#"{{"error":{}}}"#,
+                        serde_json::to_string(&e.message).unwrap()
+                    ),
+                ),
             };
             assert_eq!(wp_status, offline_status, "request {i}");
             assert_eq!(

@@ -4,7 +4,7 @@
 //! By the superposition property of Poisson processes the time to the *next*
 //! ring anywhere in the system is `Exp(m)` and the ringing ball is uniform
 //! over the `m` balls.  Balls are exchangeable, so "a uniform ball" is the
-//! same law as "a bin with probability `load/m`" — which a Fenwick-indexed
+//! same law as "a bin with probability `load/m`" — which a counted tree over the
 //! load vector ([`LoadIndex`]) answers in `O(log n)` with `O(n)` memory.
 //! The engine therefore never materializes per-ball state: `m` is a plain
 //! `u64` with no `u32::MAX` cap, and a billion-ball instance costs the same
@@ -192,7 +192,7 @@ impl<P: Policy> Simulation<P> {
         &self.tracker
     }
 
-    /// The Fenwick index over the loads (exchangeable-ball sampling).
+    /// The counted-tree index over the loads (exchangeable-ball sampling).
     pub fn index(&self) -> &LoadIndex {
         &self.index
     }

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// One activation of the continuous-time process.
 ///
-/// Balls are exchangeable, so since the engines moved to Fenwick-indexed
+/// Balls are exchangeable, so since the engines moved to load-indexed
 /// exchangeable-ball sampling an event no longer carries a ball identity as
 /// a public field: the superposition engine samples *a bin with probability
 /// `load/m`* directly and has no identity to report.  The literal per-ball
@@ -52,7 +52,7 @@ impl Event {
         self
     }
 
-    /// Compat accessor for the pre-Fenwick `ball` field: the activated
+    /// Compat accessor for the historical per-ball `ball` field: the activated
     /// ball's identity if the emitting engine tracks identities (`None`
     /// from the exchangeable-ball engines).
     pub fn ball(&self) -> Option<u64> {
