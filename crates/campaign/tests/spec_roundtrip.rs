@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use proptest::{Strategy, TestRng};
-use rls_campaign::export;
+use rls_campaign::{cell_key, export};
 use rls_campaign::{
     spec_from_str, spec_to_toml_string, ArrivalSpec, Campaign, CampaignSpec, ChurnSpec,
     DynamicSpec, Grid, HitSpec, MExpr, MemoryStore, ProtocolSpec, SpeedSpec, StopSpec,
@@ -270,4 +270,39 @@ fn csv_export_is_deterministic_across_runs() {
     assert_eq!(first, third);
     // 3 n × 2 m × 2 workloads = 12 rows + header.
     assert_eq!(first.trim().lines().count(), 13);
+}
+
+/// Every spec shipped in `specs/` parses and expands into a non-empty grid
+/// of distinct cells, so a doc that points at one never points at a file
+/// the CLI would reject.
+#[test]
+fn shipped_specs_parse_and_resolve_their_cells() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .collect();
+    paths.sort();
+    assert!(
+        paths.len() >= 7,
+        "expected the shipped specs, found {paths:?}"
+    );
+    for path in &paths {
+        let text = std::fs::read_to_string(path).unwrap();
+        let spec = spec_from_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let cells = spec
+            .cells()
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(!cells.is_empty(), "{}: empty grid", path.display());
+        let mut keys: Vec<String> = cells.iter().map(|c| cell_key(spec.seed, c)).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(
+            keys.len(),
+            cells.len(),
+            "{}: duplicate cells",
+            path.display()
+        );
+    }
 }

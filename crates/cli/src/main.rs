@@ -36,16 +36,14 @@ usage: rls-experiments [--scale quick|full] [--seed N] [--list] [e1 e2 ... | all
                                     [--topology T] [--seed S] [--warmup T]
                                     [--rebalance R] [--workers K] [--for SECONDS]
                                     [--weights DIST] [--speeds PROFILE]
-       rls-experiments serve bench  [--addr HOST:PORT] [--connections C]
-                                    [--duration SECONDS] [--requests N] [--rps TARGET]
-                                    [--depart-frac F] [server flags as for `serve run`]
        rls-experiments serve replay <log.json> [--addr HOST:PORT] [--workers K]
 
 The bare form runs the numbered experiment catalogue (`--list` names every
 experiment; see docs/EXPERIMENTS.md).  `campaign` sweeps declarative TOML/JSON
 grids with a persistent results store (see README).  `live` drives the online
 dynamic engine (docs/EXPERIMENTS.md E18).  `serve` puts the live engine behind
-an HTTP endpoint and benchmarks it (docs/SERVE.md, E21).";
+an HTTP endpoint (docs/SERVE.md); its throughput is measured by the repository
+benchmark (perfbench/README.md).";
 
 struct Args {
     scale: Scale,
@@ -210,7 +208,6 @@ mod tests {
             "live replay",
             "live status",
             "serve run",
-            "serve bench",
             "serve replay",
         ] {
             assert!(USAGE.contains(verb), "usage is missing `{verb}`");

@@ -1,5 +1,5 @@
-//! The `serve` subcommand: run and benchmark the HTTP serving layer
-//! (`rls-serve`).
+//! The `serve` subcommand: run the HTTP serving layer (`rls-serve`) and
+//! replay recorded event logs through it.
 //!
 //! ```text
 //! rls-experiments serve run    [--addr HOST:PORT] [--n N] [--m M] [--workload W]
@@ -8,19 +8,15 @@
 //!                              [--rebalance R] [--workers K] [--for SECONDS]
 //!                              [--weights DIST] [--speeds PROFILE]
 //!                              [--frontend worker-pool|event-loop]
-//! rls-experiments serve bench  [--addr HOST:PORT | server flags as for run]
-//!                              [--connections C] [--duration SECONDS] [--requests N]
-//!                              [--rps TARGET] [--depart-frac F]
 //! rls-experiments serve replay <log.json> [--addr HOST:PORT] [--workers K]
 //! ```
 //!
 //! `run` boots the balancer and serves until killed (or for `--for`
-//! seconds).  `bench` drives a server — its own ephemeral one unless
-//! `--addr` points at an external instance — in closed-loop mode
-//! (saturation) or open-loop mode (`--rps`, epochs shaped by `--arrival`)
-//! and prints throughput plus latency percentiles (E21).  `replay` feeds a
-//! recorded `rls-live` event log through the HTTP path and verifies the
-//! final load vector against the offline replay exactly.
+//! seconds).  `replay` feeds a recorded `rls-live` event log through the
+//! HTTP path and verifies the final load vector against the offline
+//! replay exactly.  Serving throughput and latency are measured by the
+//! repository benchmark (`perfbench/`, workloads `serve-closed` and
+//! `serve-open`).
 //!
 //! Self-booted servers always attach the `rls-obs` telemetry registry
 //! (attaching never perturbs a trajectory), so `GET /v1/metrics` and
@@ -39,8 +35,8 @@ use rls_live::{EventLog, LiveEngine, LiveParams};
 use rls_obs::Registry;
 use rls_rng::rng_from_seed;
 use rls_serve::{
-    core_from_log, drive, replay_over_http, serve, BenchOptions, BenchReport, DriveMode, Frontend,
-    HttpServer, ServeCore, ServePolicy, ServerConfig,
+    core_from_log, replay_over_http, serve, Frontend, HttpServer, ServeCore, ServePolicy,
+    ServerConfig,
 };
 use rls_workloads::{SpeedProfile, WeightDist, Workload};
 
@@ -49,8 +45,6 @@ use rls_workloads::{SpeedProfile, WeightDist, Workload};
 pub enum ServeCommand {
     /// Boot the server and block.
     Run(Box<ServeArgs>),
-    /// Drive a server with the load generator and print the measurements.
-    Bench(Box<BenchArgs>),
     /// Feed an event log through the HTTP path and verify it.
     Replay {
         /// Path to the log file.
@@ -62,8 +56,7 @@ pub enum ServeCommand {
     },
 }
 
-/// Server-shape arguments shared by `serve run` and a self-booted
-/// `serve bench`.
+/// Server-shape arguments of `serve run`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeArgs {
     /// Bind address.
@@ -132,96 +125,21 @@ impl Default for ServeArgs {
     }
 }
 
-/// Generator arguments of `serve bench`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArgs {
-    /// Drive this external server instead of booting one.
-    pub addr: Option<String>,
-    /// Server shape when self-booting.
-    pub server: ServeArgs,
-    /// Concurrent keep-alive connections.
-    pub connections: usize,
-    /// Wall-clock run length in seconds.
-    pub duration: f64,
-    /// Optional total-request cap.
-    pub requests: Option<u64>,
-    /// Open-loop target rate (`None` = closed loop).
-    pub rps: Option<f64>,
-    /// Closed-loop pipeline depth (requests in flight per connection).
-    pub pipeline: usize,
-    /// Fraction of requests that are departures.
-    pub depart_frac: f64,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        Self {
-            addr: None,
-            server: ServeArgs {
-                addr: "127.0.0.1:0".to_string(),
-                ..ServeArgs::default()
-            },
-            connections: 4,
-            duration: 2.0,
-            requests: None,
-            rps: None,
-            pipeline: 1,
-            depart_frac: 0.0,
-        }
-    }
-}
-
 /// Parse the arguments following the `serve` keyword.
 pub fn parse_serve_args(raw: &[String]) -> Result<ServeCommand, String> {
     let verb = raw
         .first()
         .map(String::as_str)
-        .ok_or("serve needs a subcommand: run | bench | replay")?;
+        .ok_or("serve needs a subcommand: run | replay")?;
     match verb {
         "run" => parse_run(&raw[1..]).map(|a| ServeCommand::Run(Box::new(a))),
-        "bench" => parse_bench(&raw[1..]).map(|a| ServeCommand::Bench(Box::new(a))),
         "replay" => parse_replay(&raw[1..]),
-        other => Err(format!(
-            "unknown serve subcommand `{other}` (run | bench | replay)"
-        )),
+        other => Err(format!("unknown serve subcommand `{other}` (run | replay)")),
     }
 }
 
 fn str_of(e: impl ToString) -> String {
     e.to_string()
-}
-
-/// Parse one `--flag value` pair into `args`; returns false for flags this
-/// table does not know.
-fn parse_server_flag(
-    args: &mut ServeArgs,
-    flag: &str,
-    value: &mut dyn FnMut(&str) -> Result<String, String>,
-) -> Result<bool, String> {
-    match flag {
-        "--addr" => args.addr = value("an address")?,
-        "--n" => args.n = parse_num(&value("a bin count")?, "--n")?,
-        "--m" => args.m = parse_num(&value("a ball count")?, "--m")?,
-        "--workload" => args.workload = value("a workload")?.parse().map_err(str_of)?,
-        "--arrival" => args.arrival = value("an arrival process")?.parse().map_err(str_of)?,
-        "--service" => args.service = Some(parse_num(&value("a rate")?, "--service")?),
-        "--policy" => args.policy = value("a policy")?.parse()?,
-        "--topology" => args.topology = value("a topology")?.parse()?,
-        "--seed" => args.seed = parse_num(&value("a seed")?, "--seed")?,
-        "--warmup" => args.warmup = parse_num(&value("a duration")?, "--warmup")?,
-        "--rebalance" => args.rebalance = Some(parse_num(&value("a mean")?, "--rebalance")?),
-        "--workers" => args.workers = parse_num(&value("a thread count")?, "--workers")?,
-        "--frontend" => args.frontend = value("a frontend")?.parse()?,
-        "--for" => args.for_seconds = Some(parse_num(&value("seconds")?, "--for")?),
-        "--weights" => args.weights = value("a weight distribution")?.parse().map_err(str_of)?,
-        "--speeds" => args.speeds = value("a speed profile")?.parse().map_err(str_of)?,
-        "--metrics-json" => args.metrics_json = Some(value("a path")?),
-        "--metrics-interval" => {
-            args.metrics_interval = parse_num(&value("seconds")?, "--metrics-interval")?
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
 }
 
 fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
@@ -238,59 +156,34 @@ fn parse_run(raw: &[String]) -> Result<ServeArgs, String> {
             i += 1;
             raw.get(i).cloned().ok_or(format!("{flag} needs {what}"))
         };
-        if !parse_server_flag(&mut args, flag, &mut value)? {
-            return Err(format!("unknown serve run flag `{flag}`"));
+        match flag {
+            "--addr" => args.addr = value("an address")?,
+            "--n" => args.n = parse_num(&value("a bin count")?, "--n")?,
+            "--m" => args.m = parse_num(&value("a ball count")?, "--m")?,
+            "--workload" => args.workload = value("a workload")?.parse().map_err(str_of)?,
+            "--arrival" => args.arrival = value("an arrival process")?.parse().map_err(str_of)?,
+            "--service" => args.service = Some(parse_num(&value("a rate")?, "--service")?),
+            "--policy" => args.policy = value("a policy")?.parse()?,
+            "--topology" => args.topology = value("a topology")?.parse()?,
+            "--seed" => args.seed = parse_num(&value("a seed")?, "--seed")?,
+            "--warmup" => args.warmup = parse_num(&value("a duration")?, "--warmup")?,
+            "--rebalance" => args.rebalance = Some(parse_num(&value("a mean")?, "--rebalance")?),
+            "--workers" => args.workers = parse_num(&value("a thread count")?, "--workers")?,
+            "--frontend" => args.frontend = value("a frontend")?.parse()?,
+            "--for" => args.for_seconds = Some(parse_num(&value("seconds")?, "--for")?),
+            "--weights" => {
+                args.weights = value("a weight distribution")?.parse().map_err(str_of)?
+            }
+            "--speeds" => args.speeds = value("a speed profile")?.parse().map_err(str_of)?,
+            "--metrics-json" => args.metrics_json = Some(value("a path")?),
+            "--metrics-interval" => {
+                args.metrics_interval = parse_num(&value("seconds")?, "--metrics-interval")?
+            }
+            other => return Err(format!("unknown serve run flag `{other}`")),
         }
         i += 1;
     }
     validate_server(&args)?;
-    Ok(args)
-}
-
-fn parse_bench(raw: &[String]) -> Result<BenchArgs, String> {
-    let mut args = BenchArgs::default();
-    let mut external: Option<String> = None;
-    let mut i = 0;
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        let mut value = |what: &str| -> Result<String, String> {
-            i += 1;
-            raw.get(i).cloned().ok_or(format!("{flag} needs {what}"))
-        };
-        match flag {
-            "--addr" => external = Some(value("an address")?),
-            "--connections" => args.connections = parse_num(&value("a count")?, "--connections")?,
-            "--duration" => args.duration = parse_num(&value("seconds")?, "--duration")?,
-            "--requests" => args.requests = Some(parse_num(&value("a count")?, "--requests")?),
-            "--rps" => args.rps = Some(parse_num(&value("a rate")?, "--rps")?),
-            "--pipeline" => args.pipeline = parse_num(&value("a depth")?, "--pipeline")?,
-            "--depart-frac" => {
-                args.depart_frac = parse_num(&value("a fraction")?, "--depart-frac")?
-            }
-            other => {
-                if !parse_server_flag(&mut args.server, other, &mut value)? {
-                    return Err(format!("unknown serve bench flag `{other}`"));
-                }
-            }
-        }
-        i += 1;
-    }
-    args.addr = external;
-    if args.connections == 0 {
-        return Err("--connections must be at least 1".to_string());
-    }
-    if args.pipeline == 0 {
-        return Err("--pipeline must be at least 1".to_string());
-    }
-    if !(args.duration.is_finite() && args.duration > 0.0) {
-        return Err("--duration must be positive".to_string());
-    }
-    if !(0.0..=1.0).contains(&args.depart_frac) {
-        return Err("--depart-frac must lie in [0, 1]".to_string());
-    }
-    if args.addr.is_none() {
-        validate_server(&args.server)?;
-    }
     Ok(args)
 }
 
@@ -443,7 +336,6 @@ fn spawn_metrics_writer(
 pub fn execute_serve(command: &ServeCommand) -> Result<String, String> {
     match command {
         ServeCommand::Run(args) => run_cmd(args),
-        ServeCommand::Bench(args) => bench_cmd(args),
         ServeCommand::Replay { log, addr, workers } => replay_cmd(log, addr.as_deref(), *workers),
     }
 }
@@ -498,100 +390,6 @@ fn run_cmd(args: &ServeArgs) -> Result<String, String> {
                 std::thread::sleep(Duration::from_secs(3600));
             }
         }
-    }
-}
-
-fn bench_cmd(args: &BenchArgs) -> Result<String, String> {
-    let (server, rings) = match &args.addr {
-        Some(_) => (None, f64::NAN),
-        None => {
-            let (server, rings, _registry) = boot(&args.server)?;
-            (Some(server), rings)
-        }
-    };
-    let addr = match (&args.addr, &server) {
-        (Some(addr), _) => addr
-            .parse()
-            .map_err(|e| format!("bad --addr `{addr}`: {e}"))?,
-        (None, Some(server)) => server.addr(),
-        (None, None) => unreachable!("self-booted bench has a server"),
-    };
-
-    let options = BenchOptions {
-        connections: args.connections,
-        duration: Duration::from_secs_f64(args.duration),
-        max_requests: args.requests,
-        mode: match args.rps {
-            Some(target_rps) => DriveMode::Open { target_rps },
-            None => DriveMode::Closed,
-        },
-        pipeline: args.pipeline,
-        arrival: args.server.arrival.0,
-        depart_fraction: args.depart_frac,
-        seed: args.server.seed,
-    };
-    let report = drive(addr, &options)?;
-
-    let mut table = crate::table::Table::new(
-        format!(
-            "serve bench ({} loop, {} connections{}{})",
-            match options.mode {
-                DriveMode::Closed => "closed".to_string(),
-                DriveMode::Open { target_rps } => format!("open @ {target_rps:.0} rps target"),
-            },
-            args.connections,
-            if args.pipeline > 1 {
-                format!(", pipeline {}", args.pipeline)
-            } else {
-                String::new()
-            },
-            match &args.addr {
-                Some(addr) => format!(", external {addr}"),
-                None => format!(
-                    ", self-booted n = {}, m = {}, {} workers, {} frontend, \
-                     {rings:.2} rings/arrival",
-                    args.server.n, args.server.m, args.server.workers, args.server.frontend
-                ),
-            },
-        ),
-        &["quantity", "value"],
-    );
-    render_report(&mut table, &report, args.rps.is_some());
-    let mut out = table.render();
-
-    if let Some(server) = server {
-        let core = server.shutdown();
-        let stats = core.stats();
-        out.push_str(&format!(
-            "server after the run: {} events, m = {}, mean gap {:.3}, p99 overload {:.2}\n",
-            stats.counters.events, stats.m, stats.summary.mean_gap, stats.summary.p99_overload
-        ));
-    }
-    Ok(out)
-}
-
-fn render_report(table: &mut crate::table::Table, report: &BenchReport, open_loop: bool) {
-    let fmt = crate::table::fmt_f64;
-    table.push_row(vec!["requests".into(), report.requests.to_string()]);
-    table.push_row(vec![
-        "non-200 / transport errors".into(),
-        format!("{} / {}", report.non_200, report.errors),
-    ]);
-    table.push_row(vec![
-        "elapsed (s)".into(),
-        fmt(report.elapsed.as_secs_f64()),
-    ]);
-    table.push_row(vec!["requests / s".into(), fmt(report.rps)]);
-    table.push_row(vec!["p50 latency (µs)".into(), fmt(report.p50_us)]);
-    table.push_row(vec!["p90 latency (µs)".into(), fmt(report.p90_us)]);
-    table.push_row(vec!["p99 latency (µs)".into(), fmt(report.p99_us)]);
-    table.push_row(vec!["max latency (µs)".into(), fmt(report.max_us)]);
-    if open_loop {
-        // How late requests actually left vs their schedule — the
-        // generator-side half of the coordinated-omission story.
-        table.push_row(vec!["send skew p50 (µs)".into(), fmt(report.skew_p50_us)]);
-        table.push_row(vec!["send skew p99 (µs)".into(), fmt(report.skew_p99_us)]);
-        table.push_row(vec!["send skew max (µs)".into(), fmt(report.skew_max_us)]);
     }
 }
 
@@ -696,28 +494,6 @@ mod tests {
         assert_eq!(args.rebalance, Some(4.0));
         assert_eq!(args.for_seconds, Some(0.5));
 
-        let cmd = parse_serve_args(&strings(&[
-            "bench",
-            "--connections",
-            "8",
-            "--duration",
-            "1.5",
-            "--rps",
-            "5000",
-            "--depart-frac",
-            "0.25",
-            "--n",
-            "16",
-        ]))
-        .unwrap();
-        let ServeCommand::Bench(args) = cmd else {
-            panic!("expected bench");
-        };
-        assert_eq!(args.connections, 8);
-        assert_eq!(args.rps, Some(5000.0));
-        assert_eq!(args.server.n, 16);
-        assert!(args.addr.is_none());
-
         assert_eq!(
             parse_serve_args(&strings(&["replay", "log.json", "--workers", "1"])).unwrap(),
             ServeCommand::Replay {
@@ -774,11 +550,11 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(args.frontend, Frontend::EventLoop);
-        let cmd = parse_serve_args(&strings(&["bench", "--frontend", "worker-pool"])).unwrap();
-        let ServeCommand::Bench(args) = cmd else {
-            panic!("expected bench");
-        };
-        assert_eq!(args.server.frontend, Frontend::WorkerPool);
+
+        // The load generator is gone: serving load is measured by the
+        // repository benchmark, so `bench` is no longer a verb.
+        let err = parse_serve_args(&strings(&["bench", "--connections", "8"])).unwrap_err();
+        assert!(err.contains("unknown serve subcommand `bench`"), "{err}");
 
         for bad in [
             &[][..],
@@ -791,9 +567,6 @@ mod tests {
             &["run", "--topology", "klein-bottle"],
             &["run", "--weights", "pareto:0"],
             &["run", "--speeds", "two-class"],
-            &["bench", "--connections", "0"],
-            &["bench", "--duration", "-2"],
-            &["bench", "--depart-frac", "1.5"],
             &["run", "--metrics-interval", "0"],
             &["run", "--metrics-interval", "nan"],
             &["replay"],
@@ -883,50 +656,6 @@ mod tests {
         };
         let out = execute_serve(&ServeCommand::Run(Box::new(args))).unwrap();
         assert!(out.contains("served for"), "{out}");
-    }
-
-    #[test]
-    fn bench_closed_loop_self_booted() {
-        let args = BenchArgs {
-            connections: 2,
-            duration: 5.0,
-            requests: Some(400),
-            server: ServeArgs {
-                addr: "127.0.0.1:0".to_string(),
-                n: 16,
-                m: 128,
-                workers: 2,
-                ..ServeArgs::default()
-            },
-            ..BenchArgs::default()
-        };
-        let out = execute_serve(&ServeCommand::Bench(Box::new(args))).unwrap();
-        assert!(out.contains("requests / s"), "{out}");
-        assert!(out.contains("server after the run"), "{out}");
-    }
-
-    #[test]
-    fn bench_open_loop_self_booted() {
-        let args = BenchArgs {
-            connections: 2,
-            duration: 0.4,
-            rps: Some(2000.0),
-            depart_frac: 0.3,
-            server: ServeArgs {
-                addr: "127.0.0.1:0".to_string(),
-                n: 16,
-                m: 128,
-                workers: 2,
-                ..ServeArgs::default()
-            },
-            ..BenchArgs::default()
-        };
-        let out = execute_serve(&ServeCommand::Bench(Box::new(args))).unwrap();
-        assert!(out.contains("open @ 2000 rps target"), "{out}");
-        // Open-loop runs report the generator's scheduled-vs-actual send
-        // skew quantiles (closed-loop runs have no schedule to skew from).
-        assert!(out.contains("send skew p50"), "{out}");
-        assert!(out.contains("send skew max"), "{out}");
     }
 
     #[test]

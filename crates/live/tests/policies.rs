@@ -364,10 +364,12 @@ fn sharded_matches_sequential_for_the_new_policies() {
 }
 
 #[test]
-fn greedy_two_choices_beats_single_choice_rls_under_identical_churn() {
+fn greedy_two_beats_rls_and_blind_threshold_moves_trail_it_under_identical_churn() {
     // The power-of-d-choices effect survives the move to the online
     // setting: with the same seed and churn, greedy-2 rings hold a gap no
-    // worse than RLS's single-sample rings.
+    // worse than RLS's single-sample rings.  Threshold-avg pays the
+    // blind-move penalty: it moves off any above-average bin without
+    // looking at the destination, so its gap is no better than RLS's.
     let n = 64;
     let m = 1024;
     let gap_of = |policy: RebalancePolicy| {
@@ -385,8 +387,13 @@ fn greedy_two_choices_beats_single_choice_rls_under_identical_churn() {
     };
     let rls = gap_of(RebalancePolicy::rls());
     let greedy = gap_of(RebalancePolicy::GreedyD { d: 2 });
+    let threshold = gap_of(RebalancePolicy::ThresholdAvg);
     assert!(
         greedy <= rls + 0.25,
         "greedy-2 gap {greedy} should not exceed rls gap {rls}"
+    );
+    assert!(
+        threshold >= rls,
+        "threshold-avg gap {threshold} should not fall below rls gap {rls}"
     );
 }

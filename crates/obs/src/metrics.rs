@@ -361,7 +361,7 @@ impl HistogramSnapshot {
 
     /// Merges `other` into `self` (bucket-wise addition; max of maxes).
     /// Associative and commutative, with [`empty`](Self::empty) as
-    /// identity — the property the bench-report merge relies on.
+    /// identity, so per-thread snapshots combine in any order.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
@@ -607,8 +607,8 @@ mod tests {
     #[test]
     fn merged_quantiles_equal_combined_recording() {
         // Recording the union into one histogram must equal merging the
-        // two snapshots — the property `serve bench` relies on when
-        // combining per-connection histograms.
+        // two snapshots: quantiles read from a merge of per-thread
+        // histograms are those of the combined recording.
         let h1 = Histogram::new();
         let h2 = Histogram::new();
         let hu = Histogram::new();

@@ -1,8 +1,8 @@
 //! Request and reply bodies of the HTTP API.
 //!
 //! Every endpoint exchanges small JSON objects; the types here are the
-//! single source of truth shared by the server's router, the client-side
-//! load generator and the end-to-end tests.  `docs/SERVE.md` documents
+//! single source of truth shared by the server's router, the trace-replay
+//! driver and the end-to-end tests.  `docs/SERVE.md` documents
 //! the same surface with curl examples.
 
 use rls_live::{LiveCounters, ReconvSummary, SteadySummary};

@@ -1,8 +1,8 @@
 //! A minimal blocking HTTP/1.1 client (keep-alive, JSON bodies).
 //!
-//! Exists so the load generator, the trace-replay driver and the
-//! end-to-end tests talk to the server over *real sockets* without pulling
-//! in a client library.  One [`HttpClient`] is one keep-alive connection;
+//! Exists so the trace-replay driver, the end-to-end tests and the
+//! repository benchmark's serving workloads (`perfbench/`) talk to the
+//! server over *real sockets* without pulling in a client library.  One [`HttpClient`] is one keep-alive connection;
 //! requests are strictly sequential, which is also what makes a
 //! single-client drive of the server deterministic.
 
@@ -51,7 +51,7 @@ impl HttpClient {
 
     /// Buffer a request without writing it — pair with
     /// [`flush`](Self::flush).  A pipelined burst queued this way goes out
-    /// in one syscall, which keeps the load generator cheap enough to
+    /// in one syscall, which keeps a load driver cheap enough to
     /// saturate the server even when both share a core.
     pub fn queue(&mut self, method: &str, path: &str, body: &[u8]) {
         http::append_request(&mut self.out, method, path, body);
@@ -76,9 +76,9 @@ impl HttpClient {
     }
 
     /// Receive the next in-order response, reading only the status code —
-    /// no body copy, no allocation.  The load generator lives here: it
-    /// discards response bodies, so paying to copy them would just bill
-    /// client overhead to the server under test.
+    /// no body copy, no allocation.  A load driver discards response
+    /// bodies, so paying to copy them would just bill client overhead to
+    /// the server under test.
     pub fn recv_status(&mut self) -> io::Result<u16> {
         self.recv_frame(|frame| parse_status(frame.start_line))?
     }

@@ -75,7 +75,8 @@ impl MessageReader {
     /// Read one complete message and hand the zero-copy [`Frame`] to
     /// `read` before the buffer is drained — the allocation-free
     /// counterpart of [`next_message`](Self::next_message) for callers
-    /// (like the load generator) that only need a couple of fields.
+    /// (like [`HttpClient::recv_status`](crate::HttpClient::recv_status))
+    /// that only need a couple of fields.
     pub fn next_frame_with<T>(
         &mut self,
         stream: &mut TcpStream,

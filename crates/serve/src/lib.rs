@@ -24,13 +24,12 @@
 //!   parsing, commands executed inline on the thread that owns the core).
 //!   Both are bit-identical to an offline [`ServeCore`] on the same seed.
 //! * [`HttpClient`] — a minimal blocking keep-alive
-//!   client used by the load generator, the trace-replay driver and the
-//!   end-to-end tests.
-//! * [`loadgen`] — the built-in benchmark driver (`rls-experiments serve
-//!   bench`): open- and closed-loop modes, latency percentiles, and
-//!   [`replay_over_http`], which feeds a
-//!   recorded `rls-live` event log through the HTTP path and checks the
-//!   resulting load vector against the offline replay bit-for-bit.
+//!   client used by the trace-replay driver, the end-to-end tests and the
+//!   repository benchmark's serving workloads (`perfbench/`).
+//! * [`replay`] — [`replay_over_http`], which feeds a recorded `rls-live`
+//!   event log through the HTTP path (`rls-experiments serve replay`) and
+//!   checks the resulting load vector against the offline replay
+//!   bit-for-bit.
 //!
 //! ## Determinism
 //!
@@ -51,8 +50,8 @@ pub mod client;
 pub mod core;
 mod event_loop;
 pub mod http;
-pub mod loadgen;
 pub mod metrics;
+pub mod replay;
 pub mod server;
 
 pub use api::{
@@ -62,10 +61,8 @@ pub use api::{
 };
 pub use client::HttpClient;
 pub use core::{ServeCore, ServePolicy, RECONV_GAP_THRESHOLD};
-pub use loadgen::{
-    core_from_log, drive, replay_over_http, BenchOptions, BenchReport, DriveMode, ReplayOutcome,
-};
 pub use metrics::{endpoint_index, ServeMetrics, CATALOG, ENDPOINTS};
+pub use replay::{core_from_log, replay_over_http, ReplayOutcome};
 pub use server::{serve, Frontend, HttpServer, ServerConfig};
 
 /// An error with an HTTP status: everything a handler can reject.

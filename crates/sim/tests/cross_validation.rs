@@ -79,9 +79,7 @@ fn clock_and_superposition_engines_agree_in_distribution() {
 /// `balls: Vec<u32>` slot map sampled uniformly (O(m) memory, `u32::MAX`
 /// ball cap).  [`Simulation`] now samples "a bin with probability `load/m`"
 /// from a Fenwick-indexed load vector instead; the two must simulate the
-/// same law.  A tracker-carrying twin lives in
-/// `crates/bench/benches/billion.rs` for the E20 throughput comparison —
-/// keep the sampling logic of the two in sync.
+/// same law.
 struct VecEngine {
     cfg: Config,
     balls: Vec<u32>,

@@ -17,7 +17,7 @@ fn temp_base(tag: &str) -> std::path::PathBuf {
     base
 }
 
-/// The headline acceptance criterion: `live run --record` followed by
+/// The headline acceptance check: `live run --record` followed by
 /// `live replay` reproduces the final load vector and observer summaries
 /// bit-identically, through the real CLI entry points.
 #[test]
