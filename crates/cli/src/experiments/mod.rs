@@ -1,4 +1,4 @@
-//! The experiment catalogue (E1–E17 of DESIGN.md §4).
+//! The experiment catalogue (E1–E17 of `docs/EXPERIMENTS.md`).
 
 mod comparisons;
 mod dml;
@@ -31,7 +31,7 @@ impl Scale {
     }
 }
 
-/// The experiments of DESIGN.md §4.
+/// The experiments of `docs/EXPERIMENTS.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[allow(missing_docs)]
 pub enum ExperimentId {

@@ -1,11 +1,10 @@
 //! # rls-cli — the experiment harness
 //!
-//! Every experiment listed in `DESIGN.md` §4 / `EXPERIMENTS.md` is a
-//! function in [`experiments`] that returns a [`Table`]; the
-//! `rls-experiments` binary selects which to run and prints them.  The
-//! functions are also what the Criterion benches and the integration tests
-//! call, so the printed tables, the benched code and the tested code are one
-//! and the same.
+//! Every experiment listed in `docs/EXPERIMENTS.md` is a function in
+//! [`experiments`] that returns a [`Table`]; the `rls-experiments` binary
+//! selects which to run and prints them.  The functions are also what the
+//! integration tests call, so the printed tables and the tested code are
+//! one and the same.
 //!
 //! Experiments take a [`Scale`]: `Quick` keeps every run laptop-scale (used
 //! by `cargo test` and the benches), `Full` uses the sizes recorded in

@@ -228,6 +228,13 @@ impl LoadIndex {
         sum
     }
 
+    /// The loads of bins `0..n`: the leaf level, which is the load vector
+    /// itself, so a caller needs no second copy of it.
+    #[inline]
+    pub fn loads(&self) -> &[u64] {
+        &self.tree[..self.len]
+    }
+
     /// Load of a single bin: its leaf, read in `O(1)`.
     #[inline]
     pub fn load(&self, bin: usize) -> u64 {
@@ -461,6 +468,7 @@ mod tests {
         assert_eq!(idx.prefix(0), 0);
         assert_eq!(idx.prefix(3), 8);
         assert_eq!(idx.prefix(6), 11);
+        assert_eq!(idx.loads(), cfg.loads());
     }
 
     #[test]

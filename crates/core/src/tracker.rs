@@ -16,8 +16,7 @@
 //! * the counts of bins above / at / below the exact average.
 //!
 //! The tracker is identity-agnostic: it never needs to know *which* bins
-//! moved, only their loads immediately before the move.  The ablation bench
-//! `configuration_bookkeeping` quantifies the win over rescanning.
+//! moved, only their loads immediately before the move.
 
 // detlint: allow-file(D004) every float here (average, discrepancy,
 // x-balance) is a read-only statistic derived from integer state on

@@ -171,7 +171,7 @@ impl Topology {
                 // parallel edges are deduplicated by Graph::from_edges, so
                 // the realized graph is "approximately d-regular" — exactly
                 // what the balancing experiments need (an expander of
-                // bounded degree), documented in DESIGN.md.
+                // bounded degree).
                 let mut stubs: Vec<usize> = (0..n)
                     .flat_map(|v| std::iter::repeat_n(v, degree))
                     .collect();

@@ -44,6 +44,7 @@ use std::sync::Arc;
 
 use rls_obs::Registry;
 
+use crate::books::{self, Books};
 use crate::command::LiveCommand;
 use crate::event::{bin_u32, DrainRecord, JoinRecord, LiveEvent, LiveEventKind};
 use crate::metrics::LiveMetrics;
@@ -109,48 +110,36 @@ pub struct LiveCounters {
     pub events: u64,
 }
 
-/// Heterogeneity state of a weighted/speed-aware engine (see
-/// [`LiveEngine::with_hetero`]).  `None` on the engine means the classic
-/// unit process with zero extra bookkeeping.
-///
-/// The model: bin `i` runs at integer speed `s_i ≥ 1`, so every ball it
-/// holds carries an `Exp(μ·s_i)` remaining lifetime and an `Exp(s_i)` ring
-/// clock — faster bins drain and rebalance proportionally faster.  The
-/// superposition therefore runs on the *rate mass* `R = Σ s_i·ℓ_i`
-/// (maintained as a second [`LoadIndex`]) instead of the ball count `m`,
-/// and departing/ringing balls are sampled rate-proportionally.  Within a
-/// bin all balls share one clock rate, so the activated ball is uniform in
-/// its bin; the per-ball weight vectors are only materialized for non-unit
-/// weight distributions — a unit-weight run consumes the exact random
-/// stream of the unweighted engine.
+/// The weight law and speeds of a weighted/speed-aware engine (see
+/// [`LiveEngine::with_hetero`]); its per-bin trees and ball weights live
+/// in the engine's [`Books`].  `None` on the engine is the classic unit
+/// process.  Bin `i` runs at integer speed `s_i ≥ 1`: each ball it holds
+/// departs at rate `μ·s_i` and rings at rate `s_i`, so the clocks run on
+/// the rate mass `R = Σ s_i·ℓ_i` instead of the ball count `m`.
 #[derive(Debug, Clone)]
 struct Hetero {
     /// Law of arriving ball weights.
     dist: WeightDist,
     /// Per-bin integer speeds (all `≥ 1`).
     speeds: Vec<u64>,
-    /// `Σ s_i`, the denominator of the speed-scaled average.
+    /// `Σ s_i` over the live bins, the denominator of the speed-scaled
+    /// average.
     total_speed: u64,
-    /// Per-bin total ball weight (mirror of `weight_index` for O(1) reads).
-    weights: Vec<u64>,
-    /// Counted tree over per-bin total weight (weight-rank descent).
-    weight_index: LoadIndex,
-    /// Counted tree over per-bin rate mass `s_i·ℓ_i` — the law of the
-    /// departure and ring clocks.
-    rate_index: LoadIndex,
-    /// Per-ball weights, bin by bin; `None` iff `dist` is unit (weights
-    /// are then all `1` and need no storage).
-    balls: Option<Vec<Vec<u64>>>,
 }
 
-impl Hetero {
-    /// The [`BinState`] of `bin` (weight + speed), for the policy layer.
-    #[inline]
-    fn state(&self, bin: usize) -> BinState {
-        BinState {
-            weight: self.weights[bin],
-            speed: self.speeds[bin],
-        }
+/// The speed vector the books index by (empty on unit engines, whose
+/// books never read it).
+#[inline]
+fn speeds(hetero: &Option<Hetero>) -> &[u64] {
+    hetero.as_ref().map_or(&[], |h| &h.speeds)
+}
+
+/// The [`BinState`] of `bin` (weight + speed), for the policy layer.
+#[inline]
+fn bin_state(books: &Books, h: &Hetero, bin: usize) -> BinState {
+    BinState {
+        weight: books.weights()[bin],
+        speed: h.speeds[bin],
     }
 }
 
@@ -190,9 +179,10 @@ impl Hetero {
 pub struct LiveEngine {
     cfg: Config,
     tracker: LoadTracker,
-    /// Counted tree over the loads: uniform-ball sampling (departures and
-    /// rings) in O(log n) with no per-ball state.
-    index: LoadIndex,
+    /// The per-bin books: the counted tree over the loads (uniform-ball
+    /// sampling in O(log n) with no per-ball state) and, on weighted
+    /// engines, the weight and rate-mass trees and per-ball weights.
+    books: Books,
     params: LiveParams,
     /// The decision rule applied per ring (enum-dispatched: part of the
     /// engine's snapshot identity).
@@ -214,7 +204,7 @@ pub struct LiveEngine {
     time: f64,
     seq: u64,
     counters: LiveCounters,
-    /// Weighted-ball / heterogeneous-speed state (`None`: unit process).
+    /// Weight law and speeds (`None`: unit process).
     hetero: Option<Hetero>,
     /// Telemetry taps ([`attach_metrics`](Self::attach_metrics)). Never
     /// part of snapshot identity, never consulted by the dynamics: every
@@ -260,12 +250,12 @@ impl LiveEngine {
         let dest = ElasticDest::build(topology, initial.n(), graph_seed)
             .map_err(|e| LiveError::params(format!("topology `{topology}`: {e}")))?;
         let membership = Membership::new(initial.n());
-        let index = LoadIndex::new(&initial);
+        let books = Books::unit(initial.loads());
         let tracker = LoadTracker::new(&initial);
         Ok(Self {
             cfg: initial,
             tracker,
-            index,
+            books,
             params,
             policy,
             dest,
@@ -307,103 +297,35 @@ impl LiveEngine {
         speeds: Vec<u64>,
         rng: &mut R,
     ) -> Result<Self, LiveError> {
-        dist.validate().map_err(LiveError::params)?;
-        let balls = if dist.is_unit() {
-            None
-        } else {
-            Some(
-                (0..initial.n())
-                    .map(|b| (0..initial.load(b)).map(|_| dist.sample(rng)).collect())
-                    .collect(),
-            )
-        };
+        let balls = books::draw_balls(initial.loads(), dist, rng)?;
         let mut engine = Self::with_policy(initial, params, policy, topology, graph_seed)?;
         engine.attach_hetero(dist, speeds, balls)?;
         Ok(engine)
     }
 
     /// Attach heterogeneity state to a freshly built engine, rebuilding
-    /// the weight and rate index trees from the current loads (also the
-    /// snapshot-restore path).
+    /// the books from the current loads (also the snapshot-restore path).
     pub(crate) fn attach_hetero(
         &mut self,
         dist: WeightDist,
         speeds: Vec<u64>,
         balls: Option<Vec<Vec<u64>>>,
     ) -> Result<(), LiveError> {
-        dist.validate().map_err(LiveError::params)?;
-        let n = self.cfg.n();
-        if speeds.len() != n {
-            return Err(LiveError::params(format!(
-                "speed vector has {} entries for {n} bins",
-                speeds.len()
-            )));
-        }
-        if speeds.contains(&0) {
-            return Err(LiveError::params("bin speeds must be at least one"));
-        }
-        if dist.is_unit() != balls.is_none() {
-            return Err(LiveError::params(
-                "per-ball weights must be stored exactly when the weight distribution \
-                 is non-unit",
-            ));
-        }
-        let weights: Vec<u64> = match &balls {
-            None => self.cfg.loads().to_vec(),
-            Some(balls) => {
-                if balls.len() != n {
-                    return Err(LiveError::params(format!(
-                        "ball-weight table has {} bins for {n}",
-                        balls.len()
-                    )));
-                }
-                for (b, bin) in balls.iter().enumerate() {
-                    if bin.len() as u64 != self.cfg.load(b) {
-                        return Err(LiveError::params(format!(
-                            "bin {b} stores {} ball weights for load {}",
-                            bin.len(),
-                            self.cfg.load(b)
-                        )));
-                    }
-                    if bin.contains(&0) {
-                        return Err(LiveError::params("ball weights must be positive"));
-                    }
-                }
-                balls
-                    .iter()
-                    .map(|bin| {
-                        bin.iter()
-                            .try_fold(0u64, |acc, &w| acc.checked_add(w))
-                            .ok_or_else(|| LiveError::params("total bin weight overflows u64"))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-        };
-        let rates: Vec<u64> = speeds
-            .iter()
-            .zip(self.cfg.loads())
-            .map(|(&s, &l)| {
-                s.checked_mul(l)
-                    .ok_or_else(|| LiveError::params("bin rate mass overflows u64"))
-            })
-            .collect::<Result<_, _>>()?;
+        self.books = Books::hetero(self.cfg.loads(), dist, &speeds, balls)?;
         // Only live bins contribute to the speed-scaled average; on a
         // churn-free engine the live set is exactly `0..n`, so this is the
         // same sum in the same order as the pre-elastic engine computed.
+        // (The books checked that the sum over all bins fits.)
         let total_speed = self
             .membership
             .live_ids()
             .iter()
-            .try_fold(0u64, |acc, &b| acc.checked_add(speeds[b as usize]))
-            .ok_or_else(|| LiveError::params("total speed overflows u64"))?;
+            .map(|&b| speeds[b as usize])
+            .sum();
         self.hetero = Some(Hetero {
             dist,
-            total_speed,
-            weight_index: LoadIndex::from_loads(&weights),
-            rate_index: LoadIndex::from_loads(&rates),
-            weights,
             speeds,
-            balls,
+            total_speed,
         });
         Ok(())
     }
@@ -437,7 +359,7 @@ impl LiveEngine {
 
     /// The counted-tree index over the loads (exchangeable-ball sampling).
     pub fn index(&self) -> &LoadIndex {
-        &self.index
+        self.books.counts()
     }
 
     /// Current simulation time.
@@ -521,16 +443,12 @@ impl LiveEngine {
 
     /// Total ball weight of one bin (the load on unit engines).
     pub fn bin_weight(&self, bin: usize) -> u64 {
-        self.hetero
-            .as_ref()
-            .map_or_else(|| self.cfg.load(bin), |h| h.weights[bin])
+        self.books.weights()[bin]
     }
 
     /// Total ball weight `W = Σ W_i` (`m` on unit engines).
     pub fn total_weight(&self) -> u64 {
-        self.hetero
-            .as_ref()
-            .map_or_else(|| self.cfg.m(), |h| h.weight_index.total())
+        self.books.total_weight()
     }
 
     /// Total speed `S = Σ s_i` (`n` on unit engines).
@@ -550,22 +468,19 @@ impl LiveEngine {
     /// (non-unit weight distributions only; order is not meaningful —
     /// balls within a bin are exchangeable).
     pub fn ball_weights(&self, bin: usize) -> Option<&[u64]> {
-        self.hetero
-            .as_ref()
-            .and_then(|h| h.balls.as_ref())
-            .map(|balls| balls[bin].as_slice())
+        self.books.ball_weights(bin)
     }
 
     /// The counted tree over per-bin total weight, when heterogeneous
     /// state is attached (exposed for property tests).
     pub fn weight_index(&self) -> Option<&LoadIndex> {
-        self.hetero.as_ref().map(|h| &h.weight_index)
+        self.books.weight_index()
     }
 
     /// The counted tree over per-bin rate mass `s_i·ℓ_i`, when
     /// heterogeneous state is attached (exposed for property tests).
     pub fn rate_index(&self) -> Option<&LoadIndex> {
-        self.hetero.as_ref().map(|h| &h.rate_index)
+        self.books.rate_index()
     }
 
     /// Draw an arrival weight under the engine's weight law: `None` when
@@ -582,30 +497,16 @@ impl LiveEngine {
 
     /// Whether the engine stores per-ball weights (non-unit distribution).
     pub fn stores_ball_weights(&self) -> bool {
-        self.hetero.as_ref().is_some_and(|h| h.balls.is_some())
+        self.hetero.as_ref().is_some_and(|h| !h.dist.is_unit())
     }
 
-    /// Verify the heterogeneity bookkeeping against a from-scratch rebuild
-    /// (test/debug helper, `O(n + m)`): weight and rate index totals,
-    /// the weight mirror, and the per-ball vectors must all agree with the
-    /// configuration.
+    /// Verify the heterogeneity bookkeeping against a from-scratch recount
+    /// (test/debug helper, `O(n + m)`): the weight and rate-mass trees'
+    /// totals and leaves and the per-ball vectors must all agree with the
+    /// configuration and the speeds.
     pub fn hetero_matches(&self) -> bool {
-        let Some(h) = &self.hetero else {
-            return true;
-        };
-        let n = self.cfg.n();
-        (0..n).all(|b| {
-            let load = self.cfg.load(b);
-            let by_balls = match &h.balls {
-                Some(balls) => {
-                    balls[b].len() as u64 == load && balls[b].iter().sum::<u64>() == h.weights[b]
-                }
-                None => h.weights[b] == load,
-            };
-            by_balls
-                && h.weight_index.load(b) == h.weights[b]
-                && h.rate_index.load(b) == h.speeds[b] * load
-        })
+        self.hetero.is_none()
+            || (self.books.loads() == self.cfg.loads() && self.books.matches(speeds(&self.hetero)))
     }
 
     /// Draw how many auto-rebalance rings to run after one arrival:
@@ -668,7 +569,7 @@ impl LiveEngine {
                 cfg.load(bin)
             )));
         }
-        let index = LoadIndex::new(&cfg);
+        let books = Books::unit(cfg.loads());
         // The tracker aggregates over *live* bins only: a retired slot sits
         // permanently at load zero and must not drag min/average/gap down.
         let tracker = if membership.is_elastic() {
@@ -687,7 +588,7 @@ impl LiveEngine {
         Ok(Self {
             cfg,
             tracker,
-            index,
+            books,
             params,
             policy,
             dest,
@@ -703,60 +604,14 @@ impl LiveEngine {
         })
     }
 
-    /// Total clock mass `R = Σ s_i·ℓ_i` driving departures and rings: the
-    /// ball count `m` on unit engines (and on heterogeneous engines whose
-    /// speeds are all `1`, which is what keeps their trajectories
-    /// bit-identical).
-    fn clock_mass(&self) -> u64 {
-        match &self.hetero {
-            Some(h) => h.rate_index.total(),
-            None => self.cfg.m(),
-        }
-    }
-
-    /// The bin owning clock rank `rank ∈ [0, clock_mass)`: rate-
-    /// proportional on heterogeneous engines, load-proportional (a uniform
-    /// ball) on unit engines.
+    /// The bin owning clock rank `rank ∈ [0, clock_mass)` (see
+    /// [`Books::clock_bin`]), recording the descent depth.
     fn clock_bin(&self, rank: u64) -> usize {
-        // Always descend via `bin_at_depth` (of which `bin_at` is a thin
-        // wrapper) so the selection arithmetic is identical whether the
-        // depth is recorded or discarded.
-        let (bin, depth) = match &self.hetero {
-            Some(h) => h.rate_index.bin_at_depth(rank),
-            None => self.index.bin_at_depth(rank),
-        };
+        let (bin, depth) = self.books.clock_bin(rank);
         if let Some(m) = &self.metrics {
             m.descent_depth.record(u64::from(depth));
         }
         bin
-    }
-
-    /// Pick the activated/departing ball inside `bin`: a uniform index
-    /// when per-ball weights are stored (one RNG draw), `None` otherwise
-    /// (exchangeable unit balls need no pick — and no draw).
-    fn pick_ball<R: Rng64 + ?Sized>(&self, bin: usize, rng: &mut R) -> Option<usize> {
-        self.hetero
-            .as_ref()
-            .and_then(|h| h.balls.as_ref())
-            .map(|balls| rng.next_index(balls[bin].len()))
-    }
-
-    /// Weight of the picked ball (`1` when no per-ball weights are
-    /// stored).
-    fn picked_weight(&self, bin: usize, picked: Option<usize>) -> u64 {
-        match (self.hetero.as_ref().and_then(|h| h.balls.as_ref()), picked) {
-            (Some(balls), Some(i)) => balls[bin][i],
-            _ => 1,
-        }
-    }
-
-    /// Draw one arrival weight (`1`, with no RNG draw, unless the engine
-    /// has a non-unit weight distribution).
-    fn draw_weight<R: Rng64 + ?Sized>(&self, rng: &mut R) -> u64 {
-        match &self.hetero {
-            Some(h) => h.dist.sample(rng),
-            None => 1,
-        }
     }
 
     /// Total event rate at the current population: arrivals + departures +
@@ -764,7 +619,7 @@ impl LiveEngine {
     /// non-negative sum leaves the bits unchanged, so churn-free totals are
     /// bit-identical to the pre-elastic law).
     pub fn total_rate(&self) -> f64 {
-        let clock = self.clock_mass() as f64;
+        let clock = self.books.clock_mass() as f64;
         self.params
             .arrivals
             .epoch_rate(self.membership.live_count())
@@ -795,7 +650,7 @@ impl LiveEngine {
             // Departure and ring clocks run per ball at the bin's speed, so
             // their total rates scale with the rate mass R = Σ s_i·ℓ_i
             // (= m on unit engines).
-            let clock_mass = self.clock_mass();
+            let clock_mass = self.books.clock_mass();
             let depart_rate = clock_mass as f64 * self.params.service_rate;
             let ring_rate = clock_mass as f64;
             let total = epoch_rate + depart_rate + ring_rate + self.churn.max_rate();
@@ -820,7 +675,7 @@ impl LiveEngine {
                         .params
                         .arrivals
                         .place_among(self.membership.live_ids(), rng);
-                    let weight = self.draw_weight(rng);
+                    let weight = self.sample_arrival_weight(rng).unwrap_or(1);
                     self.arrive(bin, weight);
                     bins.push(bin_u32(bin));
                 }
@@ -830,13 +685,12 @@ impl LiveEngine {
                 // bins (uniform over m balls on unit engines) and uniform
                 // within its bin.
                 let bin = self.clock_bin(rng.next_below(clock_mass));
-                let picked = self.pick_ball(bin, rng);
+                let (picked, _) = self.books.pick(bin, rng);
                 self.depart(bin, picked);
                 break LiveEventKind::Departure { bin: bin_u32(bin) };
             } else if self.churn.is_none() || pick < epoch_rate + depart_rate + ring_rate {
                 let source = self.clock_bin(rng.next_below(clock_mass));
-                let picked = self.pick_ball(source, rng);
-                let ball = self.picked_weight(source, picked);
+                let (picked, ball) = self.books.pick(source, rng);
                 let decision = self.decide_ring(source, ball, rng);
                 break self.apply_ring(source, picked, decision);
             } else if let Some(event) = self.churn.decide(self.time, rng) {
@@ -1067,7 +921,7 @@ impl LiveEngine {
                 };
                 let weight = match weight {
                     Some(w) => w,
-                    None => self.draw_weight(rng),
+                    None => self.sample_arrival_weight(rng).unwrap_or(1),
                 };
                 self.arrive(bin, weight);
                 LiveEventKind::Arrival {
@@ -1077,7 +931,7 @@ impl LiveEngine {
             LiveCommand::Depart { bin, weight } => {
                 let bin = match bin {
                     Some(bin) => bin,
-                    None => self.clock_bin(rng.next_below(self.clock_mass())),
+                    None => self.clock_bin(rng.next_below(self.books.clock_mass())),
                 };
                 let picked = match weight {
                     // A pinned weight names the ball deterministically (its
@@ -1086,7 +940,7 @@ impl LiveEngine {
                     Some(w) => self
                         .ball_weights(bin)
                         .map(|balls| balls.iter().position(|&b| b == w).expect("validated above")),
-                    None => self.pick_ball(bin, rng),
+                    None => self.books.pick(bin, rng).0,
                 };
                 self.depart(bin, picked);
                 LiveEventKind::Departure { bin: bin_u32(bin) }
@@ -1094,10 +948,9 @@ impl LiveEngine {
             LiveCommand::Ring { source, dest } => {
                 let source = match source {
                     Some(source) => source,
-                    None => self.clock_bin(rng.next_below(self.clock_mass())),
+                    None => self.clock_bin(rng.next_below(self.books.clock_mass())),
                 };
-                let picked = self.pick_ball(source, rng);
-                let ball = self.picked_weight(source, picked);
+                let (picked, ball) = self.books.pick(source, rng);
                 let decision = match dest {
                     // A pinned destination plays the role of the chosen
                     // candidate: the policy's pair rule decides, which is
@@ -1221,15 +1074,7 @@ impl LiveEngine {
         let old = self.cfg.load(bin);
         self.cfg.add_ball(bin).expect("arrival bin is in range");
         self.tracker.record_insert(old);
-        self.index.record_insert(bin);
-        if let Some(h) = &mut self.hetero {
-            h.weights[bin] += weight;
-            h.weight_index.add(bin, weight);
-            h.rate_index.add(bin, h.speeds[bin]);
-            if let Some(balls) = &mut h.balls {
-                balls[bin].push(weight);
-            }
-        }
+        self.books.insert(bin, weight, speeds(&self.hetero));
         self.counters.arrivals += 1;
         if let Some(m) = &self.metrics {
             m.arrivals.inc();
@@ -1244,16 +1089,7 @@ impl LiveEngine {
             .remove_ball(bin)
             .expect("departing ball occupies a non-empty bin");
         self.tracker.record_remove(old);
-        self.index.record_remove(bin);
-        if let Some(h) = &mut self.hetero {
-            let weight = match (&mut h.balls, picked) {
-                (Some(balls), Some(i)) => balls[bin].swap_remove(i),
-                _ => 1,
-            };
-            h.weights[bin] -= weight;
-            h.weight_index.sub(bin, weight);
-            h.rate_index.sub(bin, h.speeds[bin]);
-        }
+        self.books.remove(bin, picked, speeds(&self.hetero));
         self.counters.departures += 1;
         if let Some(m) = &self.metrics {
             m.departures.inc();
@@ -1269,11 +1105,11 @@ impl LiveEngine {
             Some(h) => self.policy.permits_weighted(
                 HeteroRingContext {
                     n: self.membership.live_count(),
-                    total_weight: h.weight_index.total(),
+                    total_weight: self.books.total_weight(),
                     total_speed: h.total_speed,
                 },
-                h.state(source),
-                h.state(dest),
+                bin_state(&self.books, h, source),
+                bin_state(&self.books, h, dest),
                 ball,
             ),
             None => self.policy.permits_loads(
@@ -1306,17 +1142,17 @@ impl LiveEngine {
             Some(h) => self.policy.decide_weighted(
                 HeteroRingContext {
                     n: membership.live_count(),
-                    total_weight: h.weight_index.total(),
+                    total_weight: self.books.total_weight(),
                     total_speed: h.total_speed,
                 },
                 source,
-                h.state(source),
+                bin_state(&self.books, h, source),
                 ball,
                 || {
                     probes.set(probes.get() + 1);
                     dest.sample(source, membership, rng)
                 },
-                |b| h.state(b),
+                |b| bin_state(&self.books, h, b),
             ),
             None => {
                 let ctx = RingContext {
@@ -1368,23 +1204,8 @@ impl LiveEngine {
                 .apply(Move::new(source, dest))
                 .expect("decided move applies");
             self.tracker.record_move(lf, lt);
-            self.index.record_move(source, dest);
-            if let Some(h) = &mut self.hetero {
-                let weight = match (&mut h.balls, picked) {
-                    (Some(balls), Some(i)) => {
-                        let w = balls[source].swap_remove(i);
-                        balls[dest].push(w);
-                        w
-                    }
-                    _ => 1,
-                };
-                h.weights[source] -= weight;
-                h.weights[dest] += weight;
-                h.weight_index.sub(source, weight);
-                h.weight_index.add(dest, weight);
-                h.rate_index.sub(source, h.speeds[source]);
-                h.rate_index.add(dest, h.speeds[dest]);
-            }
+            self.books
+                .move_ball(source, dest, picked, speeds(&self.hetero));
             self.counters.migrations += 1;
         }
         LiveEventKind::Ring {
@@ -1455,20 +1276,14 @@ impl LiveEngine {
         let bin = self.membership.join();
         let cfg_bin = self.cfg.push_bin();
         debug_assert_eq!(bin, cfg_bin, "membership and load vector grow in lockstep");
-        let idx_bin = self.index.add_bin(0);
-        debug_assert_eq!(bin, idx_bin, "membership and load index grow in lockstep");
+        let books_bin = self.books.add_bin();
+        debug_assert_eq!(bin, books_bin, "membership and books grow in lockstep");
         self.tracker.bin_joined(0);
         if let Some(h) = &mut self.hetero {
             // Joining bins run at the baseline speed with no balls; the
             // autoscaler model has no channel to request a faster machine.
             h.speeds.push(1);
             h.total_speed += 1;
-            h.weights.push(0);
-            h.weight_index.add_bin(0);
-            h.rate_index.add_bin(0);
-            if let Some(balls) = &mut h.balls {
-                balls.push(Vec::new());
-            }
         }
         let record = *self.membership.log().last().expect("join just logged");
         self.dest.apply(record, &self.membership);
@@ -1478,7 +1293,7 @@ impl LiveEngine {
             let share = self.cfg.m() / self.membership.live_count() as u64;
             for _ in 0..share {
                 let source = loop {
-                    let b = self.index.bin_at(rng.next_below(self.cfg.m()));
+                    let b = self.index().bin_at(rng.next_below(self.cfg.m()));
                     if b != bin {
                         break b;
                     }
@@ -1517,12 +1332,10 @@ impl LiveEngine {
         }
         self.membership.retire(victim);
         self.tracker.bin_retired();
-        let leftover = self.index.retire_bin(victim);
+        let leftover = self.books.retire_bin(victim);
         debug_assert_eq!(leftover, 0, "drained bin retires at zero mass");
         if let Some(h) = &mut self.hetero {
             h.total_speed -= h.speeds[victim];
-            h.weight_index.retire_bin(victim);
-            h.rate_index.retire_bin(victim);
         }
         let record = *self.membership.log().last().expect("retire just logged");
         self.dest.apply(record, &self.membership);
@@ -1539,29 +1352,14 @@ impl LiveEngine {
     /// migration for counting purposes — the ball was forced, not
     /// rebalanced.
     fn force_move<R: Rng64 + ?Sized>(&mut self, source: usize, dest: usize, rng: &mut R) {
-        let picked = self.pick_ball(source, rng);
+        let (picked, _) = self.books.pick(source, rng);
         let (lf, lt) = (self.cfg.load(source), self.cfg.load(dest));
         self.cfg
             .apply(Move::new(source, dest))
             .expect("forced move applies");
         self.tracker.record_move(lf, lt);
-        self.index.record_move(source, dest);
-        if let Some(h) = &mut self.hetero {
-            let weight = match (&mut h.balls, picked) {
-                (Some(balls), Some(i)) => {
-                    let w = balls[source].swap_remove(i);
-                    balls[dest].push(w);
-                    w
-                }
-                _ => 1,
-            };
-            h.weights[source] -= weight;
-            h.weights[dest] += weight;
-            h.weight_index.sub(source, weight);
-            h.weight_index.add(dest, weight);
-            h.rate_index.sub(source, h.speeds[source]);
-            h.rate_index.add(dest, h.speeds[dest]);
-        }
+        self.books
+            .move_ball(source, dest, picked, speeds(&self.hetero));
     }
 }
 

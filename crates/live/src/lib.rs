@@ -48,6 +48,7 @@
 
 use std::fmt;
 
+mod books;
 pub mod command;
 pub mod engine;
 pub mod event;

@@ -18,11 +18,12 @@
 //! * the barrier applies cross-shard deliveries in deterministic
 //!   `(shard, draw)` order and publishes the new global load vector.
 //!
-//! Each shard keeps a counted tree ([`LoadIndex`]) over its own bins —
-//! per-shard subtree sums — so sampling a resident ball (departures, RLS
-//! rings) is `O(log local_n)` with `O(local_n)` memory and no per-ball
-//! state: like the sequential engines, the sharded engine has no
-//! `u32::MAX` ball cap.
+//! Each shard keeps the same per-bin books as the sequential engine
+//! (a counted tree [`LoadIndex`] over its own bins, plus the weight and
+//! rate-mass trees on weighted engines), so sampling a resident ball
+//! (departures, RLS rings) is `O(log local_n)` with `O(local_n)` memory
+//! and no per-ball state: like the sequential engines, the sharded engine
+//! has no `u32::MAX` ball cap.
 //!
 //! Because every random stream is keyed by `(seed, batch, shard)` and the
 //! merge order is fixed, the trajectory depends only on the seed and the
@@ -51,6 +52,7 @@ use rls_rng::dist::{Distribution, Exponential};
 use rls_rng::{Rng64, RngExt, StreamFactory, StreamId};
 use rls_sim::parallel::parallel_map;
 
+use crate::books::{self, Books};
 use crate::event::bin_u32;
 use rls_workloads::{ArrivalProcess, ChurnEvent, ChurnProcess, WeightDist};
 
@@ -64,38 +66,19 @@ use crate::LiveError;
 /// perturb any shard's in-slice draws.
 const CHURN_SALT: u64 = 0xE1A5;
 
-/// One bin partition and its resident load.
+/// One bin partition and its resident balls.
 #[derive(Debug)]
 struct Shard {
     /// Global bin indices owned by this shard.
     bins: Range<usize>,
-    /// Loads of the owned bins (indexed by `global − bins.start`).
-    loads: Vec<u64>,
-    /// Counted tree over the owned bins: resident-ball sampling in
-    /// O(log local_n) with no per-ball state (`index.total()` is the
-    /// shard's ball count).
-    index: LoadIndex,
+    /// Books of the owned bins (indexed by `global − bins.start`):
+    /// resident-ball sampling in O(log local_n) with no per-ball state
+    /// (`books.counts().total()` is the shard's ball count).
+    books: Books,
     /// Local offsets of the *live* owned bins, ascending — the arrival
     /// placement support.  Identity (`0..len`) until the first scale
     /// event, so churn-free placement draws are unchanged.
     live_local: Vec<u32>,
-    /// Weight/speed bookkeeping of the owned bins; `None` on unit engines.
-    hetero: Option<ShardHetero>,
-}
-
-/// Per-shard heterogeneity books (local-bin indexed, like `Shard::loads`).
-#[derive(Debug)]
-struct ShardHetero {
-    /// Per-bin total ball weight.
-    weights: Vec<u64>,
-    /// Counted tree over the per-bin weights.
-    weight_index: LoadIndex,
-    /// Counted tree over the per-bin rate mass `s_i·ℓ_i` — the local
-    /// law of the departure and ring clocks.
-    rate_index: LoadIndex,
-    /// Per-ball weights, bin by bin; `None` iff the weight distribution is
-    /// unit.
-    balls: Option<Vec<Vec<u64>>>,
 }
 
 /// Engine-wide heterogeneity state shared by every shard.
@@ -248,32 +231,14 @@ impl ShardedEngine {
             return Err(LiveError::params("slice length must be positive"));
         }
 
-        let mut shard_vec = Vec::with_capacity(shards);
-        let per = n / shards;
-        let extra = n % shards;
-        let mut start = 0usize;
-        for s in 0..shards {
-            let len = per + usize::from(s < extra);
-            let bins = start..start + len;
-            let loads: Vec<u64> = initial.loads()[bins.clone()].to_vec();
-            let index = LoadIndex::from_loads(&loads);
-            shard_vec.push(Mutex::new(Shard {
-                live_local: (0..len).map(bin_u32).collect(),
-                bins,
-                loads,
-                index,
-                hetero: None,
-            }));
-            start += len;
-        }
-
+        let membership = Membership::new(n);
         Ok(Self {
-            shards: shard_vec,
+            shards: partition(Books::unit(initial.loads()), shards, &membership),
             published: initial.loads().to_vec(),
             params,
             policy,
             dest,
-            membership: Membership::new(n),
+            membership,
             churn: ChurnProcess::None,
             hetero: None,
             seed,
@@ -316,77 +281,18 @@ impl ShardedEngine {
         speeds: Vec<u64>,
         rng: &mut R,
     ) -> Result<Self, LiveError> {
-        dist.validate().map_err(LiveError::params)?;
-        let n = initial.n();
-        if speeds.len() != n {
-            return Err(LiveError::params(format!(
-                "speed vector has {} entries for {n} bins",
-                speeds.len()
-            )));
-        }
-        if speeds.contains(&0) {
-            return Err(LiveError::params("bin speeds must be at least 1"));
-        }
-        let balls: Option<Vec<Vec<u64>>> = if dist.is_unit() {
-            None
-        } else {
-            Some(
-                initial
-                    .loads()
-                    .iter()
-                    .map(|&l| (0..l).map(|_| dist.sample(rng)).collect())
-                    .collect(),
-            )
-        };
-
+        let balls = books::draw_balls(initial.loads(), dist, rng)?;
+        let books = Books::hetero(initial.loads(), dist, &speeds, balls)?;
         let mut engine = Self::with_policy(
             initial, params, policy, topology, graph_seed, shards, slice, seed,
         )?;
-        let total_speed = speeds
-            .iter()
-            .try_fold(0u64, |acc, &s| acc.checked_add(s))
-            .ok_or_else(|| LiveError::params("total speed overflows u64"))?;
-
-        let mut published_weights = vec![0u64; n];
-        for shard in &engine.shards {
-            let mut shard = shard.lock().expect("shard lock");
-            let range = shard.bins.clone();
-            let local_balls: Option<Vec<Vec<u64>>> =
-                balls.as_ref().map(|b| b[range.clone()].to_vec());
-            let weights: Vec<u64> = match &local_balls {
-                Some(b) => b
-                    .iter()
-                    .map(|bin| {
-                        bin.iter()
-                            .try_fold(0u64, |acc, &w| acc.checked_add(w))
-                            .ok_or_else(|| LiveError::params("bin weight overflows u64"))
-                    })
-                    .collect::<Result<_, _>>()?,
-                None => shard.loads.clone(),
-            };
-            let rates: Vec<u64> = shard
-                .loads
-                .iter()
-                .zip(&speeds[range.clone()])
-                .map(|(&l, &s)| {
-                    l.checked_mul(s)
-                        .ok_or_else(|| LiveError::params("bin rate mass overflows u64"))
-                })
-                .collect::<Result<_, _>>()?;
-            published_weights[range].copy_from_slice(&weights);
-            shard.hetero = Some(ShardHetero {
-                weight_index: LoadIndex::from_loads(&weights),
-                rate_index: LoadIndex::from_loads(&rates),
-                weights,
-                balls: local_balls,
-            });
-        }
         engine.hetero = Some(SharedHetero {
             dist,
+            total_speed: speeds.iter().sum(),
             speeds,
-            total_speed,
-            published_weights,
+            published_weights: books.weights().to_vec(),
         });
+        engine.shards = partition(books, shards, &engine.membership);
         Ok(engine)
     }
 
@@ -527,20 +433,10 @@ impl ShardedEngine {
             let hetero = self.hetero.as_ref();
             parallel_map(shards.len(), threads, |s| {
                 let mut shard = shards[s].lock().expect("shard lock");
+                let speeds = hetero.map_or(&[][..], |h| &h.speeds[shard.bins.clone()]);
                 for &(dest, weight) in &inboxes[s] {
                     let offset = dest as usize - shard.bins.start;
-                    shard.loads[offset] += 1;
-                    shard.index.increment(offset);
-                    if let Some(sh) = &mut shard.hetero {
-                        let speed = hetero.expect("shard hetero implies engine hetero").speeds
-                            [dest as usize];
-                        sh.weights[offset] += weight;
-                        sh.weight_index.add(offset, weight);
-                        sh.rate_index.add(offset, speed);
-                        if let Some(balls) = &mut sh.balls {
-                            balls[offset].push(weight);
-                        }
-                    }
+                    shard.books.insert(offset, weight, speeds);
                 }
             });
         }
@@ -558,10 +454,9 @@ impl ShardedEngine {
         let mut published_weights = self.hetero.as_mut().map(|h| &mut h.published_weights);
         for shard in &self.shards {
             let shard = shard.lock().expect("shard lock");
-            published[shard.bins.clone()].copy_from_slice(&shard.loads);
+            published[shard.bins.clone()].copy_from_slice(shard.books.loads());
             if let Some(w) = published_weights.as_deref_mut() {
-                let sh = shard.hetero.as_ref().expect("hetero shards");
-                w[shard.bins.clone()].copy_from_slice(&sh.weights);
+                w[shard.bins.clone()].copy_from_slice(shard.books.weights());
             }
         }
         // Membership churn resolves on the published global state, single-
@@ -700,37 +595,15 @@ impl ShardedEngine {
         self.counters.drains += 1;
     }
 
-    /// Rebuild the shard partition over the current capacity (same
-    /// contiguous arithmetic as boot, so [`owner_of`](Self::owner_of)
-    /// stays consistent), refreshing loads, index trees and live lists from
-    /// the published state.  Only reached on unit engines: churn is
-    /// rejected on weighted ones.
+    /// Rebuild the shard partition over the current capacity, refreshing
+    /// books and live lists from the published state.  Only reached on
+    /// unit engines: churn is rejected on weighted ones.
     fn repartition(&mut self) {
-        let n = self.published.len();
-        let count = self.shards.len();
-        let per = n / count;
-        let extra = n % count;
-        let mut start = 0usize;
-        let mut rebuilt = Vec::with_capacity(count);
-        for s in 0..count {
-            let len = per + usize::from(s < extra);
-            let bins = start..start + len;
-            let loads: Vec<u64> = self.published[bins.clone()].to_vec();
-            let live_local: Vec<u32> = bins
-                .clone()
-                .filter(|&b| self.membership.is_live(b))
-                .map(|b| bin_u32(b - bins.start))
-                .collect();
-            rebuilt.push(Mutex::new(Shard {
-                index: LoadIndex::from_loads(&loads),
-                live_local,
-                bins,
-                loads,
-                hetero: None,
-            }));
-            start += len;
-        }
-        self.shards = rebuilt;
+        self.shards = partition(
+            Books::unit(&self.published),
+            self.shards.len(),
+            &self.membership,
+        );
     }
 
     /// Run until simulated time reaches `until` (rounded up to whole
@@ -774,7 +647,7 @@ impl ShardedEngine {
     }
 
     fn owner_of(&self, bin: usize) -> usize {
-        // Mirror the contiguous partition arithmetic of `new`.
+        // Mirror the contiguous partition arithmetic of `partition`.
         let n = self.published.len();
         let shards = self.shards.len();
         let per = n / shards;
@@ -786,6 +659,40 @@ impl ShardedEngine {
             extra + (bin - boundary) / per.max(1)
         }
     }
+}
+
+/// Split `books` (over every bin id) into `count` contiguous shards — the
+/// arithmetic [`ShardedEngine::owner_of`] mirrors — each with the live
+/// owned bins as its arrival support.
+fn partition(books: Books, count: usize, membership: &Membership) -> Vec<Mutex<Shard>> {
+    let n = books.loads().len();
+    let per = n / count;
+    let extra = n % count;
+    let mut start = 0usize;
+    let ranges: Vec<Range<usize>> = (0..count)
+        .map(|s| {
+            let len = per + usize::from(s < extra);
+            start += len;
+            start - len..start
+        })
+        .collect();
+    books
+        .split(&ranges)
+        .into_iter()
+        .zip(ranges)
+        .map(|(books, bins)| {
+            let live_local = bins
+                .clone()
+                .filter(|&b| membership.is_live(b))
+                .map(|b| bin_u32(b - bins.start))
+                .collect();
+            Mutex::new(Shard {
+                bins,
+                books,
+                live_local,
+            })
+        })
+        .collect()
 }
 
 /// Instantaneous gap and overload of a global load vector, over the
@@ -832,16 +739,15 @@ fn run_slice<R: Rng64 + ?Sized>(
     let mut outbox = Vec::new();
     let mut delta = LiveCounters::default();
     let mut elapsed = 0.0f64;
+    // The speeds of the shard's bins, indexed like its books.
+    let speeds = hetero.map_or(&[][..], |h| &h.speeds[shard.bins.clone()]);
 
     loop {
-        let resident = shard.index.total();
+        let resident = shard.books.counts().total();
         // The local clock mass R_s = Σ s_i·ℓ_i over the shard's bins
         // (= resident on unit engines): departures and rings run at the
         // bin's speed.
-        let clock_mass = match &shard.hetero {
-            Some(sh) => sh.rate_index.total(),
-            None => resident,
-        };
+        let clock_mass = shard.books.clock_mass();
         let clock = clock_mass as f64;
         let epoch_rate = params.arrivals.epoch_rate(live_n) * share;
         let total = epoch_rate + clock * params.service_rate + clock;
@@ -870,73 +776,29 @@ fn run_slice<R: Rng64 + ?Sized>(
                     Some(h) => h.dist.sample(rng),
                     None => 1,
                 };
-                shard.loads[offset] += 1;
-                shard.index.increment(offset);
-                if let Some(sh) = &mut shard.hetero {
-                    let speed = hetero.expect("shard hetero implies engine hetero").speeds
-                        [shard.bins.start + offset];
-                    sh.weights[offset] += weight;
-                    sh.weight_index.add(offset, weight);
-                    sh.rate_index.add(offset, speed);
-                    if let Some(balls) = &mut sh.balls {
-                        balls[offset].push(weight);
-                    }
-                }
+                shard.books.insert(offset, weight, speeds);
                 delta.arrivals += 1;
             }
         } else if pick < epoch_rate + clock * params.service_rate {
             // Departing ball clock rate-proportional across bins (uniform
             // over residents on unit engines), uniform within its bin.
-            let offset = match &shard.hetero {
-                Some(sh) => sh.rate_index.bin_at(rng.next_below(clock_mass)),
-                None => shard.index.bin_at(rng.next_below(resident)),
-            };
-            let picked = shard
-                .hetero
-                .as_ref()
-                .and_then(|sh| sh.balls.as_ref())
-                .map(|balls| rng.next_index(balls[offset].len()));
-            shard.loads[offset] -= 1;
-            shard.index.decrement(offset);
-            if let Some(sh) = &mut shard.hetero {
-                let weight = match (&mut sh.balls, picked) {
-                    (Some(balls), Some(i)) => balls[offset].swap_remove(i),
-                    _ => 1,
-                };
-                let speed = hetero.expect("shard hetero implies engine hetero").speeds
-                    [shard.bins.start + offset];
-                sh.weights[offset] -= weight;
-                sh.weight_index.sub(offset, weight);
-                sh.rate_index.sub(offset, speed);
-            }
+            let offset = shard.books.clock_bin(rng.next_below(clock_mass)).0;
+            let (picked, _) = shard.books.pick(offset, rng);
+            shard.books.remove(offset, picked, speeds);
             delta.departures += 1;
         } else {
             delta.rings += 1;
-            let source_offset = match &shard.hetero {
-                Some(sh) => sh.rate_index.bin_at(rng.next_below(clock_mass)),
-                None => shard.index.bin_at(rng.next_below(resident)),
-            };
+            let source_offset = shard.books.clock_bin(rng.next_below(clock_mass)).0;
             let source = shard.bins.start + source_offset;
-            let picked = shard
-                .hetero
-                .as_ref()
-                .and_then(|sh| sh.balls.as_ref())
-                .map(|balls| rng.next_index(balls[source_offset].len()));
-            let ball = match (
-                shard.hetero.as_ref().and_then(|sh| sh.balls.as_ref()),
-                picked,
-            ) {
-                (Some(balls), Some(i)) => balls[source_offset][i],
-                _ => 1,
-            };
+            let (picked, ball) = shard.books.pick(source_offset, rng);
             // Candidates come from the topology's neighbourhood of the
             // ringing bin; a candidate owned by another shard is priced at
             // its slice-start published load/weight (bounded staleness —
             // the decision a distributed node could actually make).
             let decision = {
-                let shard = &*shard;
-                match (hetero, &shard.hetero) {
-                    (Some(h), Some(sh)) => policy.decide_weighted(
+                let (bins, books) = (&shard.bins, &shard.books);
+                match hetero {
+                    Some(h) => policy.decide_weighted(
                         HeteroRingContext {
                             n: live_n,
                             total_weight: published_weight_m,
@@ -944,31 +806,31 @@ fn run_slice<R: Rng64 + ?Sized>(
                         },
                         source,
                         BinState {
-                            weight: sh.weights[source_offset],
+                            weight: books.weights()[source_offset],
                             speed: h.speeds[source],
                         },
                         ball,
                         || dest_sampler.sample(source, membership, rng),
                         |bin| BinState {
-                            weight: if shard.bins.contains(&bin) {
-                                sh.weights[bin - shard.bins.start]
+                            weight: if bins.contains(&bin) {
+                                books.weights()[bin - bins.start]
                             } else {
                                 h.published_weights[bin]
                             },
                             speed: h.speeds[bin],
                         },
                     ),
-                    _ => policy.decide(
+                    None => policy.decide(
                         RingContext {
                             n: live_n,
                             m: published_m,
                         },
                         source,
-                        shard.loads[source_offset],
+                        books.loads()[source_offset],
                         || dest_sampler.sample(source, membership, rng),
                         |bin| {
-                            if shard.bins.contains(&bin) {
-                                shard.loads[bin - shard.bins.start]
+                            if bins.contains(&bin) {
+                                books.loads()[bin - bins.start]
                             } else {
                                 published[bin]
                             }
@@ -978,38 +840,14 @@ fn run_slice<R: Rng64 + ?Sized>(
             };
             if decision.moved {
                 let dest = decision.dest.expect("a moving ring has a destination");
-                shard.loads[source_offset] -= 1;
-                shard.index.decrement(source_offset);
-                let weight = if let Some(sh) = &mut shard.hetero {
-                    let w = match (&mut sh.balls, picked) {
-                        (Some(balls), Some(i)) => balls[source_offset].swap_remove(i),
-                        _ => 1,
-                    };
-                    let speed = hetero.expect("shard hetero implies engine hetero").speeds
-                        [shard.bins.start + source_offset];
-                    sh.weights[source_offset] -= w;
-                    sh.weight_index.sub(source_offset, w);
-                    sh.rate_index.sub(source_offset, speed);
-                    w
-                } else {
-                    1
-                };
                 delta.migrations += 1;
                 if shard.bins.contains(&dest) {
                     let dest_offset = dest - shard.bins.start;
-                    shard.loads[dest_offset] += 1;
-                    shard.index.increment(dest_offset);
-                    if let Some(sh) = &mut shard.hetero {
-                        let speed =
-                            hetero.expect("shard hetero implies engine hetero").speeds[dest];
-                        sh.weights[dest_offset] += weight;
-                        sh.weight_index.add(dest_offset, weight);
-                        sh.rate_index.add(dest_offset, speed);
-                        if let Some(balls) = &mut sh.balls {
-                            balls[dest_offset].push(weight);
-                        }
-                    }
+                    shard
+                        .books
+                        .move_ball(source_offset, dest_offset, picked, speeds);
                 } else {
+                    let weight = shard.books.remove(source_offset, picked, speeds);
                     outbox.push((bin_u32(dest), weight));
                 }
             }
@@ -1203,32 +1041,22 @@ mod tests {
 
     #[test]
     fn weighted_books_stay_consistent_at_every_barrier() {
-        // After every barrier: published weights mirror the per-shard
-        // books, the index trees agree with the dense vectors, and each bin's
-        // ball list carries exactly `load` balls summing to its weight.
+        // After every barrier: each shard's books recount exactly (tree
+        // totals are their leaf sums, each bin's ball list carries `load`
+        // balls summing to its weight, rate leaves are `s_i·ℓ_i`), and the
+        // published loads and weights are the shards' leaves.
         let mut engine = weighted(16, 256, 4, 9);
         for _ in 0..40 {
             engine.step_slice(2);
-            let published_w = engine.weights().unwrap().to_vec();
+            let speeds = engine.speeds().unwrap();
+            let published_w = engine.weights().unwrap();
             for shard in &engine.shards {
                 let shard = shard.lock().unwrap();
-                let sh = shard.hetero.as_ref().unwrap();
-                let balls = sh.balls.as_ref().unwrap();
-                for (offset, bin) in shard.bins.clone().enumerate() {
-                    assert_eq!(balls[offset].len() as u64, shard.loads[offset]);
-                    let w: u64 = balls[offset].iter().sum();
-                    assert_eq!(w, sh.weights[offset]);
-                    assert_eq!(published_w[bin], w);
-                }
-                let w_total: u64 = sh.weights.iter().sum();
-                assert_eq!(sh.weight_index.total(), w_total);
-                let r_total: u64 = shard
-                    .bins
-                    .clone()
-                    .zip(&shard.loads)
-                    .map(|(bin, &l)| l * engine.speeds().unwrap()[bin])
-                    .sum();
-                assert_eq!(sh.rate_index.total(), r_total);
+                let bins = shard.bins.clone();
+                assert!(shard.books.ball_weights(0).is_some());
+                assert!(shard.books.matches(&speeds[bins.clone()]));
+                assert_eq!(shard.books.loads(), &engine.loads()[bins.clone()]);
+                assert_eq!(shard.books.weights(), &published_w[bins]);
             }
         }
     }

@@ -100,7 +100,7 @@ proptest! {
         }
 
         // Rank-descent agreement with an index rebuilt from the final
-        // load vector: the incrementally-maintained Fenwick tree answers
+        // load vector: the incrementally-maintained counted tree answers
         // every rank query identically.
         let rebuilt = LoadIndex::from_loads(engine.config().loads());
         prop_assert_eq!(engine.index().total(), rebuilt.total());
@@ -124,6 +124,14 @@ const DISTS: &[WeightDist] = &[
         cap: 32,
     },
 ];
+
+/// Total weight of `bin` recounted from its stored balls (its load under
+/// the unit law) — independent of the weight tree it is checked against.
+fn ball_weight_sum(engine: &LiveEngine, bin: usize) -> u64 {
+    engine
+        .ball_weights(bin)
+        .map_or(engine.config().load(bin), |balls| balls.iter().sum())
+}
 
 /// `(load, speed)` per bin with a weight-law pick, plus policy/topology
 /// picks, a seed and a command script.  (The first two ride in a nested
@@ -154,12 +162,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary command interleavings on a *heterogeneous* engine keep
-    /// the weight-aware bookkeeping exact: the weight Fenwick, the
-    /// rate-mass Fenwick (`s_i·ℓ_i`), the per-bin weight mirror and the
-    /// per-ball vectors all agree with from-scratch rebuilds after every
-    /// command, for every policy, topology shape and weight law.
+    /// the weight-aware books exact: the weight tree, the rate-mass tree
+    /// (`s_i·ℓ_i`) and the per-ball vectors all agree with from-scratch
+    /// rebuilds after every command, for every policy, topology shape and
+    /// weight law.
     #[test]
-    fn weighted_engines_preserve_both_fenwick_invariants(
+    fn weighted_engines_preserve_both_counted_tree_invariants(
         ((bins, dist_idx), policy_idx, topo_idx, seed, script) in hetero_instance_strategy()
     ) {
         let policy = POLICIES[policy_idx];
@@ -218,9 +226,10 @@ proptest! {
             prop_assert!(engine.hetero_matches());
         }
 
-        // Brute-force rebuilds of both auxiliary Fenwick trees from the
-        // public accessors: totals and every sampled rank query agree.
-        let weights: Vec<u64> = (0..n).map(|b| engine.bin_weight(b)).collect();
+        // Brute-force rebuilds of both auxiliary counted trees from the
+        // per-ball weights and the loads: totals and every sampled rank
+        // query agree.
+        let weights: Vec<u64> = (0..n).map(|b| ball_weight_sum(&engine, b)).collect();
         let rates: Vec<u64> = (0..n)
             .map(|b| engine.config().load(b) * engine.speed(b))
             .collect();
@@ -313,11 +322,11 @@ proptest! {
             // Scale events conserve balls: only arrivals/departures move m.
             prop_assert_eq!(engine.config().m(), m0 + arrivals - departures);
             let membership = engine.membership();
-            // The tracker models the live multiset; the Fenwick index is
+            // The tracker models the live multiset; the counted tree is
             // capacity-wide with permanent zero-mass holes at retired ids.
             prop_assert!(engine.tracker().matches_live(engine.config(), membership));
             prop_assert!(engine.index().matches(engine.config()));
-            // Membership, load vector and Fenwick grow in lockstep.
+            // Membership, load vector and counted tree grow in lockstep.
             prop_assert_eq!(membership.capacity(), engine.config().n());
             prop_assert_eq!(membership.capacity(), engine.index().n());
             prop_assert_eq!(membership.live_count(), engine.live_count());
@@ -348,11 +357,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The same elastic interleavings on a *heterogeneous* engine: joins
-    /// push baseline-speed slots onto the weight and rate-mass Fenwicks,
+    /// push baseline-speed slots onto the weight and rate-mass trees,
     /// drains retire them, and after every command all three trees agree
     /// with brute-force rebuilds from the public accessors.
     #[test]
-    fn weighted_elastic_interleavings_preserve_all_fenwick_invariants(
+    fn weighted_elastic_interleavings_preserve_all_counted_tree_invariants(
         ((bins, dist_idx), policy_idx, topo_idx, seed, script) in (
             (
                 prop::collection::vec((0u64..=12, 1u64..=4), 1..=10),
@@ -411,10 +420,10 @@ proptest! {
             }
         }
 
-        // Brute-force rebuilds of all three Fenwicks over the final
+        // Brute-force rebuilds of all three counted trees over the final
         // hole-carrying vectors (retired slots contribute zero).
         let n = engine.config().n();
-        let weights: Vec<u64> = (0..n).map(|b| engine.bin_weight(b)).collect();
+        let weights: Vec<u64> = (0..n).map(|b| ball_weight_sum(&engine, b)).collect();
         let rates: Vec<u64> = (0..n)
             .map(|b| engine.config().load(b) * engine.speed(b))
             .collect();

@@ -5,7 +5,7 @@
 //! a ring the ball re-arms its clock.  A binary heap of `(ring time, ball)`
 //! pairs gives `O(log m)` per event versus the `O(1)` of the superposition
 //! engine in [`engine`](crate::engine) — but the two simulate *exactly the
-//! same law*, which the test-suite and the scheduler ablation bench verify.
+//! same law*, which the test-suite verifies.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

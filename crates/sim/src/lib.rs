@@ -10,7 +10,7 @@
 //!   the ringing ball is uniform, one event costs O(1) regardless of `m`.
 //! * [`clock::ClockEngine`] — the literal per-ball clock implementation
 //!   (binary heap of ring times).  Same law, used to cross-validate the
-//!   superposition engine and as the baseline of the scheduler ablation.
+//!   superposition engine.
 //! * [`Adversary`] implementations — the destructive-move adversaries of
 //!   Lemma 2, used by the DML experiments.
 //! * [`observer`] — trajectory recorders, phase trackers and move counters.

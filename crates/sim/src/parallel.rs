@@ -9,8 +9,7 @@
 //! join time.  Dynamic claiming (rather than static chunking) keeps all
 //! cores busy even though balancing times vary wildly between trials —
 //! exactly the load-imbalance phenomenon the paper studies, showing up in
-//! our own harness.  The `parallel_granularity` ablation bench compares this
-//! against static chunking.
+//! our own harness.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -66,46 +65,6 @@ where
     into_index_order(count, pairs)
 }
 
-/// Run `f(i)` for every `i in 0..count` with static contiguous chunking
-/// instead of dynamic claiming.  Kept for the scheduler-granularity ablation
-/// (E-ablation in DESIGN.md §5); [`parallel_map`] is the default.
-pub fn parallel_map_chunked<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if count == 0 {
-        return Vec::new();
-    }
-    if threads <= 1 || count == 1 {
-        return (0..count).map(f).collect();
-    }
-    let threads = threads.min(count);
-    let chunk = count.div_ceil(threads);
-    let f = &f;
-
-    let mut pairs: Vec<(usize, T)> = Vec::with_capacity(count);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    let start = w * chunk;
-                    let end = ((w + 1) * chunk).min(count);
-                    (start..end).map(|i| (i, f(i))).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => pairs.extend(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    into_index_order(count, pairs)
-}
-
 /// Reassemble worker-local `(index, value)` pairs into index order.
 fn into_index_order<T>(count: usize, mut pairs: Vec<(usize, T)>) -> Vec<T> {
     debug_assert_eq!(pairs.len(), count, "every index computed exactly once");
@@ -145,17 +104,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_results_are_in_order() {
-        let v: Vec<usize> = parallel_map_chunked(200, 4, |i| i + 7);
-        assert_eq!(v, (0..200).map(|i| i + 7).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn more_threads_than_items_is_fine() {
         let v: Vec<usize> = parallel_map(3, 64, |i| i);
         assert_eq!(v, vec![0, 1, 2]);
-        let w: Vec<usize> = parallel_map_chunked(3, 64, |i| i);
-        assert_eq!(w, vec![0, 1, 2]);
     }
 
     #[test]

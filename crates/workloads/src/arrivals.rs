@@ -15,7 +15,6 @@
 //!
 //! [`Workload`]: crate::Workload
 
-use rls_rng::dist::{Distribution, Exponential};
 use rls_rng::{Rng64, RngExt};
 use serde::{Deserialize, Serialize};
 
@@ -116,35 +115,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// Sample the waiting time to the next arrival *epoch* in an `n`-bin
-    /// system (`Exp(epoch_rate)` — epochs are Poisson).
-    ///
-    /// # Panics
-    /// Panics if the process fails [`validate`](Self::validate) (the epoch
-    /// rate would not be positive).
-    pub fn next_epoch_gap<R: Rng64 + ?Sized>(&self, n: usize, rng: &mut R) -> f64 {
-        Exponential::new(self.epoch_rate(n))
-            .expect("validated arrival process has a positive epoch rate")
-            .sample(rng)
-    }
-
-    /// Turn the process into an infinite stream of request epochs — the
-    /// load generator's view of the same law the live engine simulates.
-    ///
-    /// Each yielded [`RequestEpoch`] carries the absolute simulated time of
-    /// the epoch and how many requests it injects (`1` for Poisson and
-    /// hotspot streams, the burst size for bursts).  A serving benchmark
-    /// maps simulated time to wall time by a constant factor to hit a
-    /// target request rate while preserving the law's shape.
-    pub fn schedule<R: Rng64>(&self, n: usize, rng: R) -> RequestSchedule<R> {
-        RequestSchedule {
-            process: *self,
-            n,
-            time: 0.0,
-            rng,
-        }
-    }
-
     /// Whether the parameters are usable (finite positive rate, valid burst
     /// size / bias).
     pub fn validate(&self) -> Result<(), &'static str> {
@@ -159,37 +129,6 @@ impl ArrivalProcess {
             }
             _ => Ok(()),
         }
-    }
-}
-
-/// One entry of a [`RequestSchedule`]: an arrival epoch in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RequestEpoch {
-    /// Absolute simulated time of the epoch.
-    pub at: f64,
-    /// Requests injected at this epoch (≥ 1).
-    pub size: u64,
-}
-
-/// Infinite iterator over the arrival epochs of an [`ArrivalProcess`] —
-/// see [`ArrivalProcess::schedule`].
-#[derive(Debug, Clone)]
-pub struct RequestSchedule<R> {
-    process: ArrivalProcess,
-    n: usize,
-    time: f64,
-    rng: R,
-}
-
-impl<R: Rng64> Iterator for RequestSchedule<R> {
-    type Item = RequestEpoch;
-
-    fn next(&mut self) -> Option<RequestEpoch> {
-        self.time += self.process.next_epoch_gap(self.n, &mut self.rng);
-        Some(RequestEpoch {
-            at: self.time,
-            size: self.process.epoch_size(),
-        })
     }
 }
 
@@ -329,29 +268,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn schedule_mean_rate_matches_the_law() {
-        // Poisson at α = 2 over 8 bins: epochs at rate 16/unit.  10k epochs
-        // should span ≈ 625 time units.
-        let p = ArrivalProcess::Poisson { rate_per_bin: 2.0 };
-        let epochs: Vec<_> = p.schedule(8, rng_from_seed(3)).take(10_000).collect();
-        assert_eq!(epochs.len(), 10_000);
-        assert!(epochs.windows(2).all(|w| w[0].at < w[1].at));
-        assert!(epochs.iter().all(|e| e.size == 1));
-        let span = epochs.last().unwrap().at;
-        assert!((span - 625.0).abs() < 30.0, "span {span}");
-
-        // Bursts keep the ball rate but thin the epochs by the burst size.
-        let b = ArrivalProcess::Bursts {
-            rate_per_bin: 2.0,
-            size: 4,
-        };
-        let epochs: Vec<_> = b.schedule(8, rng_from_seed(4)).take(2_500).collect();
-        assert!(epochs.iter().all(|e| e.size == 4));
-        let span = epochs.last().unwrap().at;
-        assert!((span - 625.0).abs() < 60.0, "span {span}");
     }
 
     #[test]

@@ -37,7 +37,7 @@ mod churn;
 mod generators;
 mod hetero;
 
-pub use arrivals::{ArrivalProcess, RequestEpoch, RequestSchedule};
+pub use arrivals::ArrivalProcess;
 pub use churn::{ChurnEvent, ChurnProcess};
 pub use generators::{GeneratorError, Workload};
 pub use hetero::{SpeedProfile, WeightDist};
