@@ -34,8 +34,10 @@ pub struct BinCounts {
 /// A balls-into-bins load configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Config {
-    loads: Vec<u64>,
-    total: u64,
+    // Crate-visible so a `LoadIndex`, whose leaves are a `Config`, can
+    // update them in place on its hot path.
+    pub(crate) loads: Vec<u64>,
+    pub(crate) total: u64,
 }
 
 impl Config {

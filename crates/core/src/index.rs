@@ -21,6 +21,11 @@
 //! `⌈log₈ capacity⌉` levels (4 at `n = 1024`, 7 at `n = 2²⁰`) instead
 //! of a binary tree's `log₂ capacity + 1` dependent loads.
 //!
+//! The leaf level *is* the load vector: the index owns a [`Config`] as its
+//! leaves ([`config`](LoadIndex::config)) and keeps only the interior sums
+//! beside it, so an engine holding an index holds no second copy of the
+//! loads.
+//!
 //! The index is deliberately RNG-free (this crate is purely combinatorial):
 //! callers draw the rank themselves and ask [`bin_at`](LoadIndex::bin_at)
 //! for the bin, which keeps the random-stream accounting in the engines.
@@ -36,15 +41,15 @@ const MAX_LEVELS: usize = 22;
 
 /// An 8-ary counted tree over the `n` bin loads.
 ///
-/// Supports `O(log n)` rank queries (`bin_at`), prefix sums and point
-/// updates, `O(1)` single-bin loads, with the total load kept alongside so
+/// Supports `O(log n)` rank queries (`bin_at`) and point updates, `O(1)`
+/// single-bin loads, with the total load kept alongside so
 /// sampling needs no extra traversal.
 ///
 /// ```
 /// use rls_core::{Config, LoadIndex, Move};
 ///
 /// let mut cfg = Config::from_loads(vec![3, 0, 5]).unwrap();
-/// let mut idx = LoadIndex::new(&cfg);
+/// let mut idx = LoadIndex::new(cfg.clone());
 /// assert_eq!(idx.total(), 8);
 /// // Ranks lay the balls out bin by bin: rank 3 is the first ball of
 /// // bin 2 (bin 1 is empty), so a uniform rank picks a bin with
@@ -52,31 +57,31 @@ const MAX_LEVELS: usize = 22;
 /// assert_eq!(idx.bin_at(2), 0);
 /// assert_eq!(idx.bin_at(3), 2);
 ///
-/// // Keep the index in lock-step with the configuration.
+/// // The leaves are the configuration: updates move balls in both.
 /// cfg.apply(Move::new(2, 1)).unwrap();
 /// idx.record_move(2, 1);
 /// assert!(idx.matches(&cfg));
+/// assert_eq!(idx.config(), &cfg);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadIndex {
-    /// Every level of the tree, leaves first.  Level `k` holds one word
-    /// per aligned block of `8^k` bins — that block's load — padded to
-    /// whole 8-word nodes, so word `bin >> 3k` of level `k` is the
-    /// ancestor of `bin`, and each node of level `k + 1` is one cache
-    /// line of child sums over level `k`.  Level 0 is the load vector
-    /// itself.  Bins `len..capacity` and the padding carry zero mass, so
-    /// rank descent never selects them.
-    tree: Vec<u64>,
-    /// Offset of each level in `tree`; the top level is the single root node.
+    /// The leaf level: the load vector and its total `m` (`u64` end to
+    /// end — no `u32` ball cap).  Bin ids are `0..n`.
+    leaves: Config,
+    /// Levels `1..levels` of the tree, lowest first.  Level `k` holds one
+    /// word per aligned block of `8^k` leaf slots — that block's load —
+    /// padded to whole 8-word nodes, so word `bin >> 3k` of level `k` is
+    /// the ancestor of `bin`, and each node of level `k + 1` is one cache
+    /// line of child sums over level `k`.  Slots past `n` and the padding
+    /// carry zero mass, so rank descent never selects them.
+    interior: Vec<u64>,
+    /// Offset of level `k + 1` in `interior`; the top level is the single
+    /// root node (the leaves' one node when there is no interior).
     level_start: [usize; MAX_LEVELS],
-    /// Number of levels, `max(1, ⌈log₈ capacity⌉)`.
+    /// Number of levels, leaves included: `max(1, ⌈log₈ capacity⌉)`.
     levels: u32,
-    /// Leaf slots (a power of two `≥ len`); grows by doubling.
+    /// Leaf slots (a power of two `≥ n`); grows by doubling.
     capacity: usize,
-    /// Number of allocated bins (`≤ capacity`); bin ids are `0..len`.
-    len: usize,
-    /// Total load `m = Σ ℓ_i` (`u64` end to end — no `u32` ball cap).
-    total: u64,
     /// How many O(capacity) rebuilds [`add_bin`](Self::add_bin) has paid.
     /// Capacity doubles on each, so the amortized growth cost stays O(1)
     /// per added bin — a cost model pinned by tests.
@@ -84,76 +89,67 @@ pub struct LoadIndex {
 }
 
 impl LoadIndex {
-    /// Build the index for a configuration.
-    pub fn new(cfg: &Config) -> Self {
-        Self::from_loads(cfg.loads())
+    /// Build the index over a configuration, which becomes its leaves (no
+    /// copy of the load vector is made).
+    pub fn new(cfg: Config) -> Self {
+        let capacity = cfg.n().next_power_of_two();
+        let mut index = Self {
+            leaves: cfg,
+            interior: Vec::new(),
+            level_start: [0; MAX_LEVELS],
+            levels: 1,
+            capacity: 0,
+            rebuilds: 0,
+        };
+        index.lay_out(capacity);
+        index
     }
 
-    /// Build the index from a raw load vector in `O(n)`.
+    /// Build the index over a copy of a raw load vector in `O(n)`.
     ///
     /// # Panics
     /// Panics if `loads` is empty or the total overflows `u64` (a
     /// [`Config`] can never hold either).
     pub fn from_loads(loads: &[u64]) -> Self {
-        let n = loads.len();
-        assert!(n > 0, "LoadIndex requires at least one bin");
-        Self::build(loads, n.next_power_of_two(), 0)
+        Self::new(Config::from_loads(loads.to_vec()).unwrap_or_else(|e| panic!("LoadIndex: {e}")))
     }
 
-    /// Lay out and fill the tree over `loads` padded to `capacity` leaves,
-    /// in one allocation of the exact final size.
-    fn build(loads: &[u64], capacity: usize, rebuilds: u64) -> Self {
-        debug_assert!(loads.len() <= capacity && capacity.is_power_of_two());
-        let mut level_start = [0usize; MAX_LEVELS];
-        let mut levels = 0usize;
-        let mut words = 0usize;
-        let mut width = capacity;
-        loop {
-            level_start[levels] = words;
+    /// Lay out the interior levels over `capacity` leaf slots and fill
+    /// them from the leaves, in one allocation of the exact final size.
+    fn lay_out(&mut self, capacity: usize) {
+        debug_assert!(self.n() <= capacity && capacity.is_power_of_two());
+        let mut levels = 1;
+        let mut words = 0;
+        // Nodes on the level below; more than one needs a parent level.
+        let mut nodes = capacity.div_ceil(FANOUT);
+        while nodes > 1 {
+            self.level_start[levels - 1] = words;
             levels += 1;
-            let nodes = width.div_ceil(FANOUT);
+            nodes = nodes.div_ceil(FANOUT);
             words += nodes * FANOUT;
-            if nodes == 1 {
-                break;
-            }
-            width = nodes;
         }
-        let mut tree = vec![0u64; words];
-        let mut total = 0u64;
-        for (slot, &load) in tree.iter_mut().zip(loads) {
-            *slot = load;
-            total = total.checked_add(load).expect("total load fits in u64");
-        }
-        // Every interior sum is bounded by `total`, so none can overflow.
-        for k in 1..levels {
-            let (below, above) = tree.split_at_mut(level_start[k]);
-            let below = &below[level_start[k - 1]..];
-            for (sum, node) in above.iter_mut().zip(below.chunks_exact(FANOUT)) {
-                *sum = node.iter().sum();
-            }
-        }
-        Self {
-            tree,
-            level_start,
-            levels: levels.try_into().expect("at most MAX_LEVELS levels"),
-            capacity,
-            len: loads.len(),
-            total,
-            rebuilds,
-        }
+        self.levels = levels.try_into().expect("at most MAX_LEVELS levels");
+        self.capacity = capacity;
+        self.interior = interior_sums(self.leaves.loads(), self.interior_starts(), words);
     }
 
-    /// Offsets of the levels in `tree`, leaves first.
+    /// Offsets of the interior levels in `interior`, lowest first.
     #[inline]
-    fn level_starts(&self) -> &[usize] {
-        &self.level_start[..self.levels as usize]
+    fn interior_starts(&self) -> &[usize] {
+        &self.level_start[..self.levels as usize - 1]
+    }
+
+    /// The leaves as a configuration: the load vector and its total.
+    #[inline]
+    pub fn config(&self) -> &Config {
+        &self.leaves
     }
 
     /// Number of allocated bins `n` (including retired bins still holding
     /// their zero-mass slot; the elastic engines mask retirees by load).
     #[inline]
     pub fn n(&self) -> usize {
-        self.len
+        self.leaves.n()
     }
 
     /// Allocated leaf capacity (a power of two `≥ n`); grows by doubling
@@ -170,19 +166,24 @@ impl LoadIndex {
     }
 
     /// Allocate a fresh bin id at the end of the index, seeded with `mass`,
-    /// and return it.  Amortized O(log n): when `len == capacity` the tree
-    /// is rebuilt at double capacity (O(capacity), counted in
+    /// and return it.  Amortized O(log n): when `n == capacity` the
+    /// interior is rebuilt at double capacity (O(capacity), counted in
     /// [`rebuilds`](Self::rebuilds)); otherwise the spare slot is claimed
     /// with one point update.
     ///
     /// # Panics
     /// Panics if the total would overflow `u64`.
     pub fn add_bin(&mut self, mass: u64) -> usize {
-        if self.len == self.capacity {
-            *self = Self::build(&self.tree[..self.len], self.capacity * 2, self.rebuilds + 1);
+        if self.n() == self.capacity {
+            self.lay_out(self.capacity * 2);
+            self.rebuilds += 1;
         }
-        let bin = self.len;
-        self.len += 1;
+        // Grow the leaves straight to the tree's capacity, never past it.
+        let loads = &mut self.leaves.loads;
+        if loads.len() == loads.capacity() {
+            loads.reserve_exact(self.capacity - loads.len());
+        }
+        let bin = self.leaves.push_bin();
         if mass > 0 {
             self.add(bin, mass);
         }
@@ -206,40 +207,22 @@ impl LoadIndex {
     /// Total load `m` (the number of balls).
     #[inline]
     pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of the loads of bins `0..bin` (`bin` may equal `n`): at each
-    /// level, the left siblings of `bin`'s ancestor within its node.
-    pub fn prefix(&self, bin: usize) -> u64 {
-        debug_assert!(bin <= self.n());
-        if bin == self.capacity {
-            // The whole tree: past the root's last child, which has no
-            // parent node to hold the sum.
-            return self.total;
-        }
-        let mut i = bin;
-        let mut sum = 0u64;
-        for &start in self.level_starts() {
-            let node = start + (i & !(FANOUT - 1));
-            sum += self.tree[node..start + i].iter().sum::<u64>();
-            i >>= FANOUT_BITS;
-        }
-        sum
+        self.leaves.m()
     }
 
     /// The loads of bins `0..n`: the leaf level, which is the load vector
-    /// itself, so a caller needs no second copy of it.
+    /// of [`config`](Self::config) itself, so a caller needs no second
+    /// copy of it.
     #[inline]
     pub fn loads(&self) -> &[u64] {
-        &self.tree[..self.len]
+        self.leaves.loads()
     }
 
     /// Load of a single bin: its leaf, read in `O(1)`.
     #[inline]
     pub fn load(&self, bin: usize) -> u64 {
         debug_assert!(bin < self.n(), "bin {bin} outside 0..{}", self.n());
-        self.tree[bin]
+        self.leaves.loads[bin]
     }
 
     /// The bin holding the ball of rank `rank` when balls are laid out bin
@@ -267,22 +250,27 @@ impl LoadIndex {
     /// empty).
     pub fn bin_at_depth(&self, mut rank: u64) -> (usize, u32) {
         assert!(
-            rank < self.total,
+            rank < self.total(),
             "rank {rank} out of range (total {})",
-            self.total
+            self.total()
         );
         // The root node sums to `total > rank`, and `select_child` only
         // enters a child whose sum exceeds the remaining rank, so the
         // descent never reaches a zero-mass (padding or spare) slot.
         let mut pos = 0usize;
-        for &start in self.level_starts().iter().rev() {
+        for &start in self.interior_starts().iter().rev() {
             let base = start + pos * FANOUT;
-            let node: &[u64; FANOUT] = self.tree[base..base + FANOUT]
+            let node: &[u64; FANOUT] = self.interior[base..base + FANOUT]
                 .try_into()
-                .expect("levels are padded to whole nodes");
+                .expect("interior levels are padded to whole nodes");
             pos = pos * FANOUT + select_child(node, &mut rank);
         }
-        (pos, self.levels)
+        let base = pos * FANOUT;
+        let child = match self.loads().get(base..base + FANOUT) {
+            Some(node) => select_child(node.try_into().expect("a whole node"), &mut rank),
+            None => select_tail(&self.loads()[base..], &mut rank),
+        };
+        (base + child, self.levels)
     }
 
     /// Add one ball to `bin`.
@@ -316,14 +304,16 @@ impl LoadIndex {
     #[inline]
     pub fn add(&mut self, bin: usize, delta: u64) {
         assert!(bin < self.n(), "bin {bin} outside 0..{}", self.n());
-        self.total = self
+        self.leaves.total = self
+            .leaves
             .total
             .checked_add(delta)
             .expect("total load fits in u64");
+        self.leaves.loads[bin] += delta;
         let mut i = bin;
-        for &start in &self.level_start[..self.levels as usize] {
-            self.tree[start + i] += delta;
+        for &start in &self.level_start[..self.levels as usize - 1] {
             i >>= FANOUT_BITS;
+            self.interior[start + i] += delta;
         }
     }
 
@@ -342,11 +332,12 @@ impl LoadIndex {
             self.load(bin) >= delta,
             "cannot remove a ball from an empty bin"
         );
-        self.total -= delta;
+        self.leaves.total -= delta;
+        self.leaves.loads[bin] -= delta;
         let mut i = bin;
-        for &start in &self.level_start[..self.levels as usize] {
-            self.tree[start + i] -= delta;
+        for &start in &self.level_start[..self.levels as usize - 1] {
             i >>= FANOUT_BITS;
+            self.interior[start + i] -= delta;
         }
     }
 
@@ -362,36 +353,59 @@ impl LoadIndex {
             self.load(from) > 0,
             "cannot remove a ball from an empty bin"
         );
+        self.leaves.loads[from] -= 1;
+        self.leaves.loads[to] += 1;
         // One walk up both paths; where they meet, the two updates cancel.
         let (mut f, mut t) = (from, to);
-        for &start in &self.level_start[..self.levels as usize] {
-            self.tree[start + f] -= 1;
-            self.tree[start + t] += 1;
+        for &start in &self.level_start[..self.levels as usize - 1] {
             f >>= FANOUT_BITS;
             t >>= FANOUT_BITS;
+            self.interior[start + f] -= 1;
+            self.interior[start + t] += 1;
         }
     }
 
-    /// Record a dynamic arrival into `bin` (the companion of
-    /// [`Config::add_ball`]).
-    #[inline]
-    pub fn record_insert(&mut self, bin: usize) {
-        self.increment(bin);
-    }
-
-    /// Record a dynamic departure from `bin` (the companion of
-    /// [`Config::remove_ball`]).
-    #[inline]
-    pub fn record_remove(&mut self, bin: usize) {
-        self.decrement(bin);
-    }
-
-    /// Verify the index against a configuration (test/debug helper).
+    /// Verify the tree (test/debug helper, `O(n)`): the leaves equal
+    /// `cfg`, every interior word is the sum of its 8 children, and the
+    /// root sums to `m`.
     pub fn matches(&self, cfg: &Config) -> bool {
-        self.n() == cfg.n()
-            && self.total == cfg.m()
-            && (0..cfg.n()).all(|i| self.load(i) == cfg.load(i))
+        let starts = self.interior_starts();
+        let root = match starts.last() {
+            Some(&start) => &self.interior[start..],
+            None => self.loads(),
+        };
+        self.leaves == *cfg
+            && self.interior == interior_sums(self.loads(), starts, self.interior.len())
+            && root.iter().try_fold(0u64, |acc, &w| acc.checked_add(w)) == Some(cfg.m())
     }
+}
+
+/// The interior levels (offsets `starts`, `words` in all) over `leaves`:
+/// level 1 sums each leaf node (the last may be partial), every higher
+/// level each node of the level below.
+fn interior_sums(leaves: &[u64], starts: &[usize], words: usize) -> Vec<u64> {
+    let mut interior = vec![0u64; words];
+    for (sum, node) in interior.iter_mut().zip(leaves.chunks(FANOUT)) {
+        *sum = node.iter().sum();
+    }
+    // Every interior sum is bounded by the leaves' total, so none can
+    // overflow.
+    for pair in starts.windows(2) {
+        let (below, above) = interior.split_at_mut(pair[1]);
+        for (sum, node) in above.iter_mut().zip(below[pair[0]..].chunks_exact(FANOUT)) {
+            *sum = node.iter().sum();
+        }
+    }
+    interior
+}
+
+/// [`select_child`] over the partial last leaf node (`n` not a multiple
+/// of 8), zero-padded: absent slots carry no mass.
+#[cold]
+fn select_tail(tail: &[u64], rank: &mut u64) -> usize {
+    let mut node = [0u64; FANOUT];
+    node[..tail.len()].copy_from_slice(tail);
+    select_child(&node, rank)
 }
 
 /// The child of `node` holding `rank` — the first whose running sum
@@ -461,13 +475,10 @@ mod tests {
     #[test]
     fn construction_matches_configuration() {
         let cfg = Config::from_loads(vec![3, 0, 5, 1, 0, 2]).unwrap();
-        let idx = LoadIndex::new(&cfg);
+        let idx = LoadIndex::new(cfg.clone());
         assert!(idx.matches(&cfg));
         assert_eq!(idx.n(), 6);
         assert_eq!(idx.total(), 11);
-        assert_eq!(idx.prefix(0), 0);
-        assert_eq!(idx.prefix(3), 8);
-        assert_eq!(idx.prefix(6), 11);
         assert_eq!(idx.loads(), cfg.loads());
     }
 
@@ -516,18 +527,18 @@ mod tests {
     #[test]
     fn updates_track_moves_arrivals_and_departures() {
         let mut cfg = Config::from_loads(vec![4, 1, 0, 3]).unwrap();
-        let mut idx = LoadIndex::new(&cfg);
+        let mut idx = LoadIndex::new(cfg.clone());
 
         cfg.apply(crate::Move::new(0, 2)).unwrap();
         idx.record_move(0, 2);
         assert!(idx.matches(&cfg));
 
         cfg.add_ball(1).unwrap();
-        idx.record_insert(1);
+        idx.increment(1);
         assert!(idx.matches(&cfg));
 
         cfg.remove_ball(3).unwrap();
-        idx.record_remove(3);
+        idx.decrement(3);
         assert!(idx.matches(&cfg));
         assert_eq!(idx.total(), cfg.m());
     }
@@ -535,7 +546,7 @@ mod tests {
     #[test]
     fn stays_consistent_over_a_long_random_walk() {
         let mut cfg = Config::all_in_one_bin(13, 77).unwrap();
-        let mut idx = LoadIndex::new(&cfg);
+        let mut idx = LoadIndex::new(cfg.clone());
         let mut state = 0xDEADBEEFu64;
         for step in 0..5000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -544,11 +555,11 @@ mod tests {
             match step % 4 {
                 0 => {
                     cfg.add_ball(a).unwrap();
-                    idx.record_insert(a);
+                    idx.increment(a);
                 }
                 1 if cfg.load(b) > 0 => {
                     cfg.remove_ball(b).unwrap();
-                    idx.record_remove(b);
+                    idx.decrement(b);
                 }
                 _ if a != b && cfg.load(a) > 0 => {
                     cfg.apply(crate::Move::new(a, b)).unwrap();
@@ -614,9 +625,9 @@ mod tests {
     fn single_bin_index_works() {
         let mut idx = LoadIndex::from_loads(&[5]);
         assert_eq!(idx.bin_at(4), 0);
-        idx.record_insert(0);
+        idx.increment(0);
         assert_eq!(idx.total(), 6);
-        idx.record_remove(0);
+        idx.decrement(0);
         assert_eq!(idx.total(), 5);
     }
 
@@ -726,19 +737,26 @@ mod tests {
         assert!(idx.rebuilds() > 0, "the walk must have exercised growth");
     }
 
-    /// The tree holds at most `capacity·8/7 + 8·levels` words (≈ 1.14
-    /// words per bin) in a vector allocated at exactly that size, both
+    /// The leaves plus the interior hold at most `capacity·8/7 +
+    /// 8·levels` words (≈ 1.14 words per bin): the interior is allocated
+    /// at exactly its size and the leaves never past the capacity, both
     /// at construction and after a doubling rebuild.
     fn assert_memory_pinned(idx: &LoadIndex) {
         let levels = idx.levels as usize;
         let bound = idx.capacity() * 8 / 7 + 8 * levels;
+        let leaves = idx.leaves.loads.capacity();
+        let words = leaves + idx.interior.len();
         assert!(
-            idx.tree.len() <= bound,
-            "{} words exceed {bound} at capacity {}",
-            idx.tree.len(),
+            words <= bound,
+            "{words} words exceed {bound} at capacity {}",
             idx.capacity()
         );
-        assert_eq!(idx.tree.capacity(), idx.tree.len(), "no slack allocation");
+        assert!(leaves <= idx.capacity(), "leaf slack past the capacity");
+        assert_eq!(
+            idx.interior.capacity(),
+            idx.interior.len(),
+            "no slack allocation"
+        );
     }
 
     #[test]
@@ -754,9 +772,37 @@ mod tests {
             assert_eq!(idx.rebuilds(), rebuilds + 1);
             assert_memory_pinned(&idx);
         }
-        // 2²⁰ bins: 2²⁰ + 2¹⁷ + 2¹⁴ + 2¹¹ + 2⁸ + 2⁵ + 8 words over 7 levels.
+        // 2²⁰ bins: 2²⁰ leaves, then 2¹⁷ + 2¹⁴ + 2¹¹ + 2⁸ + 2⁵ + 8 interior
+        // words over 6 more levels.
         let idx = LoadIndex::from_loads(&vec![1; 1 << 20]);
         assert_eq!(idx.levels, 7);
-        assert_eq!(idx.tree.len(), 1_198_376);
+        assert_eq!(idx.loads().len(), 1 << 20);
+        assert_eq!(idx.interior.len(), 149_800);
+    }
+
+    #[test]
+    fn matches_checks_every_interior_word_and_the_total() {
+        for n in [1usize, 9, 65, 513] {
+            let cfg = Config::from_loads((0..n as u64).map(|i| i % 5).collect()).unwrap();
+            let idx = LoadIndex::new(cfg.clone());
+            assert!(idx.matches(&cfg));
+            // One corrupted word per interior level (the first, the last
+            // and one in between) is caught.
+            for (k, &start) in idx.interior_starts().iter().enumerate() {
+                let next = idx.interior_starts().get(k + 1).copied();
+                let end = next.unwrap_or(idx.interior.len());
+                for word in [start, (start + end) / 2, end - 1] {
+                    let mut bad = idx.clone();
+                    bad.interior[word] += 1;
+                    assert!(!bad.matches(&cfg), "n {n} level {} word {word}", k + 1);
+                }
+            }
+            // So is a corrupted total, against `cfg` or against the
+            // index's own leaves.
+            let mut bad = idx.clone();
+            bad.leaves.total += 1;
+            assert!(!bad.matches(&cfg), "n {n} total");
+            assert!(!bad.matches(bad.config()), "n {n} total vs own leaves");
+        }
     }
 }

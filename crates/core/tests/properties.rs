@@ -207,7 +207,7 @@ proptest! {
         ops in prop::collection::vec((0u8..3, 0usize..12, 0usize..12), 0..60),
     ) {
         let mut cfg = cfg;
-        let mut index = LoadIndex::new(&cfg);
+        let mut index = LoadIndex::new(cfg.clone());
         for (kind, a, b) in ops {
             let a = a % cfg.n();
             let b = b % cfg.n();
@@ -216,14 +216,14 @@ proptest! {
                     if cfg.add_ball(a).is_err() {
                         continue;
                     }
-                    index.record_insert(a);
+                    index.increment(a);
                 }
                 1 => {
                     if cfg.load(a) == 0 {
                         continue;
                     }
                     cfg.remove_ball(a).unwrap();
-                    index.record_remove(a);
+                    index.decrement(a);
                 }
                 _ => {
                     if a == b || cfg.load(a) == 0 {
@@ -290,8 +290,9 @@ proptest! {
     /// arbitrary load vectors — sizes on both sides of every level
     /// boundary, zero bins, weighted/rate-mass deltas up to 2⁴⁰ — across
     /// interleaved `add`/`sub`/`add_bin`/`retire_bin`: `bin_at` at both
-    /// ends of every bin's rank range, `load` and `prefix` at every bin,
-    /// and a descent depth of exactly `max(1, ⌈log₈ capacity⌉)` levels.
+    /// ends of every bin's rank range, `load` at every bin, a consistent
+    /// tree (`matches`) and a descent depth of exactly
+    /// `max(1, ⌈log₈ capacity⌉)` levels.
     #[test]
     fn counted_tree_descent_matches_reference_scan(
         loads in (0usize..18, 1usize..=40).prop_flat_map(|(pick, random)| {
@@ -330,7 +331,6 @@ proptest! {
         let levels = index.capacity().trailing_zeros().div_ceil(3).max(1);
         let mut cumulative = 0u64;
         for (bin, &load) in loads.iter().enumerate() {
-            prop_assert_eq!(index.prefix(bin), cumulative);
             prop_assert_eq!(index.load(bin), load);
             if load > 0 {
                 for rank in [cumulative, cumulative + load / 2, cumulative + load - 1] {
@@ -339,8 +339,8 @@ proptest! {
             }
             cumulative += load;
         }
-        prop_assert_eq!(index.prefix(loads.len()), cumulative);
         prop_assert_eq!(index.total(), cumulative);
+        prop_assert!(index.matches(&Config::from_loads(loads).unwrap()));
     }
 
     /// The tracker's flat histogram agrees with a `BTreeMap` reference

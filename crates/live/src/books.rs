@@ -20,7 +20,7 @@
 
 use std::ops::Range;
 
-use rls_core::LoadIndex;
+use rls_core::{Config, LoadIndex};
 use rls_rng::{Rng64, RngExt};
 use rls_workloads::WeightDist;
 
@@ -68,25 +68,27 @@ pub(crate) fn draw_balls<R: Rng64 + ?Sized>(
 }
 
 impl Books {
-    /// Unit books over `loads`: ball counts only.
-    pub(crate) fn unit(loads: &[u64]) -> Self {
+    /// Unit books over `cfg`, which becomes the count tree's leaves: ball
+    /// counts only.
+    pub(crate) fn unit(cfg: Config) -> Self {
         Self {
-            counts: LoadIndex::from_loads(loads),
+            counts: LoadIndex::new(cfg),
             hetero: None,
         }
     }
 
-    /// Weighted, speed-aware books over `loads`: bin `i` runs at
+    /// Make these books weighted and speed-aware: bin `i` runs at
     /// `speeds[i]` and holds the balls `balls[i]` (`None` exactly when
     /// `dist` is unit).  The one validation of heterogeneity state, at
-    /// boot and on snapshot restore alike.
-    pub(crate) fn hetero(
-        loads: &[u64],
+    /// boot and on snapshot restore alike; on error nothing changes.
+    pub(crate) fn attach_hetero(
+        &mut self,
         dist: WeightDist,
         speeds: &[u64],
         balls: Option<Vec<Vec<u64>>>,
-    ) -> Result<Self, LiveError> {
+    ) -> Result<(), LiveError> {
         dist.validate().map_err(LiveError::params)?;
+        let loads = self.counts.loads();
         let n = loads.len();
         if speeds.len() != n {
             return Err(LiveError::params(format!(
@@ -139,17 +141,18 @@ impl Books {
             .map(|(&s, &l)| s.checked_mul(l))
             .collect::<Option<_>>()
             .ok_or_else(|| LiveError::params("bin rate mass overflows u64"))?;
-        if checked_sum(&weights).and(checked_sum(&rates)).is_none() {
-            return Err(LiveError::params("total weight or rate mass overflows u64"));
-        }
-        Ok(Self {
-            counts: LoadIndex::from_loads(loads),
-            hetero: Some(HeteroBooks {
-                weights: LoadIndex::from_loads(&weights),
-                rates: LoadIndex::from_loads(&rates),
-                balls,
-            }),
-        })
+        let tree = |values| {
+            Config::from_loads(values)
+                .map(LoadIndex::new)
+                .map_err(|_| LiveError::params("total weight or rate mass overflows u64"))
+        };
+        let (weights, rates) = (tree(weights)?, tree(rates)?);
+        self.hetero = Some(HeteroBooks {
+            weights,
+            rates,
+            balls,
+        });
+        Ok(())
     }
 
     /// Split into one set per range (`ranges` tile `0..n` in order), each
@@ -365,8 +368,10 @@ mod tests {
 
     #[test]
     fn hetero_construction_validates() {
-        let loads = [2u64, 0, 1];
-        let ok = |speeds: &[u64], dist, balls| Books::hetero(&loads, dist, speeds, balls);
+        let cfg = Config::from_loads(vec![2, 0, 1]).unwrap();
+        let ok = |speeds: &[u64], dist, balls| {
+            Books::unit(cfg.clone()).attach_hetero(dist, speeds, balls)
+        };
         assert!(ok(&[1, 2, 1], WeightDist::Unit, None).is_ok());
         // Wrong-length, zero and overflowing speeds.
         assert!(ok(&[1, 2], WeightDist::Unit, None).is_err());
@@ -398,7 +403,8 @@ mod tests {
         let loads = [3u64, 0, 2, 1, 4];
         let speeds = [2u64, 1, 3, 1, 1];
         let balls = draw_balls(&loads, PARETO, &mut rng_from_seed(3)).unwrap();
-        let whole = Books::hetero(&loads, PARETO, &speeds, balls).unwrap();
+        let mut whole = Books::unit(Config::from_loads(loads.to_vec()).unwrap());
+        whole.attach_hetero(PARETO, &speeds, balls).unwrap();
         let ranges = [0..2, 2..5];
         let parts = whole.clone().split(&ranges);
         for (part, range) in parts.iter().zip(&ranges) {
@@ -409,7 +415,7 @@ mod tests {
                 assert_eq!(part.ball_weights(local), whole.ball_weights(bin));
             }
         }
-        let unit = Books::unit(&loads).split(&ranges);
+        let unit = Books::unit(Config::from_loads(loads.to_vec()).unwrap()).split(&ranges);
         assert_eq!(unit[1].loads(), &[2, 1, 4]);
         assert!(unit[1].weight_index().is_none());
     }

@@ -31,7 +31,7 @@
 
 use rls_core::{
     BinState, Config, HeteroRingContext, LoadIndex, LoadTracker, Membership, MembershipSnapshot,
-    Move, RebalancePolicy, RingContext, RingDecision, RlsRule,
+    RebalancePolicy, RingContext, RingDecision, RlsRule,
 };
 use rls_graph::{ElasticDest, Topology};
 use rls_rng::dist::{Distribution, Exponential, Poisson};
@@ -177,11 +177,11 @@ fn bin_state(books: &Books, h: &Hetero, bin: usize) -> BinState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LiveEngine {
-    cfg: Config,
     tracker: LoadTracker,
-    /// The per-bin books: the counted tree over the loads (uniform-ball
-    /// sampling in O(log n) with no per-ball state) and, on weighted
-    /// engines, the weight and rate-mass trees and per-ball weights.
+    /// The per-bin books: the counted tree over the loads, whose leaves
+    /// are the configuration (uniform-ball sampling in O(log n) with no
+    /// per-ball state) and, on weighted engines, the weight and rate-mass
+    /// trees and per-ball weights.
     books: Books,
     params: LiveParams,
     /// The decision rule applied per ring (enum-dispatched: part of the
@@ -250,12 +250,10 @@ impl LiveEngine {
         let dest = ElasticDest::build(topology, initial.n(), graph_seed)
             .map_err(|e| LiveError::params(format!("topology `{topology}`: {e}")))?;
         let membership = Membership::new(initial.n());
-        let books = Books::unit(initial.loads());
         let tracker = LoadTracker::new(&initial);
         Ok(Self {
-            cfg: initial,
             tracker,
-            books,
+            books: Books::unit(initial),
             params,
             policy,
             dest,
@@ -311,7 +309,7 @@ impl LiveEngine {
         speeds: Vec<u64>,
         balls: Option<Vec<Vec<u64>>>,
     ) -> Result<(), LiveError> {
-        self.books = Books::hetero(self.cfg.loads(), dist, &speeds, balls)?;
+        self.books.attach_hetero(dist, &speeds, balls)?;
         // Only live bins contribute to the speed-scaled average; on a
         // churn-free engine the live set is exactly `0..n`, so this is the
         // same sum in the same order as the pre-elastic engine computed.
@@ -347,9 +345,9 @@ impl LiveEngine {
         self.metrics.as_ref()
     }
 
-    /// Current configuration.
+    /// Current configuration: the count tree's leaves.
     pub fn config(&self) -> &Config {
-        &self.cfg
+        self.index().config()
     }
 
     /// Incrementally maintained summary of the configuration.
@@ -408,7 +406,7 @@ impl LiveEngine {
         self.membership.epoch()
     }
 
-    /// Number of currently live bins (`cfg.n()` until the first scale
+    /// Number of currently live bins (`config().n()` until the first scale
     /// event; retired slots keep their id but leave the live set).
     pub fn live_count(&self) -> usize {
         self.membership.live_count()
@@ -455,7 +453,7 @@ impl LiveEngine {
     pub fn total_speed(&self) -> u64 {
         self.hetero
             .as_ref()
-            .map_or(self.cfg.n() as u64, |h| h.total_speed)
+            .map_or(self.index().n() as u64, |h| h.total_speed)
     }
 
     /// Normalized load `W_i / s_i` of one bin (the plain load on unit
@@ -503,10 +501,9 @@ impl LiveEngine {
     /// Verify the heterogeneity bookkeeping against a from-scratch recount
     /// (test/debug helper, `O(n + m)`): the weight and rate-mass trees'
     /// totals and leaves and the per-ball vectors must all agree with the
-    /// configuration and the speeds.
+    /// loads and the speeds.
     pub fn hetero_matches(&self) -> bool {
-        self.hetero.is_none()
-            || (self.books.loads() == self.cfg.loads() && self.books.matches(speeds(&self.hetero)))
+        self.hetero.is_none() || self.books.matches(speeds(&self.hetero))
     }
 
     /// Draw how many auto-rebalance rings to run after one arrival:
@@ -551,25 +548,27 @@ impl LiveEngine {
         params.validate()?;
         policy.validate().map_err(LiveError::params)?;
         churn.validate().map_err(LiveError::params)?;
+        // Check the id count against the load vector before building
+        // anything sized by `initial_n`, which comes off the wire.
+        let joins = membership.log.iter().filter(|rec| rec.joined).count();
+        if membership.initial_n.checked_add(joins) != Some(cfg.n()) {
+            return Err(LiveError::snapshot(format!(
+                "membership log allocates {} + {joins} bin ids but the load vector has {}",
+                membership.initial_n,
+                cfg.n()
+            )));
+        }
         let mut dest = ElasticDest::build(topology, membership.initial_n, graph_seed)
             .map_err(|e| LiveError::params(format!("topology `{topology}`: {e}")))?;
         let membership = membership
             .replay_with(|rec, m| dest.apply(rec, m))
             .map_err(LiveError::snapshot)?;
-        if membership.capacity() != cfg.n() {
-            return Err(LiveError::snapshot(format!(
-                "membership log allocates {} bin ids but the load vector has {}",
-                membership.capacity(),
-                cfg.n()
-            )));
-        }
         if let Some(bin) = (0..cfg.n()).find(|&b| !membership.is_live(b) && cfg.load(b) != 0) {
             return Err(LiveError::snapshot(format!(
                 "retired bin {bin} carries load {} (drains relocate every ball)",
                 cfg.load(bin)
             )));
         }
-        let books = Books::unit(cfg.loads());
         // The tracker aggregates over *live* bins only: a retired slot sits
         // permanently at load zero and must not drag min/average/gap down.
         let tracker = if membership.is_elastic() {
@@ -586,9 +585,8 @@ impl LiveEngine {
             LoadTracker::new(&cfg)
         };
         Ok(Self {
-            cfg,
             tracker,
-            books,
+            books: Books::unit(cfg),
             params,
             policy,
             dest,
@@ -642,7 +640,7 @@ impl LiveEngine {
     /// trajectories are bit-identical to the pre-elastic engine.
     pub fn step<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> Option<LiveEvent> {
         let kind = loop {
-            let m = self.cfg.m();
+            let m = self.index().total();
             let epoch_rate = self
                 .params
                 .arrivals
@@ -745,8 +743,7 @@ impl LiveEngine {
         rng: &mut R,
         holding: &mut Option<Exponential>,
     ) -> Result<LiveEvent, LiveError> {
-        let n = self.cfg.n();
-        let m = self.cfg.m();
+        let (n, m) = (self.index().n(), self.index().total());
 
         // Validate every explicit coordinate (and the implicit "there is a
         // ball to pick" requirements) before touching state or the RNG.
@@ -787,7 +784,7 @@ impl LiveEngine {
                 match bin {
                     Some(bin) => {
                         check_bin("departure", bin)?;
-                        if self.cfg.load(bin) == 0 {
+                        if self.index().load(bin) == 0 {
                             return Err(LiveError::command(format!(
                                 "departure from empty bin {bin}"
                             )));
@@ -829,7 +826,7 @@ impl LiveEngine {
                 match source {
                     Some(source) => {
                         check_bin("ring source", source)?;
-                        if self.cfg.load(source) == 0 {
+                        if self.index().load(source) == 0 {
                             return Err(LiveError::command(format!(
                                 "ring in empty bin {source} (no ball to activate)"
                             )));
@@ -1068,11 +1065,10 @@ impl LiveEngine {
         processed
     }
 
-    /// Apply an arrival of a ball of `weight` to `bin`, keeping
-    /// config/tracker/index (and the heterogeneity books) in sync.
+    /// Apply an arrival of a ball of `weight` to `bin`, keeping the
+    /// tracker and the books in sync.
     fn arrive(&mut self, bin: usize, weight: u64) {
-        let old = self.cfg.load(bin);
-        self.cfg.add_ball(bin).expect("arrival bin is in range");
+        let old = self.index().load(bin);
         self.tracker.record_insert(old);
         self.books.insert(bin, weight, speeds(&self.hetero));
         self.counters.arrivals += 1;
@@ -1084,10 +1080,7 @@ impl LiveEngine {
     /// Apply a departure from `bin` (`picked` names the ball when per-ball
     /// weights are stored).
     fn depart(&mut self, bin: usize, picked: Option<usize>) {
-        let old = self.cfg.load(bin);
-        self.cfg
-            .remove_ball(bin)
-            .expect("departing ball occupies a non-empty bin");
+        let old = self.index().load(bin);
         self.tracker.record_remove(old);
         self.books.remove(bin, picked, speeds(&self.hetero));
         self.counters.departures += 1;
@@ -1115,10 +1108,10 @@ impl LiveEngine {
             None => self.policy.permits_loads(
                 RingContext {
                     n: self.membership.live_count(),
-                    m: self.cfg.m(),
+                    m: self.index().total(),
                 },
-                self.cfg.load(source),
-                self.cfg.load(dest),
+                self.index().load(source),
+                self.index().load(dest),
             ),
         }
     }
@@ -1155,20 +1148,20 @@ impl LiveEngine {
                 |b| bin_state(&self.books, h, b),
             ),
             None => {
+                let index = self.index();
                 let ctx = RingContext {
                     n: membership.live_count(),
-                    m: self.cfg.m(),
+                    m: index.total(),
                 };
-                let cfg = &self.cfg;
                 self.policy.decide(
                     ctx,
                     source,
-                    cfg.load(source),
+                    index.load(source),
                     || {
                         probes.set(probes.get() + 1);
                         dest.sample(source, membership, rng)
                     },
-                    |b| cfg.load(b),
+                    |b| index.load(b),
                 )
             }
         };
@@ -1199,10 +1192,7 @@ impl LiveEngine {
         }
         let dest = decision.dest.unwrap_or(source);
         if decision.moved {
-            let (lf, lt) = (self.cfg.load(source), self.cfg.load(dest));
-            self.cfg
-                .apply(Move::new(source, dest))
-                .expect("decided move applies");
+            let (lf, lt) = (self.index().load(source), self.index().load(dest));
             self.tracker.record_move(lf, lt);
             self.books
                 .move_ball(source, dest, picked, speeds(&self.hetero));
@@ -1274,8 +1264,6 @@ impl LiveEngine {
     /// Callers gate on [`ElasticDest::feasible`] first.
     fn join_bin<R: Rng64 + ?Sized>(&mut self, warm: bool, rng: &mut R) -> JoinRecord {
         let bin = self.membership.join();
-        let cfg_bin = self.cfg.push_bin();
-        debug_assert_eq!(bin, cfg_bin, "membership and load vector grow in lockstep");
         let books_bin = self.books.add_bin();
         debug_assert_eq!(bin, books_bin, "membership and books grow in lockstep");
         self.tracker.bin_joined(0);
@@ -1290,10 +1278,11 @@ impl LiveEngine {
         self.counters.joins += 1;
         let mut warm_from = Vec::new();
         if warm {
-            let share = self.cfg.m() / self.membership.live_count() as u64;
+            let m = self.index().total();
+            let share = m / self.membership.live_count() as u64;
             for _ in 0..share {
                 let source = loop {
-                    let b = self.index().bin_at(rng.next_below(self.cfg.m()));
+                    let b = self.index().bin_at(rng.next_below(m));
                     if b != bin {
                         break b;
                     }
@@ -1317,8 +1306,8 @@ impl LiveEngine {
     /// Callers validate that `victim` is live, is not the last live bin,
     /// and that [`ElasticDest::feasible`] accepts the shrunken live set.
     fn drain_one<R: Rng64 + ?Sized>(&mut self, victim: usize, rng: &mut R) -> DrainRecord {
-        let mut moved_to = Vec::with_capacity(self.cfg.load(victim) as usize);
-        while self.cfg.load(victim) > 0 {
+        let mut moved_to = Vec::with_capacity(self.index().load(victim) as usize);
+        while self.index().load(victim) > 0 {
             let dest = loop {
                 let d = self
                     .membership
@@ -1348,15 +1337,12 @@ impl LiveEngine {
 
     /// Move one exchangeable ball from `source` to `dest` outside the ring
     /// protocol (scale events: warm steals and drain relocations), keeping
-    /// config/tracker/index and the heterogeneity books in sync.  Not a
+    /// the tracker and the books in sync.  Not a
     /// migration for counting purposes — the ball was forced, not
     /// rebalanced.
     fn force_move<R: Rng64 + ?Sized>(&mut self, source: usize, dest: usize, rng: &mut R) {
         let (picked, _) = self.books.pick(source, rng);
-        let (lf, lt) = (self.cfg.load(source), self.cfg.load(dest));
-        self.cfg
-            .apply(Move::new(source, dest))
-            .expect("forced move applies");
+        let (lf, lt) = (self.index().load(source), self.index().load(dest));
         self.tracker.record_move(lf, lt);
         self.books
             .move_ball(source, dest, picked, speeds(&self.hetero));
@@ -1401,6 +1387,13 @@ mod tests {
         assert_eq!(c.events, 20_000);
         assert_eq!(c.arrivals + c.departures + c.rings, 20_000);
         assert!(c.migrations <= c.rings);
+        // A warm join grows the load vector in place: the configuration
+        // is still the index's leaves, not a copy.
+        eng.apply(&LiveCommand::AddBin { warm: true }, &mut rng)
+            .unwrap();
+        assert_eq!(eng.config().n(), 9);
+        assert_eq!(eng.config().loads().as_ptr(), eng.index().loads().as_ptr());
+        assert!(eng.index().matches(eng.config()));
     }
 
     #[test]

@@ -233,8 +233,8 @@ impl ShardedEngine {
 
         let membership = Membership::new(n);
         Ok(Self {
-            shards: partition(Books::unit(initial.loads()), shards, &membership),
             published: initial.loads().to_vec(),
+            shards: partition(Books::unit(initial), shards, &membership),
             params,
             policy,
             dest,
@@ -282,7 +282,8 @@ impl ShardedEngine {
         rng: &mut R,
     ) -> Result<Self, LiveError> {
         let balls = books::draw_balls(initial.loads(), dist, rng)?;
-        let books = Books::hetero(initial.loads(), dist, &speeds, balls)?;
+        let mut books = Books::unit(initial.clone());
+        books.attach_hetero(dist, &speeds, balls)?;
         let mut engine = Self::with_policy(
             initial, params, policy, topology, graph_seed, shards, slice, seed,
         )?;
@@ -599,11 +600,8 @@ impl ShardedEngine {
     /// books and live lists from the published state.  Only reached on
     /// unit engines: churn is rejected on weighted ones.
     fn repartition(&mut self) {
-        self.shards = partition(
-            Books::unit(&self.published),
-            self.shards.len(),
-            &self.membership,
-        );
+        let cfg = Config::from_loads(self.published.clone()).expect("published loads are valid");
+        self.shards = partition(Books::unit(cfg), self.shards.len(), &self.membership);
     }
 
     /// Run until simulated time reaches `until` (rounded up to whole

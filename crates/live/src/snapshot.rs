@@ -266,6 +266,22 @@ mod tests {
     }
 
     #[test]
+    fn oversized_membership_is_rejected_before_allocating() {
+        // A one-bin snapshot claiming 2⁴⁰ boot-time bins: a typed error,
+        // not a panic or an O(2⁴⁰) allocation for the membership and
+        // adjacency.
+        let params =
+            LiveParams::balanced(ArrivalProcess::Poisson { rate_per_bin: 1.0 }, 1, 4).unwrap();
+        let one = LiveEngine::new(Config::uniform(1, 4).unwrap(), params, RlsRule::paper());
+        let mut snap = Snapshot::capture(&one.unwrap(), &rng_from_seed(2));
+        snap.membership.initial_n = 1 << 40;
+        match snap.restore() {
+            Err(LiveError::Snapshot(msg)) => assert!(msg.contains("bin ids"), "{msg}"),
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn policy_and_topology_round_trip_through_snapshots() {
         // A greedy-2 engine on a torus: pause, snapshot through JSON,
         // resume — the restored sampler must be the identical adjacency.

@@ -24,7 +24,7 @@
 //! [`LoadTracker`], so checking a stopping condition after every event is
 //! O(1) too.
 
-use rls_core::{Config, LoadIndex, LoadTracker, Move, RlsRule};
+use rls_core::{Config, LoadIndex, LoadTracker, RlsRule};
 use rls_graph::DestSampler;
 use rls_rng::dist::{Distribution, Exponential};
 use rls_rng::{Rng64, RngExt};
@@ -94,7 +94,7 @@ pub struct RunOutcome {
 /// Continuous-time simulation state for a sequential-activation protocol.
 #[derive(Debug, Clone)]
 pub struct Simulation<P: Policy> {
-    cfg: Config,
+    /// The counted tree over the loads; its leaves are the configuration.
     index: LoadIndex,
     tracker: LoadTracker,
     policy: P,
@@ -165,13 +165,11 @@ impl<P: Policy> Simulation<P> {
                 sampler: sampler.n(),
             });
         }
-        let index = LoadIndex::new(&initial);
         let tracker = LoadTracker::new(&initial);
         let waiting_time =
             Exponential::new(m as f64).expect("m ≥ 1 gives a valid exponential rate");
         Ok(Self {
-            cfg: initial,
-            index,
+            index: LoadIndex::new(initial),
             tracker,
             policy,
             sampler,
@@ -182,9 +180,9 @@ impl<P: Policy> Simulation<P> {
         })
     }
 
-    /// Current configuration.
+    /// Current configuration: the index's leaves.
     pub fn config(&self) -> &Config {
-        &self.cfg
+        self.index.config()
     }
 
     /// Incrementally maintained summary of the configuration.
@@ -232,11 +230,8 @@ impl<P: Policy> Simulation<P> {
         let dest = self.sampler.sample(source, rng).unwrap_or(source);
 
         let mut moved = false;
-        if source != dest && self.policy.permits(self.cfg.loads(), source, dest) {
-            let (lf, lt) = (self.cfg.load(source), self.cfg.load(dest));
-            self.cfg
-                .apply(Move::new(source, dest))
-                .expect("permitted move applies");
+        if source != dest && self.policy.permits(self.index.loads(), source, dest) {
+            let (lf, lt) = (self.index.load(source), self.index.load(dest));
             self.tracker.record_move(lf, lt);
             self.index.record_move(source, dest);
             self.migrations += 1;
@@ -252,13 +247,11 @@ impl<P: Policy> Simulation<P> {
     /// Returns `false` (and changes nothing) if the source bin is empty or
     /// an index is out of range.
     pub fn force_move(&mut self, from: usize, to: usize) -> bool {
-        if from == to || from >= self.cfg.n() || to >= self.cfg.n() || self.cfg.load(from) == 0 {
+        let n = self.index.n();
+        if from == to || from >= n || to >= n || self.index.load(from) == 0 {
             return false;
         }
-        let (lf, lt) = (self.cfg.load(from), self.cfg.load(to));
-        self.cfg
-            .apply(Move::new(from, to))
-            .expect("validated move applies");
+        let (lf, lt) = (self.index.load(from), self.index.load(to));
         self.tracker.record_move(lf, lt);
         self.index.record_move(from, to);
         true
@@ -381,6 +374,11 @@ mod tests {
         assert!(sim.tracker().matches(sim.config()));
         assert!(sim.index().matches(sim.config()));
         assert_eq!(sim.config().m(), 40, "moves conserve balls");
+        assert_eq!(
+            sim.config().loads().as_ptr(),
+            sim.index().loads().as_ptr(),
+            "the configuration is the index's leaves, not a copy"
+        );
     }
 
     #[test]
