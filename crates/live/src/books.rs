@@ -1,11 +1,8 @@
-//! The per-bin books of an online bin set.
+//! The per-bin books of the [`LiveEngine`](crate::LiveEngine).
 //!
-//! The [`LiveEngine`](crate::LiveEngine) keeps one set over all of its
-//! bins, and every [`ShardedEngine`](crate::ShardedEngine) shard one over
-//! its own contiguous range.  [`Books`] is the only code that updates
-//! that state (arrive, depart, move, add bin, retire bin), samples from
-//! it (clock mass, clock-rank descent, the in-bin ball pick) and
-//! validates it.
+//! [`Books`] is the only code that updates that state (arrive, depart,
+//! move, add bin, retire bin), samples from it (clock mass, clock-rank
+//! descent, the in-bin ball pick) and validates it.
 //!
 //! The ball counts are a [`LoadIndex`].  A weighted or speed-aware engine
 //! adds a counted tree over per-bin total weight, one over per-bin rate
@@ -14,11 +11,8 @@
 //! weights are read from the trees' leaves; no vector mirrors a tree.
 //!
 //! Speeds are read-only per bin, so the books do not store them: an
-//! update that needs one takes `speeds`, indexed like the books (a shard
-//! passes its sub-slice; unit books never read it, so unit callers pass
-//! an empty slice).
-
-use std::ops::Range;
+//! update that needs one takes `speeds`, indexed like the books (unit
+//! books never read it, so unit callers pass an empty slice).
 
 use rls_core::{Config, LoadIndex};
 use rls_rng::{Rng64, RngExt};
@@ -155,33 +149,6 @@ impl Books {
         Ok(())
     }
 
-    /// Split into one set per range (`ranges` tile `0..n` in order), each
-    /// indexed from its range's start.
-    pub(crate) fn split(mut self, ranges: &[Range<usize>]) -> Vec<Books> {
-        debug_assert_eq!(
-            ranges.iter().map(Range::len).sum::<usize>(),
-            self.counts.n()
-        );
-        let mut balls = self
-            .hetero
-            .as_mut()
-            .and_then(|h| h.balls.take())
-            .map(Vec::into_iter);
-        ranges
-            .iter()
-            .map(|range| Books {
-                counts: LoadIndex::from_loads(&self.counts.loads()[range.clone()]),
-                hetero: self.hetero.as_ref().map(|h| HeteroBooks {
-                    weights: LoadIndex::from_loads(&h.weights.loads()[range.clone()]),
-                    rates: LoadIndex::from_loads(&h.rates.loads()[range.clone()]),
-                    balls: balls
-                        .as_mut()
-                        .map(|b| b.by_ref().take(range.len()).collect()),
-                }),
-            })
-            .collect()
-    }
-
     /// The counted tree over the ball counts.
     #[inline]
     pub(crate) fn counts(&self) -> &LoadIndex {
@@ -196,12 +163,6 @@ impl Books {
     /// The counted tree over per-bin rate mass (weighted books only).
     pub(crate) fn rate_index(&self) -> Option<&LoadIndex> {
         self.hetero.as_ref().map(|h| &h.rates)
-    }
-
-    /// The load vector: the count tree's leaves.
-    #[inline]
-    pub(crate) fn loads(&self) -> &[u64] {
-        self.counts.loads()
     }
 
     /// Per-bin total weights: the weight tree's leaves (the loads on unit
@@ -359,7 +320,6 @@ impl HeteroBooks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rls_rng::rng_from_seed;
 
     const PARETO: WeightDist = WeightDist::Pareto {
         alpha: 1.5,
@@ -396,27 +356,5 @@ mod tests {
         assert!(err.to_string().contains("total weight"), "{err}");
         // A bin's rate mass must fit.
         assert!(ok(&[u64::MAX / 2 + 1, 1, 1], WeightDist::Unit, None).is_err());
-    }
-
-    #[test]
-    fn split_parts_match_the_whole() {
-        let loads = [3u64, 0, 2, 1, 4];
-        let speeds = [2u64, 1, 3, 1, 1];
-        let balls = draw_balls(&loads, PARETO, &mut rng_from_seed(3)).unwrap();
-        let mut whole = Books::unit(Config::from_loads(loads.to_vec()).unwrap());
-        whole.attach_hetero(PARETO, &speeds, balls).unwrap();
-        let ranges = [0..2, 2..5];
-        let parts = whole.clone().split(&ranges);
-        for (part, range) in parts.iter().zip(&ranges) {
-            assert_eq!(part.loads(), &whole.loads()[range.clone()]);
-            assert_eq!(part.weights(), &whole.weights()[range.clone()]);
-            assert!(part.matches(&speeds[range.clone()]));
-            for (local, bin) in range.clone().enumerate() {
-                assert_eq!(part.ball_weights(local), whole.ball_weights(bin));
-            }
-        }
-        let unit = Books::unit(Config::from_loads(loads.to_vec()).unwrap()).split(&ranges);
-        assert_eq!(unit[1].loads(), &[2, 1, 4]);
-        assert!(unit[1].weight_index().is_none());
     }
 }

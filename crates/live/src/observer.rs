@@ -302,8 +302,7 @@ pub const DEFAULT_RECONV_THRESHOLD: f64 = 1.0;
 ///
 /// Works from the event stream (as a [`LiveObserver`]) or directly via
 /// [`note_scale_event`](Self::note_scale_event) and
-/// [`observe_gap`](Self::observe_gap) — the sharded engine uses the latter
-/// at slice granularity.
+/// [`observe_gap`](Self::observe_gap).
 #[derive(Debug, Clone)]
 pub struct Reconvergence {
     threshold: f64,

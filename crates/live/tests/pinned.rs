@@ -1,15 +1,19 @@
-//! Golden trajectories of the weighted, speed-aware online engines.
+//! Golden trajectories of the online engines.
 //!
-//! The unit engines are pinned against each other bit for bit (the
-//! unit-mode identity tests), but a weighted run has no second
-//! implementation to agree with.  These tests record the final state of
-//! one weighted run per engine, so any change to how the per-bin books
-//! draw, sample or update (clock mass, rate-rank descent, in-bin ball
-//! pick, ball-list order) shows up as a changed number.
+//! A weighted run has no second implementation to agree with, and the
+//! sharded engine's other tests only compare thread counts against each
+//! other.  These tests record the final state of one run each, so any
+//! change to how the engines draw, sample or update (clock mass, rate-rank
+//! descent, in-bin ball pick, ball-list order, remote-bin pricing, barrier
+//! delivery) shows up as a changed number:
+//!
+//! * the weighted, speed-aware, elastic `LiveEngine`;
+//! * the unit `ShardedEngine` running `rls` on the complete graph, and
+//!   `greedy-2` on a sparse random-regular graph.
 
-use rls_core::{Config, RebalancePolicy, RlsVariant};
+use rls_core::{Config, RebalancePolicy, RlsRule, RlsVariant};
 use rls_graph::Topology;
-use rls_live::{LiveCounters, LiveEngine, LiveParams, ShardedEngine};
+use rls_live::{LiveCounters, LiveEngine, LiveParams, ShardedEngine, SteadySummary};
 use rls_rng::rng_from_seed;
 use rls_workloads::{ArrivalProcess, ChurnProcess, SpeedProfile, WeightDist};
 
@@ -43,50 +47,6 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
         }
     }
     h
-}
-
-#[test]
-fn weighted_sharded_trajectory_is_pinned() {
-    let (n, m) = (16usize, 256u64);
-    let out = ShardedEngine::with_hetero(
-        Config::uniform(n, m / n as u64).unwrap(),
-        params(n, m),
-        geq(),
-        Topology::Complete,
-        0,
-        4,
-        0.25,
-        2024,
-        PARETO,
-        TWO_CLASS.speeds(n),
-        &mut rng_from_seed(77),
-    )
-    .unwrap()
-    .run(20.0, 5.0, 2);
-    assert_eq!(
-        out.final_loads,
-        vec![15, 21, 7, 9, 8, 9, 11, 7, 7, 5, 6, 7, 7, 7, 3, 5],
-        "loads"
-    );
-    assert_eq!(
-        out.final_weights,
-        Some(vec![
-            20, 22, 35, 30, 12, 9, 13, 11, 12, 7, 10, 16, 7, 13, 12, 13
-        ]),
-        "weights"
-    );
-    assert_eq!(
-        out.counters,
-        LiveCounters {
-            arrivals: 674,
-            departures: 796,
-            rings: 6180,
-            migrations: 1305,
-            joins: 0,
-            drains: 0,
-            events: 7650,
-        }
-    );
 }
 
 #[test]
@@ -142,5 +102,122 @@ fn weighted_elastic_live_trajectory_is_pinned() {
             drains: 9,
             events: 5865,
         }
+    );
+}
+
+/// Assert a run's summary field by field, floats as bits.
+fn assert_summary(s: &SteadySummary, floats: [u64; 5], counts: [u64; 5]) {
+    let got_floats = [
+        s.window,
+        s.mean_gap,
+        s.p50_overload,
+        s.p99_overload,
+        s.moves_per_arrival,
+    ]
+    .map(f64::to_bits);
+    assert_eq!(got_floats, floats, "window/gap/p50/p99/moves bits: {s:?}");
+    let got_counts = [
+        s.max_overload,
+        s.arrivals,
+        s.departures,
+        s.rings,
+        s.migrations,
+    ];
+    assert_eq!(got_counts, counts, "max overload and window counts: {s:?}");
+}
+
+#[test]
+fn unit_sharded_rls_trajectory_is_pinned() {
+    let (n, m) = (16usize, 256u64);
+    let out = ShardedEngine::new(
+        Config::uniform(n, m / n as u64).unwrap(),
+        params(n, m),
+        RlsRule::paper(),
+        4,
+        0.25,
+        2024,
+    )
+    .unwrap()
+    .run(20.0, 5.0, 2);
+    assert_eq!(
+        out.final_loads,
+        vec![17, 17, 16, 17, 17, 15, 15, 16, 16, 18, 17, 19, 16, 16, 19, 15],
+        "loads"
+    );
+    assert_eq!(out.time.to_bits(), 0x4034_0000_0000_0000, "time");
+    assert_eq!(
+        out.counters,
+        LiveCounters {
+            arrivals: 612,
+            departures: 602,
+            rings: 5148,
+            migrations: 1532,
+            joins: 0,
+            drains: 0,
+            events: 6362,
+        }
+    );
+    assert_summary(
+        &out.summary,
+        [
+            0x402e_0000_0000_0000,
+            0x4005_8000_0000_0000,
+            0x4000_0000_0000_0000,
+            0x4018_0000_0000_0000,
+            0x4004_4223_5983_b4bd,
+        ],
+        [6, 449, 448, 3865, 1137],
+    );
+}
+
+#[test]
+fn unit_sharded_greedy_sparse_trajectory_is_pinned() {
+    // A sparse topology draws candidates from the CSR adjacency, and most
+    // of a ring's candidates live in other shards: this pins the slice-
+    // start pricing of remote bins and the outbox delivery at the barrier.
+    let (n, m) = (32usize, 512u64);
+    let out = ShardedEngine::with_policy(
+        Config::uniform(n, m / n as u64).unwrap(),
+        params(n, m),
+        RebalancePolicy::GreedyD { d: 2 },
+        Topology::RandomRegular { degree: 8 },
+        0x5EED,
+        4,
+        0.25,
+        2024,
+    )
+    .unwrap()
+    .run(20.0, 5.0, 2);
+    assert_eq!(
+        out.final_loads,
+        vec![
+            15, 17, 17, 16, 16, 17, 14, 20, 19, 18, 16, 18, 15, 16, 16, 16, 19, 14, 17, 21, 17, 16,
+            18, 18, 20, 18, 19, 16, 19, 16, 20, 17
+        ],
+        "loads"
+    );
+    assert_eq!(out.time.to_bits(), 0x4034_0000_0000_0000, "time");
+    assert_eq!(
+        out.counters,
+        LiveCounters {
+            arrivals: 1305,
+            departures: 1266,
+            rings: 9966,
+            migrations: 4331,
+            joins: 0,
+            drains: 0,
+            events: 12537,
+        }
+    );
+    assert_summary(
+        &out.summary,
+        [
+            0x402e_0000_0000_0000,
+            0x4014_4222_2222_2222,
+            0x4014_0000_0000_0000,
+            0x4024_0000_0000_0000,
+            0x400a_ebfb_c937_d5dc,
+        ],
+        [10, 972, 942, 7478, 3271],
     );
 }

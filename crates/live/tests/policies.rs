@@ -260,62 +260,6 @@ fn sharded_trajectory_is_thread_count_independent_for_every_pair() {
 }
 
 #[test]
-fn sharded_trajectory_with_churn_is_thread_count_independent_for_every_pair() {
-    // The elastic tentpole invariant across the whole policy × topology
-    // matrix: with a membership churn process active (bins joining warm
-    // and draining mid-run), the sharded trajectory — loads, counters,
-    // steady-state digest, epoch log length, live set and re-convergence
-    // digest — is bit-identical at 1 and 8 threads.
-    let n = 16;
-    let m = 256;
-    for topology in topologies() {
-        for policy in all_policies() {
-            let build = || {
-                let mut engine = ShardedEngine::with_policy(
-                    Config::uniform(n, m / n as u64).unwrap(),
-                    params(n, m),
-                    policy,
-                    topology,
-                    0x5EED,
-                    4,
-                    0.25,
-                    42,
-                )
-                .unwrap();
-                engine
-                    .set_churn(rls_workloads::ChurnProcess::Steady {
-                        join_rate: 0.4,
-                        drain_rate: 0.3,
-                        warm: true,
-                    })
-                    .unwrap();
-                engine
-            };
-            let out_1 = build().run(15.0, 3.0, 1);
-            let out_8 = build().run(15.0, 3.0, 8);
-            // Feasibility-gated topologies (the torus needs a perfect
-            // square) veto every single-bin event; elastic families must
-            // actually scale.
-            if matches!(
-                topology,
-                Topology::Complete | Topology::RandomRegular { .. }
-            ) {
-                assert!(out_1.epoch > 0, "{policy} on {topology}: no scale events");
-            }
-            assert_eq!(
-                out_1.final_loads, out_8.final_loads,
-                "{policy} on {topology}"
-            );
-            assert_eq!(out_1.counters, out_8.counters, "{policy} on {topology}");
-            assert_eq!(out_1.summary, out_8.summary, "{policy} on {topology}");
-            assert_eq!(out_1.epoch, out_8.epoch, "{policy} on {topology}");
-            assert_eq!(out_1.live_bins, out_8.live_bins, "{policy} on {topology}");
-            assert_eq!(out_1.reconv, out_8.reconv, "{policy} on {topology}");
-        }
-    }
-}
-
-#[test]
 fn sharded_matches_sequential_for_the_new_policies() {
     // Same cross-validation the RLS path has always had, now per policy:
     // at a fine slice the sharded steady-state gap lands close to the

@@ -11,8 +11,7 @@
 //! thinning**: candidate events fire at the constant majorant rate
 //! [`max_rate`](ChurnProcess::max_rate) and are accepted with probability
 //! `λ(t) / max_rate` — one bounded draw per candidate, so the stream is a
-//! deterministic function of the RNG stream and thread-count invariant in
-//! the sharded engine.
+//! deterministic function of the RNG stream.
 //!
 //! [`ArrivalProcess`]: crate::ArrivalProcess
 
