@@ -43,12 +43,6 @@ impl TheoremOneBound {
     pub fn whp_shape(&self) -> f64 {
         self.log_term + self.log_term * self.ratio_term
     }
-
-    /// Which regime dominates: `true` when the `ln n` term dominates (dense
-    /// systems, `m ≳ n²/ln n`), `false` when the `n²/m` term does.
-    pub fn log_term_dominates(&self) -> bool {
-        self.log_term >= self.ratio_term
-    }
 }
 
 /// Lemma 8: for `m ≤ n`, expected balancing time is `O(n)`; the proof's
@@ -104,13 +98,11 @@ mod tests {
         assert!((b.ratio_term - 1.0).abs() < 1e-12);
         assert!((b.expected_shape() - (100f64.ln() + 1.0)).abs() < 1e-12);
         assert!((b.whp_shape() - (100f64.ln() + 100f64.ln())).abs() < 1e-12);
-        assert!(b.log_term_dominates());
     }
 
     #[test]
     fn ratio_term_dominates_for_sparse_systems() {
         let b = TheoremOneBound::new(1000, 1000); // n²/m = 1000 ≫ ln n
-        assert!(!b.log_term_dominates());
         assert!(b.expected_shape() > 1000.0);
     }
 

@@ -11,16 +11,6 @@
 //!   (Phase 1/2/3, the `m ≤ n` case), exposed as explicit formulas with
 //!   their leading constants so measured/predicted ratios can be tabulated.
 //! * [`lower_bounds`] — the two lower-bound formulas of Section 4.
-//! * [`chernoff`] — Lemma 3 (multiplicative Chernoff bounds) as numeric
-//!   tail estimates.
-//! * [`concentration`] — Lemma 4 (sums of exponentials) and Lemma 5
-//!   (weighted sums of geometrics) tail bounds, plus the epoch-restart
-//!   conversions of Lemmas 6 and 7.
-//! * [`phase1`] — the Lemma 13 discrepancy-halving recursion
-//!   `x_{k+1} = 2√(x_k ln n)` and the duration schedule it implies.
-//! * [`phase2`] — the Lemma 15/16 potential-drop accounting.
-//! * [`fit`] — helpers for comparing measured scaling against predicted
-//!   shapes (ratio tables).
 //! * [`makespan`] — certified lower/upper bounds on the optimal maximum
 //!   normalized load of weighted balls on heterogeneous-speed bins, used
 //!   by the online heterogeneity experiments to report a *proved*
@@ -30,14 +20,9 @@
 #![deny(missing_docs)]
 
 pub mod bounds;
-pub mod chernoff;
-pub mod concentration;
-pub mod fit;
 pub mod harmonic;
 pub mod lower_bounds;
 pub mod makespan;
-pub mod phase1;
-pub mod phase2;
 
 pub use bounds::TheoremOneBound;
 pub use harmonic::harmonic;

@@ -33,17 +33,6 @@ pub fn lower_bound_one_over_one_under(n: usize, m: u64) -> f64 {
     n as f64 / (avg as f64 + 1.0)
 }
 
-/// The combined lower-bound shape `Ω(ln n + n²/m)` that Theorem 1 matches.
-pub fn combined_lower_bound(n: usize, m: u64) -> f64 {
-    let log_part = lower_bound_all_in_one_bin(n, m);
-    let ratio_part = if n >= 2 && m > 0 && m.is_multiple_of(n as u64) {
-        lower_bound_one_over_one_under(n, m)
-    } else {
-        (n as f64) * (n as f64) / (m.max(1) as f64)
-    };
-    log_part.max(ratio_part)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,21 +65,5 @@ mod tests {
     #[should_panic(expected = "n | m")]
     fn one_over_one_under_requires_divisibility() {
         let _ = lower_bound_one_over_one_under(10, 101);
-    }
-
-    #[test]
-    fn combined_bound_picks_the_larger_term() {
-        // Dense: log term dominates.
-        let dense = combined_lower_bound(1000, 1_000_000);
-        assert!(dense >= lower_bound_all_in_one_bin(1000, 1_000_000));
-        // Sparse: ratio term dominates.
-        let sparse = combined_lower_bound(1000, 1000);
-        assert!(sparse >= 400.0, "sparse bound {sparse}");
-    }
-
-    #[test]
-    fn combined_bound_handles_non_divisible_m() {
-        let b = combined_lower_bound(10, 105);
-        assert!(b > 0.0);
     }
 }

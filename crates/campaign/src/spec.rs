@@ -334,11 +334,7 @@ impl TopologySpec {
 
 impl fmt::Display for TopologySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Topology::RandomRegular { degree } => write!(f, "random-regular:{degree}"),
-            Topology::ErdosRenyi { p } => write!(f, "erdos-renyi:{p}"),
-            plain => write!(f, "{}", plain.name()),
-        }
+        write!(f, "{}", self.0)
     }
 }
 
@@ -346,41 +342,9 @@ impl FromStr for TopologySpec {
     type Err = CampaignError;
 
     fn from_str(s: &str) -> Result<Self, CampaignError> {
-        let (head, param) = match s.split_once(':') {
-            Some((head, param)) => (head.trim(), Some(param.trim())),
-            None => (s.trim(), None),
-        };
-        let topology = match head {
-            "complete" => Topology::Complete,
-            "cycle" => Topology::Cycle,
-            "path" => Topology::Path,
-            "torus" | "torus-2d" | "torus2d" => Topology::Torus2D,
-            "hypercube" => Topology::Hypercube,
-            "star" => Topology::Star,
-            "binary-tree" => Topology::BinaryTree,
-            "random-regular" => Topology::RandomRegular {
-                degree: param
-                    .ok_or_else(|| {
-                        CampaignError::spec(
-                            "`random-regular` needs a degree, e.g. `random-regular:4`",
-                        )
-                    })?
-                    .parse()
-                    .map_err(|_| CampaignError::spec(format!("bad degree in `{s}`")))?,
-            },
-            "erdos-renyi" => Topology::ErdosRenyi {
-                p: param
-                    .ok_or_else(|| {
-                        CampaignError::spec(
-                            "`erdos-renyi` needs a probability, e.g. `erdos-renyi:0.1`",
-                        )
-                    })?
-                    .parse()
-                    .map_err(|_| CampaignError::spec(format!("bad probability in `{s}`")))?,
-            },
-            other => return Err(CampaignError::spec(format!("unknown topology `{other}`"))),
-        };
-        Ok(TopologySpec(topology))
+        Topology::parse_spec(s)
+            .map(TopologySpec)
+            .map_err(CampaignError::spec)
     }
 }
 

@@ -21,6 +21,7 @@ use rls_core::{Config, RebalancePolicy};
 use rls_graph::Topology;
 use rls_live::{LiveCommand, LiveEngine, LiveParams, Reconvergence, DEFAULT_RECONV_THRESHOLD};
 use rls_rng::rng_from_seed;
+use rls_sim::stats::dominance_report;
 use rls_workloads::ArrivalProcess;
 
 const RATE_PER_BIN: f64 = 2.0;
@@ -70,25 +71,9 @@ fn sample_gaps(engine: &mut LiveEngine, rng: &mut rls_rng::DefaultRng) -> Vec<f6
 }
 
 /// Two-sample Kolmogorov–Smirnov statistic `sup |F_a − F_b|`.
-fn ks_distance(mut a: Vec<f64>, mut b: Vec<f64>) -> f64 {
-    a.sort_by(f64::total_cmp);
-    b.sort_by(f64::total_cmp);
-    let (mut i, mut j, mut d) = (0usize, 0usize, 0.0f64);
-    while i < a.len() && j < b.len() {
-        // Evaluate both empirical CDFs just after the smaller of the two
-        // current values (ties advance both sides together).
-        let x = if a[i] <= b[j] { a[i] } else { b[j] };
-        while i < a.len() && a[i] <= x {
-            i += 1;
-        }
-        while j < b.len() && b[j] <= x {
-            j += 1;
-        }
-        let fa = i as f64 / a.len() as f64;
-        let fb = j as f64 / b.len() as f64;
-        d = d.max((fa - fb).abs());
-    }
-    d
+fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
+    let report = dominance_report(a, b);
+    report.max_cdf_gap.max(report.max_violation)
 }
 
 /// Drive `engine` through warmup, apply `cmd`, wait for re-convergence
@@ -128,7 +113,7 @@ fn post_join_steady_state_matches_a_fresh_boot_at_the_new_n() {
     fresh.run_until(20.0 + SETTLE, &mut rng, &mut ());
     let reference = sample_gaps(&mut fresh, &mut rng);
 
-    let d = ks_distance(scaled, reference);
+    let d = ks_distance(&scaled, &reference);
     assert!(
         d < KS_BOUND,
         "post-join gap distribution diverged from a fresh 17-bin boot: KS = {d}"
@@ -156,7 +141,7 @@ fn post_drain_steady_state_matches_a_fresh_boot_at_the_new_n() {
     fresh.run_until(20.0 + SETTLE, &mut rng, &mut ());
     let reference = sample_gaps(&mut fresh, &mut rng);
 
-    let d = ks_distance(scaled, reference);
+    let d = ks_distance(&scaled, &reference);
     assert!(
         d < KS_BOUND,
         "post-drain gap distribution diverged from a fresh 15-bin boot: KS = {d}"
@@ -168,7 +153,7 @@ fn ks_distance_separates_identical_from_shifted_distributions() {
     // Sanity on the statistic itself: identical samples → 0; a one-ball
     // shift (the failure mode the tests guard against) → large.
     let a: Vec<f64> = (0..100).map(|i| (i % 5) as f64).collect();
-    assert_eq!(ks_distance(a.clone(), a.clone()), 0.0);
+    assert_eq!(ks_distance(&a, &a), 0.0);
     let shifted: Vec<f64> = a.iter().map(|g| g + 1.0).collect();
-    assert!(ks_distance(a, shifted) >= 0.2);
+    assert!(ks_distance(&a, &shifted) >= 0.2);
 }

@@ -17,6 +17,7 @@ use rls_graph::Topology;
 use rls_live::{LiveEngine, LiveParams};
 use rls_protocols::weighted::{WeightedGoal, WeightedRls};
 use rls_rng::rng_from_seed;
+use rls_sim::stats::dominance_report;
 use rls_workloads::{ArrivalProcess, WeightDist};
 
 const POLICIES: &[RebalancePolicy] = &[
@@ -113,21 +114,9 @@ fn unit_mode_is_bit_identical_to_the_classic_engine() {
 }
 
 /// Two-sample Kolmogorov–Smirnov statistic `sup_x |F_a(x) − F_b(x)|`.
-fn ks_distance(a: &mut [f64], b: &mut [f64]) -> f64 {
-    a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    let (mut i, mut j, mut d) = (0usize, 0usize, 0f64);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            i += 1;
-        } else {
-            j += 1;
-        }
-        let fa = i as f64 / a.len() as f64;
-        let fb = j as f64 / b.len() as f64;
-        d = d.max((fa - fb).abs());
-    }
-    d
+fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
+    let report = dominance_report(a, b);
+    report.max_cdf_gap.max(report.max_violation)
 }
 
 /// The online weighted engine's steady-state normalized-load distribution
@@ -187,7 +176,9 @@ fn online_steady_state_matches_offline_weighted_rls() {
         offline.extend(state.bin_loads.iter().map(|&l| l as f64 / mean));
     }
 
-    let d = ks_distance(&mut online, &mut offline);
+    let d = ks_distance(&online, &offline);
+    online.sort_by(f64::total_cmp);
+    offline.sort_by(f64::total_cmp);
     eprintln!("KS distance: {d:.3}");
     let pct = |v: &[f64], q: f64| v[((v.len() - 1) as f64 * q) as usize];
     for (name, v) in [("online", &online), ("offline", &offline)] {

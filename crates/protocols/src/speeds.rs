@@ -13,6 +13,7 @@
 //! `S = Σ s_i`); the process stops at a Nash-stable state or at a target
 //! *speed-weighted* discrepancy `max_i |ℓ_i/s_i − m/S|`.
 
+use rls_core::{BinState, HeteroRingContext, RebalancePolicy, RlsVariant};
 use rls_rng::dist::{Distribution, Exponential};
 use rls_rng::{Rng64, RngExt};
 use serde::{Deserialize, Serialize};
@@ -32,6 +33,7 @@ pub enum SpeedGoal {
 #[derive(Debug, Clone)]
 pub struct SpeedRls {
     speeds: Vec<u64>,
+    total_speed: u64,
     max_activations: u64,
 }
 
@@ -50,6 +52,7 @@ impl SpeedRls {
         assert!(!speeds.is_empty(), "need at least one bin");
         assert!(speeds.iter().all(|&s| s >= 1), "speeds must be ≥ 1");
         Self {
+            total_speed: speeds.iter().sum(),
             speeds,
             max_activations,
         }
@@ -67,7 +70,22 @@ impl SpeedRls {
 
     /// Total speed `S`.
     pub fn total_speed(&self) -> u64 {
-        self.speeds.iter().sum()
+        self.total_speed
+    }
+
+    /// The RLS pair rule (`variant`) for one ball leaving bin `source` for
+    /// bin `dest`, on loads normalized by speed.
+    fn permits(&self, variant: RlsVariant, state: &SpeedState, source: usize, dest: usize) -> bool {
+        let ctx = HeteroRingContext {
+            n: self.speeds.len(),
+            total_weight: state.positions.len() as u64,
+            total_speed: self.total_speed,
+        };
+        let bin = |i: usize| BinState {
+            weight: state.loads[i],
+            speed: self.speeds[i],
+        };
+        RebalancePolicy::Rls { variant }.permits_weighted(ctx, bin(source), bin(dest), 1)
     }
 
     /// All `m` balls in bin 0.
@@ -101,8 +119,7 @@ impl SpeedRls {
             return false;
         }
         // (ℓ_dest + 1)/s_dest ≤ ℓ_source/s_source
-        (state.loads[dest] + 1) as u128 * self.speeds[source] as u128
-            <= state.loads[source] as u128 * self.speeds[dest] as u128
+        self.permits(RlsVariant::Geq, state, source, dest)
     }
 
     /// Is the state Nash-stable?
@@ -124,8 +141,7 @@ impl SpeedRls {
             }
             // Strict improvement check in exact arithmetic:
             // (ℓ_best + 1)·s_i < ℓ_i·s_best ?
-            (state.loads[best] + 1) as u128 * self.speeds[i] as u128
-                >= state.loads[i] as u128 * self.speeds[best] as u128
+            !self.permits(RlsVariant::Strict, state, i, best)
         })
     }
 

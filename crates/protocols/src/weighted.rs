@@ -12,6 +12,7 @@
 //! ball can improve by any move, and (b) `x`-balance for
 //! `x ≥ w_max`.  Both are supported.
 
+use rls_core::{BinState, HeteroRingContext, RebalancePolicy, RlsVariant};
 use rls_rng::dist::{Distribution, Exponential};
 use rls_rng::{Rng64, RngExt};
 use serde::{Deserialize, Serialize};
@@ -33,6 +34,7 @@ pub enum WeightedGoal {
 #[derive(Debug, Clone)]
 pub struct WeightedRls {
     weights: Vec<u64>,
+    total_weight: u64,
     max_activations: u64,
 }
 
@@ -52,6 +54,7 @@ impl WeightedRls {
         assert!(!weights.is_empty(), "need at least one ball");
         assert!(weights.iter().all(|&w| w >= 1), "weights must be ≥ 1");
         Self {
+            total_weight: weights.iter().sum(),
             weights,
             max_activations,
         }
@@ -69,7 +72,23 @@ impl WeightedRls {
 
     /// Total weight `W`.
     pub fn total_weight(&self) -> u64 {
-        self.weights.iter().sum()
+        self.total_weight
+    }
+
+    /// The RLS pair rule (`variant`) for a ball of weight `w` leaving a bin
+    /// of load `source` for one of load `dest`, on `n` unit-speed bins.
+    fn permits(&self, variant: RlsVariant, n: usize, source: u64, dest: u64, w: u64) -> bool {
+        let ctx = HeteroRingContext {
+            n,
+            total_weight: self.total_weight,
+            total_speed: n as u64,
+        };
+        RebalancePolicy::Rls { variant }.permits_weighted(
+            ctx,
+            BinState::unit(source),
+            BinState::unit(dest),
+            w,
+        )
     }
 
     /// Place every ball in bin 0 of an `n`-bin system (worst-case start).
@@ -115,11 +134,12 @@ impl WeightedRls {
     /// Is the state Nash-stable (no ball can strictly reduce its
     /// experienced load by moving to any bin)?
     pub fn is_nash_stable(&self, state: &WeightedState) -> bool {
+        let n = state.bin_loads.len();
         let min_load = *state.bin_loads.iter().min().expect("at least one bin");
         // Ball j in bin i can improve iff min_load + w_j < L_i.
         self.weights.iter().zip(&state.positions).all(|(&w, &bin)| {
             let li = state.bin_loads[bin as usize];
-            min_load + w >= li
+            !self.permits(RlsVariant::Strict, n, li, min_load, w)
         })
     }
 
@@ -156,7 +176,13 @@ impl WeightedRls {
             }
             let w = self.weights[ball];
             // Move iff the new experienced load is no worse than the old.
-            if state.bin_loads[dest] + w <= state.bin_loads[source] {
+            if self.permits(
+                RlsVariant::Geq,
+                n,
+                state.bin_loads[source],
+                state.bin_loads[dest],
+                w,
+            ) {
                 state.bin_loads[source] -= w;
                 state.bin_loads[dest] += w;
                 state.positions[ball] = dest as u32;

@@ -2,8 +2,6 @@
 //!
 //! * [`Exponential`] — per-ball activation clocks and the superposition
 //!   waiting time (rate `m`).
-//! * [`Geometric`] — the epoch-restart arguments of Lemmas 6–7.
-//! * [`Binomial`] — Phase-1 load concentration (Chernoff cross-checks).
 //! * [`Poisson`] — Poissonized workload generators.
 //! * [`Zipf`] — skewed workload generators.
 //!
@@ -62,100 +60,6 @@ impl Distribution for Exponential {
     fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> f64 {
         // Inverse CDF on the open interval so ln never sees 0.
         -rng.next_f64_open().ln() / self.rate
-    }
-}
-
-/// The geometric distribution on `{1, 2, 3, …}`: the number of Bernoulli
-/// trials up to and including the first success.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Geometric {
-    p: f64,
-}
-
-impl Geometric {
-    /// `Geom(p)` with success probability `p ∈ (0, 1]`.
-    pub fn new(p: f64) -> Result<Self, DistError> {
-        if p.is_finite() && p > 0.0 && p <= 1.0 {
-            Ok(Self { p })
-        } else {
-            Err(DistError("geometric success probability must be in (0, 1]"))
-        }
-    }
-
-    /// The success probability `p`.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-}
-
-impl Distribution for Geometric {
-    type Output = u64;
-
-    fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.p >= 1.0 {
-            return 1;
-        }
-        // Inverse CDF: ⌈ln U / ln(1−p)⌉ for U uniform in (0, 1).
-        let u = rng.next_f64_open();
-        let k = (u.ln() / (1.0 - self.p).ln()).ceil();
-        if k < 1.0 {
-            1
-        } else if k >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            k as u64
-        }
-    }
-}
-
-/// The binomial distribution `Bin(n, p)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Binomial {
-    n: u64,
-    p: f64,
-}
-
-impl Binomial {
-    /// `Bin(n, p)` with `p ∈ [0, 1]`.
-    pub fn new(n: u64, p: f64) -> Result<Self, DistError> {
-        if p.is_finite() && (0.0..=1.0).contains(&p) {
-            Ok(Self { n, p })
-        } else {
-            Err(DistError("binomial probability must be in [0, 1]"))
-        }
-    }
-}
-
-impl Distribution for Binomial {
-    type Output = u64;
-
-    fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> u64 {
-        // Exact sampling by counting successes.  For small p the geometric
-        // skip-sampling form draws only O(np) variates instead of n.
-        if self.p == 0.0 || self.n == 0 {
-            return 0;
-        }
-        if self.p == 1.0 {
-            return self.n;
-        }
-        if self.p <= 0.25 {
-            let skip = Geometric::new(self.p).expect("validated p");
-            let mut successes = 0u64;
-            let mut position = 0u64;
-            loop {
-                let gap = skip.sample(rng);
-                position = position.saturating_add(gap);
-                if position > self.n {
-                    return successes;
-                }
-                successes += 1;
-            }
-        }
-        let mut successes = 0u64;
-        for _ in 0..self.n {
-            successes += rng.next_bernoulli(self.p) as u64;
-        }
-        successes
     }
 }
 
@@ -254,9 +158,6 @@ mod tests {
     fn invalid_parameters_are_rejected() {
         assert!(Exponential::new(0.0).is_err());
         assert!(Exponential::new(f64::NAN).is_err());
-        assert!(Geometric::new(0.0).is_err());
-        assert!(Geometric::new(1.5).is_err());
-        assert!(Binomial::new(10, -0.1).is_err());
         assert!(Poisson::new(0.0).is_err());
         assert!(Zipf::new(0, 1.0).is_err());
         assert!(Zipf::new(5, -1.0).is_err());
@@ -272,39 +173,6 @@ mod tests {
         let mean: f64 = (0..trials).map(|_| d.sample(&mut rng)).sum::<f64>() / trials as f64;
         assert!((mean - 0.25).abs() < 0.005, "mean {mean}");
         assert_eq!(d.rate(), 4.0);
-    }
-
-    #[test]
-    fn geometric_mean_is_one_over_p() {
-        let mut rng = rng_from_seed(12);
-        let d = Geometric::new(0.2).unwrap();
-        let trials = 200_000;
-        let samples: Vec<u64> = (0..trials).map(|_| d.sample(&mut rng)).collect();
-        assert!(samples.iter().all(|&x| x >= 1));
-        let mean = samples.iter().sum::<u64>() as f64 / trials as f64;
-        assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
-        // p = 1 is the constant 1.
-        let one = Geometric::new(1.0).unwrap();
-        assert_eq!(one.sample(&mut rng), 1);
-    }
-
-    #[test]
-    fn binomial_mean_and_support() {
-        let mut rng = rng_from_seed(13);
-        for (n, p) in [(40u64, 0.5), (1000, 0.02)] {
-            let d = Binomial::new(n, p).unwrap();
-            let trials = 30_000;
-            let samples: Vec<u64> = (0..trials).map(|_| d.sample(&mut rng)).collect();
-            assert!(samples.iter().all(|&x| x <= n));
-            let mean = samples.iter().sum::<u64>() as f64 / trials as f64;
-            let expect = n as f64 * p;
-            assert!(
-                (mean - expect).abs() < 0.05 * expect.max(1.0),
-                "Bin({n},{p}) mean {mean} vs {expect}"
-            );
-        }
-        assert_eq!(Binomial::new(9, 0.0).unwrap().sample(&mut rng), 0);
-        assert_eq!(Binomial::new(9, 1.0).unwrap().sample(&mut rng), 9);
     }
 
     #[test]

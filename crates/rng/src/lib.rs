@@ -13,15 +13,13 @@
 //!   Monte-Carlo workers without overlap.
 //! * [`StreamFactory`] — derives per-trial, per-component streams from a
 //!   master seed.
-//! * [`dist`] — exact samplers for the distributions appearing in the
-//!   paper's analysis: uniform integers (Lemire rejection, no modulo bias),
-//!   `Exp(λ)` (the per-ball activation clocks), geometric (epoch-restart
-//!   arguments of Lemmas 6–7), binomial (Phase-1 load concentration),
+//! * [`RngExt`] — uniform integers (Lemire rejection, no modulo bias) and
+//!   floats on top of any [`Rng64`].
+//! * [`dist`] — exact samplers: `Exp(λ)` (the per-ball activation clocks),
 //!   Poisson and Zipf (workload generators).
 //!
-//! The samplers are cross-validated against the `rand` crate in the test
-//! suite, but production code paths only ever use this crate so that the
-//! random stream is fully under our control.
+//! Every code path draws from this crate only, so the random stream is
+//! fully under our control.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -16,8 +16,6 @@
 //! * [`observer`] — trajectory recorders, phase trackers and move counters.
 //! * [`stopping`] — stopping conditions (perfect balance, `x`-balance,
 //!   event/time budgets).
-//! * [`montecarlo`] — sequential and multi-threaded Monte-Carlo drivers that
-//!   aggregate stopping times over many independent trials.
 //! * [`stats`] — summary statistics, quantiles, empirical CDFs, linear
 //!   regression for scaling fits and a stochastic-dominance test.
 //!
@@ -43,7 +41,6 @@ pub mod clock;
 pub mod coupling;
 pub mod engine;
 pub mod events;
-pub mod montecarlo;
 pub mod observer;
 pub mod parallel;
 pub mod stats;
@@ -52,7 +49,6 @@ pub mod stopping;
 pub use adversary::{Adversary, NoAdversary, PileUpAdversary, RandomDestructiveAdversary};
 pub use engine::{Policy, RlsPolicy, RunOutcome, SimError, Simulation};
 pub use events::Event;
-pub use montecarlo::{MonteCarlo, TrialResult};
 pub use observer::{MoveCounter, Observer, PhaseTracker, TimeSeries};
 pub use stats::Summary;
 pub use stopping::StopWhen;

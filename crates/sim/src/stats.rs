@@ -86,69 +86,6 @@ pub fn quantile(samples: &[f64], q: f64) -> f64 {
     quantile_sorted(&sorted, q)
 }
 
-/// Streaming mean/variance accumulator (Welford's algorithm), used where
-/// storing every sample would be wasteful (e.g. per-event statistics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// A fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Current mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count > 1 {
-            self.m2 / (self.count - 1) as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-    }
-}
-
 /// Result of an ordinary-least-squares straight-line fit `y ≈ a + b·x`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinearFit {
@@ -300,45 +237,6 @@ mod tests {
     #[should_panic(expected = "in [0, 1]")]
     fn quantile_rejects_bad_q() {
         let _ = quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn online_stats_matches_batch() {
-        let data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut online = OnlineStats::new();
-        for &x in &data {
-            online.push(x);
-        }
-        let batch = Summary::from_samples(&data);
-        assert!((online.mean() - batch.mean).abs() < 1e-12);
-        assert!((online.variance() - batch.variance).abs() < 1e-12);
-        assert_eq!(online.count(), 8);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_combined() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [10.0, 20.0, 30.0, 40.0];
-        let mut sa = OnlineStats::new();
-        for &x in &a {
-            sa.push(x);
-        }
-        let mut sb = OnlineStats::new();
-        for &x in &b {
-            sb.push(x);
-        }
-        sa.merge(&sb);
-        let all: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
-        let batch = Summary::from_samples(&all);
-        assert!((sa.mean() - batch.mean).abs() < 1e-12);
-        assert!((sa.variance() - batch.variance).abs() < 1e-9);
-        // Merging an empty accumulator is a no-op in both directions.
-        let mut empty = OnlineStats::new();
-        empty.merge(&sa);
-        assert!((empty.mean() - sa.mean()).abs() < 1e-12);
-        let snapshot = sa;
-        sa.merge(&OnlineStats::new());
-        assert_eq!(sa, snapshot);
     }
 
     #[test]

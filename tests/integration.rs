@@ -2,9 +2,9 @@
 //! analysis crates working together through the experiment harness.
 
 use rls_cli::{run_experiment, ExperimentId, Scale};
-use rls_core::{Config, RlsRule};
+use rls_core::RlsRule;
 use rls_rng::rng_from_seed;
-use rls_sim::{MonteCarlo, RlsPolicy, Simulation, StopWhen};
+use rls_sim::{RlsPolicy, Simulation, StopWhen};
 use rls_workloads::Workload;
 
 /// Every workload can be balanced by the RLS engine end-to-end.
@@ -32,25 +32,6 @@ fn every_workload_balances_under_rls() {
         assert!(sim.config().is_perfectly_balanced());
         assert_eq!(sim.config().m(), m);
     }
-}
-
-/// Deterministic replay: the same master seed produces exactly the same
-/// Monte-Carlo report, trial for trial, regardless of thread count.
-#[test]
-fn monte_carlo_replay_is_bit_for_bit() {
-    let initial = Config::all_in_one_bin(12, 96).unwrap();
-    let run = |threads: usize| {
-        MonteCarlo::new(10, 777).with_threads(threads).run(
-            &initial,
-            StopWhen::perfectly_balanced(),
-            |_| RlsPolicy::new(RlsRule::paper()),
-        )
-    };
-    let a = run(1);
-    let b = run(4);
-    let c = run(1);
-    assert_eq!(a.trials, b.trials);
-    assert_eq!(a.trials, c.trials);
 }
 
 /// The experiment harness runs every experiment at quick scale and each
