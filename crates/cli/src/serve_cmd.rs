@@ -5,10 +5,9 @@
 //! rls-experiments serve run    [--addr HOST:PORT] [--n N] [--m M] [--workload W]
 //!                              [--arrival A] [--service MU] [--policy P]
 //!                              [--topology T] [--seed S] [--warmup T]
-//!                              [--rebalance R] [--workers K] [--for SECONDS]
+//!                              [--rebalance R] [--for SECONDS]
 //!                              [--weights DIST] [--speeds PROFILE]
-//!                              [--frontend worker-pool|event-loop]
-//! rls-experiments serve replay <log.json> [--addr HOST:PORT] [--workers K]
+//! rls-experiments serve replay <log.json> [--addr HOST:PORT]
 //! ```
 //!
 //! `run` boots the balancer and serves until killed (or for `--for`
@@ -35,8 +34,7 @@ use rls_live::{EventLog, LiveEngine, LiveParams};
 use rls_obs::Registry;
 use rls_rng::rng_from_seed;
 use rls_serve::{
-    core_from_log, replay_over_http, serve, Frontend, HttpServer, ServeCore, ServePolicy,
-    ServerConfig,
+    core_from_log, replay_over_http, serve, HttpServer, ServeCore, ServePolicy, ServerConfig,
 };
 use rls_workloads::{SpeedProfile, WeightDist, Workload};
 
@@ -51,8 +49,6 @@ pub enum ServeCommand {
         log: String,
         /// External server to drive (`None` = boot one from the log).
         addr: Option<String>,
-        /// Worker threads when self-booting.
-        workers: usize,
     },
 }
 
@@ -83,11 +79,6 @@ pub struct ServeArgs {
     /// Mean auto-rebalance rings per arrival (`None` = the balanced
     /// default `m / λ`, the paper's ring-to-arrival ratio).
     pub rebalance: Option<f64>,
-    /// Worker threads.
-    pub workers: usize,
-    /// Connection-handling frontend (`worker-pool` is the default;
-    /// `event-loop` runs the single-threaded nonblocking loop).
-    pub frontend: Frontend,
     /// Exit after this many wall-clock seconds (`None` = serve forever).
     pub for_seconds: Option<f64>,
     /// Ball-weight law (`unit` = the classic engine).
@@ -114,8 +105,6 @@ impl Default for ServeArgs {
             seed: 0xC0FFEE,
             warmup: 0.0,
             rebalance: None,
-            workers: 4,
-            frontend: Frontend::WorkerPool,
             for_seconds: None,
             weights: WeightDist::Unit,
             speeds: SpeedProfile::Uniform,
@@ -168,8 +157,6 @@ fn parse_run(raw: &[String]) -> Result<ServeArgs, String> {
             "--seed" => args.seed = parse_num(&value("a seed")?, "--seed")?,
             "--warmup" => args.warmup = parse_num(&value("a duration")?, "--warmup")?,
             "--rebalance" => args.rebalance = Some(parse_num(&value("a mean")?, "--rebalance")?),
-            "--workers" => args.workers = parse_num(&value("a thread count")?, "--workers")?,
-            "--frontend" => args.frontend = value("a frontend")?.parse()?,
             "--for" => args.for_seconds = Some(parse_num(&value("seconds")?, "--for")?),
             "--weights" => {
                 args.weights = value("a weight distribution")?.parse().map_err(str_of)?
@@ -190,7 +177,6 @@ fn parse_run(raw: &[String]) -> Result<ServeArgs, String> {
 fn parse_replay(raw: &[String]) -> Result<ServeCommand, String> {
     let mut log = None;
     let mut addr = None;
-    let mut workers = 2usize;
     let mut i = 0;
     while i < raw.len() {
         let flag = raw[i].as_str();
@@ -200,7 +186,6 @@ fn parse_replay(raw: &[String]) -> Result<ServeCommand, String> {
         };
         match flag {
             "--addr" => addr = Some(value("an address")?),
-            "--workers" => workers = parse_num(&value("a thread count")?, "--workers")?,
             path if !path.starts_with("--") && log.is_none() => log = Some(path.to_string()),
             other => return Err(format!("unknown serve replay argument `{other}`")),
         }
@@ -209,7 +194,6 @@ fn parse_replay(raw: &[String]) -> Result<ServeCommand, String> {
     Ok(ServeCommand::Replay {
         log: log.ok_or("serve replay needs a log file path")?,
         addr,
-        workers,
     })
 }
 
@@ -299,8 +283,7 @@ fn boot(args: &ServeArgs) -> Result<(HttpServer, f64, Registry), String> {
         core,
         &ServerConfig {
             addr: args.addr.clone(),
-            workers: args.workers,
-            frontend: args.frontend,
+            ..ServerConfig::default()
         },
     )
     .map_err(|e| format!("bind {}: {e}", args.addr))?;
@@ -336,7 +319,7 @@ fn spawn_metrics_writer(
 pub fn execute_serve(command: &ServeCommand) -> Result<String, String> {
     match command {
         ServeCommand::Run(args) => run_cmd(args),
-        ServeCommand::Replay { log, addr, workers } => replay_cmd(log, addr.as_deref(), *workers),
+        ServeCommand::Replay { log, addr } => replay_cmd(log, addr.as_deref()),
     }
 }
 
@@ -349,7 +332,7 @@ fn run_cmd(args: &ServeArgs) -> Result<String, String> {
     let mut out = format!(
         "rls-serve listening on http://{}\n  n = {}, m = {}, arrival {}, seed {}, \
          policy {}, topology {}, weights {}, speeds {}, \
-         auto-rebalance {rings:.2} rings/arrival, {} workers, {} frontend\n  \
+         auto-rebalance {rings:.2} rings/arrival\n  \
          POST /v1/arrive · POST /v1/depart[/{{bin}}] · POST /v1/ring · GET /v1/stats · \
          GET /v1/snapshot · POST /v1/restore · GET /healthz · GET /v1/metrics · \
          GET /v1/debug/flight\n",
@@ -362,8 +345,6 @@ fn run_cmd(args: &ServeArgs) -> Result<String, String> {
         args.topology,
         args.weights,
         args.speeds,
-        args.workers,
-        args.frontend,
     );
     match args.for_seconds {
         Some(seconds) => {
@@ -393,7 +374,7 @@ fn run_cmd(args: &ServeArgs) -> Result<String, String> {
     }
 }
 
-fn replay_cmd(log_path: &str, addr: Option<&str>, workers: usize) -> Result<String, String> {
+fn replay_cmd(log_path: &str, addr: Option<&str>) -> Result<String, String> {
     let text =
         std::fs::read_to_string(log_path).map_err(|e| format!("cannot read `{log_path}`: {e}"))?;
     let log = EventLog::from_json(&text).map_err(str_of)?;
@@ -402,17 +383,7 @@ fn replay_cmd(log_path: &str, addr: Option<&str>, workers: usize) -> Result<Stri
         Some(_) => None,
         None => {
             let core = core_from_log(&log, 0)?;
-            Some(
-                serve(
-                    core,
-                    &ServerConfig {
-                        addr: "127.0.0.1:0".to_string(),
-                        workers,
-                        frontend: Frontend::WorkerPool,
-                    },
-                )
-                .map_err(str_of)?,
-            )
+            Some(serve(core, &ServerConfig::default()).map_err(str_of)?)
         }
     };
     let target = match (addr, &server) {
@@ -479,8 +450,6 @@ mod tests {
             "poisson:2",
             "--rebalance",
             "4",
-            "--workers",
-            "3",
             "--addr",
             "127.0.0.1:0",
             "--for",
@@ -490,16 +459,15 @@ mod tests {
         let ServeCommand::Run(args) = cmd else {
             panic!("expected run");
         };
-        assert_eq!((args.n, args.m, args.workers), (32, 256, 3));
+        assert_eq!((args.n, args.m), (32, 256));
         assert_eq!(args.rebalance, Some(4.0));
         assert_eq!(args.for_seconds, Some(0.5));
 
         assert_eq!(
-            parse_serve_args(&strings(&["replay", "log.json", "--workers", "1"])).unwrap(),
+            parse_serve_args(&strings(&["replay", "log.json"])).unwrap(),
             ServeCommand::Replay {
                 log: "log.json".into(),
                 addr: None,
-                workers: 1,
             }
         );
 
@@ -545,12 +513,6 @@ mod tests {
             }
         );
 
-        let cmd = parse_serve_args(&strings(&["run", "--frontend", "event-loop"])).unwrap();
-        let ServeCommand::Run(args) = cmd else {
-            panic!("expected run");
-        };
-        assert_eq!(args.frontend, Frontend::EventLoop);
-
         // The load generator is gone: serving load is measured by the
         // repository benchmark, so `bench` is no longer a verb.
         let err = parse_serve_args(&strings(&["bench", "--connections", "8"])).unwrap_err();
@@ -561,7 +523,9 @@ mod tests {
             &["frobnicate"],
             &["run", "--n", "0"],
             &["run", "--wat"],
-            &["run", "--frontend", "nope"],
+            &["run", "--frontend", "event-loop"],
+            &["run", "--workers", "2"],
+            &["replay", "a.json", "--workers", "2"],
             &["run", "--for", "-1"],
             &["run", "--policy", "nope"],
             &["run", "--topology", "klein-bottle"],
@@ -703,7 +667,6 @@ mod tests {
         let out = execute_serve(&ServeCommand::Replay {
             log: path.to_string_lossy().to_string(),
             addr: None,
-            workers: 2,
         })
         .unwrap();
         assert!(out.contains("bit-identical ✓"), "{out}");

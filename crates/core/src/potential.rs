@@ -49,18 +49,6 @@ impl Phase2Snapshot {
             discrepancy: cfg.discrepancy(),
         }
     }
-
-    /// `A > min(h, k)` — the regime in which Lemma 16's claim guarantees
-    /// expected potential drop within `3/∅` time.
-    pub fn lemma16_applies(&self) -> bool {
-        self.overloaded_balls > self.bins_above.min(self.bins_below) as u64
-    }
-
-    /// `A = min(h, k)` implies discrepancy ≤ 1 (the observation closing the
-    /// Lemma 16 proof).
-    pub fn is_one_balanced(&self) -> bool {
-        self.discrepancy <= 1.0
-    }
 }
 
 /// The potential `Φ = 3A − k − h` of Lemma 16.
@@ -88,8 +76,7 @@ mod tests {
         assert_eq!(s.bins_below, 0);
         assert_eq!(s.bins_at, 6);
         assert_eq!(s.potential, 0);
-        assert!(!s.lemma16_applies());
-        assert!(s.is_one_balanced());
+        assert_eq!(s.discrepancy, 0.0);
     }
 
     #[test]
@@ -102,8 +89,7 @@ mod tests {
         assert_eq!(s.bins_below, 1);
         assert_eq!(s.bins_at, 4);
         assert_eq!(s.potential, 9 - 1 - 1);
-        assert!(s.lemma16_applies());
-        assert!(!s.is_one_balanced());
+        assert_eq!(s.discrepancy, 3.0);
     }
 
     #[test]
@@ -114,8 +100,7 @@ mod tests {
         let s = Phase2Snapshot::capture(&cfg);
         assert_eq!(s.overloaded_balls, 1);
         assert_eq!(s.bins_above.min(s.bins_below), 1);
-        assert!(!s.lemma16_applies());
-        assert!(s.is_one_balanced());
+        assert!(s.discrepancy <= 1.0);
     }
 
     #[test]

@@ -117,11 +117,6 @@ impl LoadTracker {
         }
     }
 
-    /// The Phase-2 potential `3A − k − h`.
-    pub fn phase2_potential(&self) -> i64 {
-        crate::phase2_potential(self.overloaded, self.bins_above, self.bins_below)
-    }
-
     /// Is the tracked configuration perfectly balanced (`disc < 1`)?
     ///
     /// Equivalent to "no overloaded balls and no holes".
@@ -150,15 +145,14 @@ impl LoadTracker {
     /// Record a ball *arriving* into a bin whose load before the arrival was
     /// `old_load` (dynamic instances: `m` grows by one).
     ///
-    /// The histogram and the min/max stay incremental; the average-relative
-    /// aggregates (overloaded balls, holes, bin counts) are rebuilt from the
-    /// histogram because the average `m/n` itself moved.  That rescan is
-    /// `O(#distinct loads)` — for configurations near balance a handful of
-    /// entries, never `O(n)`.
+    /// The aggregates depend on `m` only through `⌊m/n⌋` and `⌈m/n⌉`, so
+    /// while neither moves the arrival is an incremental one-bin change.
+    /// When one does (`m` crosses a multiple of `n`), the average-relative
+    /// aggregates are rebuilt from the histogram: `O(#distinct loads)` —
+    /// for configurations near balance a handful of entries, never `O(n)`.
     pub fn record_insert(&mut self, old_load: u64) {
         self.m += 1;
-        self.shift_load(old_load, old_load + 1);
-        self.refresh_average_relative();
+        self.change_population(old_load, old_load + 1);
     }
 
     /// Record a ball *departing* from a bin whose load before the departure
@@ -169,8 +163,19 @@ impl LoadTracker {
     pub fn record_remove(&mut self, old_load: u64) {
         debug_assert!(old_load > 0, "cannot remove a ball from an empty bin");
         self.m -= 1;
-        self.shift_load(old_load, old_load - 1);
-        self.refresh_average_relative();
+        self.change_population(old_load, old_load - 1);
+    }
+
+    /// One bin moves from load `old` to `new` after `m` changed by the
+    /// same step: incremental unless `⌊m/n⌋` or `⌈m/n⌉` moved with it.
+    fn change_population(&mut self, old: u64, new: u64) {
+        let n = self.n as u64;
+        if self.m / n == self.floor_avg && self.m.div_ceil(n) == self.ceil_avg {
+            self.change_bin(old, new);
+        } else {
+            self.shift_load(old, new);
+            self.refresh_average_relative();
+        }
     }
 
     /// Record a bin *joining* the tracked set with `load` balls already in
@@ -573,7 +578,11 @@ mod tests {
         let cfg = Config::from_loads(vec![7, 1, 4, 4, 4, 4]).unwrap();
         let t = LoadTracker::new(&cfg);
         let snap = crate::Phase2Snapshot::capture(&cfg);
-        assert_eq!(t.phase2_potential(), snap.potential);
+        let bc = t.bin_counts();
+        assert_eq!(
+            crate::phase2_potential(t.overloaded_balls(), bc.above, bc.below),
+            snap.potential
+        );
     }
 
     #[test]

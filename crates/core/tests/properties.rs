@@ -142,11 +142,11 @@ proptest! {
     }
 
     /// The average-relative aggregates (discrepancy, overloaded balls,
-    /// holes, bin counts, Phase-2 potential) stay pinned to a freshly
-    /// rebuilt tracker under *arbitrary interleavings* of moves, arrivals
-    /// and departures.  `refresh_average_relative` only runs on population
-    /// changes, so this exercises the incremental `record_move` path
-    /// between rebuilds as well as the rebuild path itself.
+    /// holes, bin counts) stay pinned to a freshly rebuilt tracker under
+    /// *arbitrary interleavings* of moves, arrivals and departures.  The
+    /// tracker rebuilds only when a population change moves `⌊m/n⌋` or
+    /// `⌈m/n⌉`, so this exercises the incremental paths between rebuilds
+    /// as well as the rebuild path itself.
     #[test]
     fn tracker_aggregates_match_rebuild_under_mixed_churn(
         cfg in config_strategy(),
@@ -192,9 +192,43 @@ proptest! {
             prop_assert_eq!(tracker.overloaded_balls(), rebuilt.overloaded_balls());
             prop_assert_eq!(tracker.holes(), rebuilt.holes());
             prop_assert_eq!(tracker.bin_counts(), rebuilt.bin_counts());
-            prop_assert_eq!(tracker.phase2_potential(), rebuilt.phase2_potential());
             prop_assert_eq!(tracker.min_load(), rebuilt.min_load());
             prop_assert_eq!(tracker.max_load(), rebuilt.max_load());
+        }
+    }
+
+    /// Arrivals and departures keep the tracker exact whether or not they
+    /// move `⌊m/n⌋` or `⌈m/n⌉`: with at most four bins and small loads,
+    /// `m` crosses a multiple of `n` every few population steps, so the
+    /// incremental path (no crossing) and the rebuild path (a crossing)
+    /// alternate throughout, with moves in between.
+    #[test]
+    fn tracker_stays_exact_as_the_population_crosses_multiples_of_n(
+        loads in prop::collection::vec(0u64..=6, 1..=4),
+        ops in prop::collection::vec((0u8..3, 0usize..4, 0usize..4), 1..120),
+    ) {
+        let mut cfg = Config::from_loads(loads).unwrap();
+        let mut tracker = LoadTracker::new(&cfg);
+        for (kind, a, b) in ops {
+            let (a, b) = (a % cfg.n(), b % cfg.n());
+            let old = cfg.load(a);
+            match kind {
+                0 => {
+                    cfg.add_ball(a).unwrap();
+                    tracker.record_insert(old);
+                }
+                1 if old > 0 => {
+                    cfg.remove_ball(a).unwrap();
+                    tracker.record_remove(old);
+                }
+                2 if a != b && old > 0 => {
+                    let to = cfg.load(b);
+                    cfg.apply(Move::new(a, b)).unwrap();
+                    tracker.record_move(old, to);
+                }
+                _ => continue,
+            }
+            prop_assert!(tracker.matches(&cfg), "tracker {:?} vs {:?}", tracker, cfg);
         }
     }
 

@@ -31,7 +31,14 @@
 //!   join.
 //! * an **RMW** (`fetch_add`, `fetch_max`) always reads the *latest*
 //!   store — that is exactly the atomicity RMWs guarantee — and writes
-//!   like a store; `Acquire`/`Release` halves behave as above.
+//!   like a store; `Acquire`/`Release` halves behave as above.  A
+//!   `compare_exchange` is an RMW when the latest store matches and a
+//!   load of the latest store when it does not.
+//! * a thread spinning until another thread changes a location (a
+//!   compare-exchange retry loop) says so through [`Program::blocked`]
+//!   instead of stepping, so the search never schedules a futile retry;
+//!   a schedule in which every unfinished thread is blocked is reported
+//!   as a deadlock.
 //!
 //! This is the standard view-based operational presentation of the C11
 //! release/acquire fragment (what loom implements), with one deliberate
@@ -143,6 +150,34 @@ impl<'c> Env<'c> {
         self.rmw(tid, loc, ord, |v| v.wrapping_add(delta))
     }
 
+    /// `compare_exchange`: if the latest store holds `current`, replace it
+    /// with `new` as an RMW with the `success` ordering and return
+    /// `Ok(current)`; otherwise load the latest store with the `failure`
+    /// ordering and return it as `Err`.
+    pub fn compare_exchange(
+        &mut self,
+        tid: usize,
+        loc: usize,
+        current: u64,
+        new: u64,
+        success: MemOrder,
+        failure: MemOrder,
+    ) -> Result<u64, u64> {
+        let last = self.mem[loc].len() - 1;
+        let old = self.mem[loc][last].value;
+        if old == current {
+            self.rmw(tid, loc, success, |_| new);
+            return Ok(old);
+        }
+        self.views[tid][loc] = last;
+        if failure.acquires() {
+            if let Some(v) = self.mem[loc][last].view.clone() {
+                join(&mut self.views[tid], &v);
+            }
+        }
+        Err(old)
+    }
+
     /// `fetch_max`.
     pub fn fetch_max(&mut self, tid: usize, loc: usize, value: u64, ord: MemOrder) -> u64 {
         self.rmw(tid, loc, ord, |v| v.max(value))
@@ -174,6 +209,12 @@ pub trait Program {
     /// one** `Env` operation per call (that is the interleaving
     /// granularity) and must be deterministic.
     fn step(&mut self, tid: usize, env: &mut Env<'_>);
+    /// Is thread `tid` waiting for another thread to change shared
+    /// memory (it may peek with [`Env::latest`])?  A blocked thread is
+    /// not scheduled.  The default: never.
+    fn blocked(&self, _tid: usize, _env: &Env<'_>) -> bool {
+        false
+    }
     /// Invariant check after every thread has finished. Violations
     /// observed mid-run should be stashed in `self` and reported here.
     fn check(&self, env: &Env<'_>) -> Result<(), String>;
@@ -287,15 +328,29 @@ impl Checker {
             let mut program = mk();
             let threads = program.threads();
             let mut env = Env::new(program.locs(), threads, &mut chooser);
+            let mut deadlock = false;
             loop {
-                let runnable: Vec<usize> = (0..threads).filter(|&t| !program.done(t)).collect();
+                let unfinished: Vec<usize> = (0..threads).filter(|&t| !program.done(t)).collect();
+                if unfinished.is_empty() {
+                    break;
+                }
+                let runnable: Vec<usize> = unfinished
+                    .into_iter()
+                    .filter(|&t| !program.blocked(t, &env))
+                    .collect();
                 if runnable.is_empty() {
+                    deadlock = true;
                     break;
                 }
                 let pick = env.chooser.choose(runnable.len());
                 program.step(runnable[pick], &mut env);
             }
-            if let Err(message) = program.check(&env) {
+            let verdict = if deadlock {
+                Err("deadlock: every unfinished thread is blocked".to_string())
+            } else {
+                program.check(&env)
+            };
+            if let Err(message) = verdict {
                 let trace = chooser.trace();
                 return Err(Violation {
                     message,
@@ -351,6 +406,78 @@ mod tests {
             .check(|| TwoAdders { pc: [0, 0] })
             .unwrap();
         assert!(n >= 6, "expected at least C(4,2) schedules, got {n}");
+    }
+
+    /// Two threads each take a one-cell lock by compare-exchange (0 → 1),
+    /// release it, and count once inside; the taker that finds it held
+    /// is blocked, not spun.  With `release: false` nobody ever frees
+    /// the lock, so the second taker waits forever.
+    struct CasLock {
+        release: bool,
+        pc: [usize; 2],
+    }
+
+    const LOCK: usize = 0;
+    const COUNT: usize = 1;
+
+    impl Program for CasLock {
+        fn locs(&self) -> usize {
+            2
+        }
+        fn threads(&self) -> usize {
+            2
+        }
+        fn done(&self, tid: usize) -> bool {
+            self.pc[tid] >= 3
+        }
+        fn blocked(&self, tid: usize, env: &Env<'_>) -> bool {
+            self.pc[tid] == 0 && env.latest(LOCK) != 0
+        }
+        fn step(&mut self, tid: usize, env: &mut Env<'_>) {
+            match self.pc[tid] {
+                0 => {
+                    let taken = env
+                        .compare_exchange(tid, LOCK, 0, 1, MemOrder::Acquire, MemOrder::Relaxed)
+                        .is_ok();
+                    self.pc[tid] = usize::from(taken);
+                }
+                1 => {
+                    env.fetch_add(tid, COUNT, 1, MemOrder::Relaxed);
+                    self.pc[tid] = 2;
+                }
+                _ => {
+                    let free = if self.release { 0 } else { 1 };
+                    env.store(tid, LOCK, free, MemOrder::Release);
+                    self.pc[tid] = 3;
+                }
+            }
+        }
+        fn check(&self, env: &Env<'_>) -> Result<(), String> {
+            match env.latest(COUNT) {
+                2 => Ok(()),
+                c => Err(format!("count {c} != 2")),
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_threads_wait_and_a_stuck_wait_is_a_deadlock() {
+        let n = Checker::default()
+            .check(|| CasLock {
+                release: true,
+                pc: [0, 0],
+            })
+            .unwrap();
+        // The lock serializes the two critical sections: 2 orders, and
+        // the holder's two inner steps interleave with nothing.
+        assert!(n >= 2, "expected both lock orders, got {n}");
+        let v = Checker::default()
+            .check(|| CasLock {
+                release: false,
+                pc: [0, 0],
+            })
+            .expect_err("a lock never released must deadlock");
+        assert!(v.message.contains("deadlock"), "got: {}", v.message);
     }
 
     /// The classic message-passing litmus test: flag=Release / flag=

@@ -5,7 +5,8 @@
 //! the `Histogram` record/snapshot pair from `crates/obs`.
 //!
 //! Each model mirrors its real counterpart operation-for-operation (one
-//! modeled atomic per real atomic, same orderings) at a deliberately
+//! modeled atomic per real atomic, same orderings; a retry loop is a
+//! blocked thread, see [`Program::blocked`]) at a deliberately
 //! tiny size so the checker can enumerate every interleaving *and*
 //! every stale-read choice.  The orderings are parameters, which is how
 //! the mutation tests prove the checker has teeth: weaken one `Release`
@@ -17,7 +18,8 @@ use super::{Env, MemOrder, Program};
 /// Orderings of the seqlock protocol in `crates/obs/src/flight.rs`.
 #[derive(Debug, Clone, Copy)]
 pub struct SeqlockOrderings {
-    /// Writer bumps the version to odd before touching the payload.
+    /// Writer moves the version to odd before touching the payload (the
+    /// success ordering of the claim's compare-exchange).
     pub claim: MemOrder,
     /// Writer's payload word stores.
     pub payload_store: MemOrder,
@@ -33,7 +35,7 @@ impl SeqlockOrderings {
     /// The orderings `FlightRecorder` ships with.
     pub fn shipped() -> Self {
         Self {
-            claim: MemOrder::Release,
+            claim: MemOrder::AcqRel,
             payload_store: MemOrder::Release,
             publish: MemOrder::Release,
             version_load: MemOrder::Acquire,
@@ -42,29 +44,48 @@ impl SeqlockOrderings {
     }
 }
 
+/// How a writer claims its slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeqlockClaim {
+    /// What `FlightRecorder` ships: compare-exchange the version from
+    /// `2·lap` (the previous lap's publish) to `2·lap + 1`, waiting while
+    /// the previous lap's writer still holds the slot.
+    FromLap,
+    /// A plain `fetch_add(1)`: sound for one writer, but two writers a lap
+    /// apart can both claim the slot and leave its version even while
+    /// they write.  Kept as the mutation the two-writer model catches.
+    Increment,
+}
+
 /// Number of payload words in the seqlock model (the real slot has 6;
 /// two words already expose every tearing mode).
 pub const SEQLOCK_WORDS: usize = 2;
 
 const VERSION: usize = 0;
 const PAYLOAD0: usize = 1;
+const CURSOR: usize = 1 + SEQLOCK_WORDS;
 
-/// One writer re-publishing the same slot `generations` times (the ring
-/// wrapping onto a slot) racing one reader performing `passes`
-/// `dump`-style reads.
+/// Writer threads recording `generations` events into a one-slot ring
+/// (every record is a lap onto the same slot) racing one reader
+/// performing `passes` `dump`-style reads.
 ///
-/// Generation `g` writes `g` into every payload word and publishes
-/// version `2g`; an admitted read (`v1 == v2`, even, non-zero) must
-/// decode payload words all equal to `v1 / 2` — anything else is a torn
-/// read.
+/// Each writer takes sequence numbers from the shared cursor (a relaxed
+/// `fetch_add`, as `record` does) until they run out.  The record with
+/// sequence number `s` is lap `s`: it writes `s + 1` into every payload
+/// word and publishes version `2(s + 1)`.  An admitted read (`v1 == v2`,
+/// even, non-zero) must decode payload words all equal to `v1 / 2` —
+/// anything else is a torn read.
 #[derive(Debug)]
 pub struct SeqlockModel {
     ord: SeqlockOrderings,
+    claim: SeqlockClaim,
     generations: u64,
     passes: usize,
-    /// Writer state: current generation (1-based), sub-step within it.
-    w_gen: u64,
-    w_sub: usize,
+    /// Per writer: the record in hand (its sequence number), sub-step
+    /// within it, and whether the cursor ran out.
+    w_seq: Vec<u64>,
+    w_sub: Vec<usize>,
+    w_done: Vec<bool>,
     /// Reader state: pass index, sub-step, captured v1 and payload.
     r_pass: usize,
     r_sub: usize,
@@ -77,15 +98,28 @@ pub struct SeqlockModel {
 }
 
 impl SeqlockModel {
-    /// A model with `generations` writer publishes and `passes` reader
-    /// dump passes.
+    /// One writer publishing `generations` records, one reader doing
+    /// `passes` dump passes.
     pub fn new(ord: SeqlockOrderings, generations: u64, passes: usize) -> Self {
+        Self::with_writers(ord, 1, generations, passes)
+    }
+
+    /// `writers` writer threads sharing `generations` records, one reader
+    /// doing `passes` dump passes.
+    pub fn with_writers(
+        ord: SeqlockOrderings,
+        writers: usize,
+        generations: u64,
+        passes: usize,
+    ) -> Self {
         Self {
             ord,
+            claim: SeqlockClaim::FromLap,
             generations,
             passes,
-            w_gen: 1,
-            w_sub: 0,
+            w_seq: vec![0; writers],
+            w_sub: vec![0; writers],
+            w_done: vec![false; writers],
             r_pass: 0,
             r_sub: 0,
             r_v1: 0,
@@ -95,78 +129,132 @@ impl SeqlockModel {
         }
     }
 
+    /// The same model with another claim step.
+    pub fn with_claim(mut self, claim: SeqlockClaim) -> Self {
+        self.claim = claim;
+        self
+    }
+
     /// Number of reads that passed the version check.
     pub fn admitted(&self) -> usize {
         self.admitted
+    }
+
+    fn writers(&self) -> usize {
+        self.w_seq.len()
+    }
+
+    fn write_step(&mut self, w: usize, env: &mut Env<'_>) {
+        // Writer: take a sequence number, claim, payload words, publish.
+        let seq = self.w_seq[w];
+        match self.w_sub[w] {
+            0 => {
+                let next = env.fetch_add(w, CURSOR, 1, MemOrder::Relaxed);
+                if next >= self.generations {
+                    self.w_done[w] = true;
+                } else {
+                    self.w_seq[w] = next;
+                    self.w_sub[w] = 1;
+                }
+            }
+            1 => {
+                let claimed = match self.claim {
+                    SeqlockClaim::FromLap => env
+                        .compare_exchange(
+                            w,
+                            VERSION,
+                            2 * seq,
+                            2 * seq + 1,
+                            self.ord.claim,
+                            MemOrder::Relaxed,
+                        )
+                        .is_ok(),
+                    SeqlockClaim::Increment => {
+                        env.fetch_add(w, VERSION, 1, self.ord.claim);
+                        true
+                    }
+                };
+                if claimed {
+                    self.w_sub[w] = 2;
+                }
+            }
+            s if s <= 1 + SEQLOCK_WORDS => {
+                env.store(w, PAYLOAD0 + (s - 2), seq + 1, self.ord.payload_store);
+                self.w_sub[w] = s + 1;
+            }
+            _ => {
+                env.fetch_add(w, VERSION, 1, self.ord.publish);
+                self.w_sub[w] = 0;
+            }
+        }
+    }
+
+    fn read_step(&mut self, tid: usize, env: &mut Env<'_>) {
+        // Reader: v1, payload words, v2 + admission check.
+        match self.r_sub {
+            0 => {
+                self.r_v1 = env.load(tid, VERSION, self.ord.version_load);
+                if self.r_v1 == 0 || self.r_v1 % 2 == 1 {
+                    // Empty or mid-write: the real dump skips the slot.
+                    self.r_pass += 1;
+                } else {
+                    self.r_sub = 1;
+                }
+            }
+            s if s <= SEQLOCK_WORDS => {
+                self.r_payload[s - 1] = env.load(tid, PAYLOAD0 + (s - 1), self.ord.payload_load);
+                self.r_sub = s + 1;
+            }
+            _ => {
+                let v2 = env.load(tid, VERSION, self.ord.version_load);
+                if v2 == self.r_v1 {
+                    self.admitted += 1;
+                    let expect = self.r_v1 / 2;
+                    if self.r_payload.iter().any(|&w| w != expect) {
+                        self.torn.get_or_insert_with(|| {
+                            format!(
+                                "torn read admitted: version {} but payload {:?} (expected all {})",
+                                self.r_v1, self.r_payload, expect
+                            )
+                        });
+                    }
+                }
+                self.r_sub = 0;
+                self.r_pass += 1;
+            }
+        }
     }
 }
 
 impl Program for SeqlockModel {
     fn locs(&self) -> usize {
-        1 + SEQLOCK_WORDS
+        2 + SEQLOCK_WORDS
     }
     fn threads(&self) -> usize {
-        2
+        self.writers() + 1
     }
     fn done(&self, tid: usize) -> bool {
-        match tid {
-            0 => self.w_gen > self.generations,
-            _ => self.r_pass >= self.passes,
+        if tid < self.writers() {
+            self.w_done[tid]
+        } else {
+            self.r_pass >= self.passes
         }
     }
 
+    fn blocked(&self, tid: usize, env: &Env<'_>) -> bool {
+        // A `FromLap` claim retries (yielding) until the previous lap's
+        // writer has published `2·seq`.
+        tid < self.writers()
+            && self.claim == SeqlockClaim::FromLap
+            && self.w_sub[tid] == 1
+            && env.latest(VERSION) != 2 * self.w_seq[tid]
+    }
+
     fn step(&mut self, tid: usize, env: &mut Env<'_>) {
-        if tid == 0 {
-            // Writer: claim, payload words, publish.
-            match self.w_sub {
-                0 => {
-                    env.fetch_add(0, VERSION, 1, self.ord.claim);
-                    self.w_sub = 1;
-                }
-                s if s <= SEQLOCK_WORDS => {
-                    env.store(0, PAYLOAD0 + (s - 1), self.w_gen, self.ord.payload_store);
-                    self.w_sub = s + 1;
-                }
-                _ => {
-                    env.fetch_add(0, VERSION, 1, self.ord.publish);
-                    self.w_sub = 0;
-                    self.w_gen += 1;
-                }
-            }
+        if tid < self.writers() {
+            self.write_step(tid, env);
         } else {
-            // Reader: v1, payload words, v2 + admission check.
-            match self.r_sub {
-                0 => {
-                    self.r_v1 = env.load(1, VERSION, self.ord.version_load);
-                    if self.r_v1 == 0 || self.r_v1 % 2 == 1 {
-                        // Empty or mid-write: the real dump skips the slot.
-                        self.r_pass += 1;
-                    } else {
-                        self.r_sub = 1;
-                    }
-                }
-                s if s <= SEQLOCK_WORDS => {
-                    self.r_payload[s - 1] = env.load(1, PAYLOAD0 + (s - 1), self.ord.payload_load);
-                    self.r_sub = s + 1;
-                }
-                _ => {
-                    let v2 = env.load(1, VERSION, self.ord.version_load);
-                    if v2 == self.r_v1 {
-                        self.admitted += 1;
-                        let expect = self.r_v1 / 2;
-                        if self.r_payload.iter().any(|&w| w != expect) {
-                            self.torn.get_or_insert_with(|| {
-                                format!(
-                                    "torn read admitted: version {} but payload {:?} (expected all {})",
-                                    self.r_v1, self.r_payload, expect
-                                )
-                            });
-                        }
-                    }
-                    self.r_sub = 0;
-                    self.r_pass += 1;
-                }
-            }
+            self.read_step(tid, env);
         }
     }
 

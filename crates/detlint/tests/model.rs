@@ -1,13 +1,15 @@
 //! Model-checker acceptance tests: the shipped `FlightRecorder` seqlock
-//! protocol passes exhaustively; deliberately weakened orderings are
-//! caught as torn reads (the mutation tests that prove the checker has
-//! teeth); and the sharded metric primitives are exact at small sizes.
+//! protocol passes exhaustively, with one writer and with two writers a
+//! ring lap apart; deliberately weakened orderings and the plain
+//! increment claim are caught as torn reads (the mutation tests that
+//! prove the checker has teeth); and the sharded metric primitives are
+//! exact at small sizes.
 
 // detlint: allow-file(D006) `MemOrder::Relaxed` here is model-checker
 // input — the ordering under test — not a real atomic access.
 
 use rls_detlint::check::models::{
-    HistogramModel, SeqlockModel, SeqlockOrderings, ShardedCounterModel,
+    HistogramModel, SeqlockClaim, SeqlockModel, SeqlockOrderings, ShardedCounterModel,
 };
 use rls_detlint::check::{Checker, MemOrder};
 
@@ -65,14 +67,48 @@ fn weakened_version_load_is_caught() {
 
 #[test]
 fn relaxed_claim_alone_is_still_sound() {
-    // The claim bump's ordering is irrelevant: the writer's program
-    // order puts it in the view its Release payload stores publish.
+    // The claim's ordering is irrelevant to admission: the writer's
+    // program order puts it in the view its Release payload stores
+    // publish.
     // Documented here so nobody "fixes" it to SeqCst.
     let mut ord = SeqlockOrderings::shipped();
     ord.claim = MemOrder::Relaxed;
     Checker::default()
         .check(|| SeqlockModel::new(ord, 2, 1))
         .expect("claim ordering does not participate in reader admission");
+}
+
+#[test]
+fn two_writers_a_lap_apart_never_tear() {
+    // Two writers on a one-slot ring: the second record's writer claims
+    // only once the first has published, in every interleaving.
+    let n = Checker::default()
+        .check(|| SeqlockModel::with_writers(SeqlockOrderings::shipped(), 2, 2, 1))
+        .unwrap_or_else(|v| panic!("two-writer seqlock produced a counterexample: {v}"));
+    assert!(n > 1_000, "suspiciously small exploration: {n} executions");
+}
+
+#[test]
+fn increment_claim_tears_with_two_writers() {
+    // The claim `FlightRecorder` used to ship: a plain `fetch_add(1)`.
+    // Two overlapping claims leave the version even while both write.
+    let v = Checker::default()
+        .check(|| {
+            SeqlockModel::with_writers(SeqlockOrderings::shipped(), 2, 2, 1)
+                .with_claim(SeqlockClaim::Increment)
+        })
+        .expect_err("two increment claims on one slot must yield a torn read");
+    assert!(v.message.contains("torn read"), "got: {}", v.message);
+}
+
+#[test]
+fn increment_claim_is_sound_for_one_writer() {
+    // Why the one-writer model never saw the race above.
+    Checker::default()
+        .check(|| {
+            SeqlockModel::new(SeqlockOrderings::shipped(), 2, 2).with_claim(SeqlockClaim::Increment)
+        })
+        .expect("one writer never overlaps its own claims");
 }
 
 #[test]

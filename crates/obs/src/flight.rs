@@ -1,11 +1,16 @@
-//! The flight recorder: a fixed-size lock-free ring of recent annotated
+//! The flight recorder: a fixed-size seqlock ring of recent annotated
 //! events — the serving layer's black box.
 //!
 //! Writers (`record`) claim a slot with one `fetch_add` on a global
 //! cursor and publish the payload under a per-slot seqlock (odd version
 //! while writing, even when stable).  Readers (`dump`) never block
 //! writers: a slot whose version is odd or changes mid-read is simply a
-//! torn slot and is skipped.  Everything is acquire/release atomics in
+//! torn slot and is skipped.  Two writers a full ring lap apart can reach
+//! one slot at once (the older one preempted mid-write).  So the writer of
+//! lap `k` (sequence number / capacity) claims a slot only from version
+//! `2k`, which the writer of lap `k − 1` publishes: it waits for that
+//! writer instead of writing beside it, and a slot's records stay in
+//! sequence order.  Everything is acquire/release atomics in
 //! safe Rust; a record is ~8 uncontended atomic stores, cheap enough to
 //! leave on for every engine command.
 //!
@@ -66,7 +71,8 @@ impl Slot {
     }
 }
 
-/// A fixed-capacity lock-free ring buffer of [`FlightEvent`]s.
+/// A fixed-capacity ring buffer of [`FlightEvent`]s; readers never block
+/// writers.
 ///
 /// Capacity is rounded up to a power of two. Old events are overwritten
 /// once the ring wraps; `dump` returns the surviving window in sequence
@@ -104,18 +110,42 @@ impl FlightRecorder {
         self.cursor.load(Ordering::Relaxed)
     }
 
-    /// Records an event. Lock-free and safe from any thread.
+    /// Records an event.  Safe from any thread; a writer waits only for
+    /// the writer one ring lap earlier on the same slot, which a single
+    /// writer never meets.
     pub fn record(&self, kind: u64, a: u64, b: u64, queue_ns: u64, apply_ns: u64) {
         // ORDERING: relaxed — the cursor only allocates sequence
         // numbers; fetch_add atomicity alone makes them unique.
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq & self.mask) as usize];
-        // Claim: bump to odd so readers skip the slot mid-write.  The
-        // ordering of the claim itself is immaterial to admission (the
-        // Release payload stores below publish it; the model checker's
-        // `relaxed_claim_alone_is_still_sound` test pins this), Release
-        // kept for symmetry with the publish bump.
-        slot.version.fetch_add(1, Ordering::Release);
+        // Claim: move the version from `2·lap` (published by the previous
+        // lap's writer, or the initial 0) to `2·lap + 1` so readers skip
+        // the slot mid-write.  A plain increment is not enough with
+        // several writers: two overlapping claims would leave the version
+        // even while both write, and a reader would admit a mixed record
+        // (the model checker's `increment_claim_tears_with_two_writers`
+        // finds that interleaving; `two_writers_a_lap_apart_never_tear`
+        // passes this claim).
+        // For admission the claim's ordering is immaterial (the Release
+        // payload stores below publish it; the model checker's
+        // `relaxed_claim_alone_is_still_sound` test pins this); Acquire
+        // orders this writer's stores after the previous lap's publish,
+        // Release is kept for symmetry with the publish bump.
+        let lap = seq >> self.mask.count_ones();
+        let free = 2 * lap;
+        loop {
+            // ORDERING: relaxed on failure — a failed exchange publishes
+            // and acquires nothing; the writer yields and retries.
+            let (success, failure) = (Ordering::AcqRel, Ordering::Relaxed);
+            if slot
+                .version
+                .compare_exchange(free, free + 1, success, failure)
+                .is_ok()
+            {
+                break;
+            }
+            std::thread::yield_now();
+        }
         // Release on every payload word: publishes the odd claim along
         // with the word, so a reader that acquires any in-flight word is
         // forced to see the claim at its second version check (see the

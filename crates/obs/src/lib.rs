@@ -23,7 +23,7 @@
 //!   shared handles, and renders the whole catalog as Prometheus text
 //!   exposition ([`Registry::render_prometheus`]) or a JSON snapshot
 //!   ([`Registry::snapshot_json`]).
-//! * [`FlightRecorder`] — a fixed-size lock-free ring of recent annotated
+//! * [`FlightRecorder`] — a fixed-size seqlock ring of recent annotated
 //!   events (the serving layer's black box: command kind, coordinates,
 //!   stage latencies), dumpable at any time without stopping writers.
 //!

@@ -266,7 +266,7 @@ pub struct RestoreReply {
 /// Reply of `GET /healthz`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthReply {
-    /// Always `"ok"` when the engine thread answers.
+    /// Always `"ok"` when the server answers.
     pub status: String,
     /// Number of bins.
     pub n: usize,

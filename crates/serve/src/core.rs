@@ -4,7 +4,7 @@
 //! [`LiveEngine`], the seeded RNG that resolves sampled coordinates, a
 //! [`SteadyState`] observer tapped on every applied event, and the
 //! auto-rebalance policy.  Each HTTP endpoint is exactly one method here —
-//! the server's engine thread calls them in request order, and offline
+//! the server's connection threads call them in request order, and offline
 //! callers (tests, benchmarks) call them directly to predict what the
 //! server must answer for the same seed and command sequence.
 
@@ -26,7 +26,8 @@ use crate::metrics::ServeMetrics;
 use crate::ServeError;
 
 /// Upper bound on explicit `rings` in one request: a single request must
-/// stay O(small) on the engine thread.
+/// stay O(small), since it holds the engine's lock that every connection
+/// needs.
 pub const MAX_RINGS_PER_REQUEST: u64 = 10_000;
 
 /// Gap threshold at which a scale event counts as re-converged: the

@@ -5,31 +5,24 @@
 //! TLS, no HTTP/2 — both peers are this workspace's own server and client,
 //! plus anything curl-shaped.
 //!
-//! Parsing is buffer-first: [`MessageReader`] accumulates raw bytes per
-//! connection and splits complete messages out of them, so read timeouts
-//! (used by the server to poll its shutdown flag) never lose partial data,
-//! and pipelined messages are handled for free.
+//! Parsing is buffer-first: [`parse_frame`] splits one complete message
+//! off the front of a connection buffer without copying, so partial reads
+//! never lose data and pipelined messages are handled for free.  The
+//! server's connection threads parse their buffers directly;
+//! [`MessageReader`] wraps the same parser for a blocking socket (the
+//! client's side).
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 /// Hard cap on the head (start line + headers) of a message.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// Hard cap on a message body (snapshots of large instances are the
-/// biggest legitimate payload).
+/// Cap on a message body, in [`parse_frame`] and in the server.
+/// Snapshots are the biggest legitimate payload: `GET /v1/snapshot` of a
+/// unit engine takes about 7 bytes per bin and a weighted one about 11
+/// more per ball, so this admits about 9 million bins, or 5.8 million
+/// weighted balls (measured in `docs/SERVE.md`).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
-
-/// One parsed message: the start line, the two framing headers this
-/// protocol needs, and the body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// The start line, e.g. `POST /v1/arrive HTTP/1.1` or `HTTP/1.1 200 OK`.
-    pub start_line: String,
-    /// Whether the peer asked to close the connection after this message.
-    pub close: bool,
-    /// The body (empty when there was no `Content-Length`).
-    pub body: Vec<u8>,
-}
 
 /// Accumulates bytes from one connection and yields complete messages.
 #[derive(Debug, Default)]
@@ -53,30 +46,15 @@ impl MessageReader {
         Self::default()
     }
 
-    /// Read one complete message.
+    /// Read one complete message and hand the zero-copy [`Frame`] to
+    /// `read` before the buffer is drained, so callers (like
+    /// [`HttpClient::recv_status`](crate::HttpClient::recv_status)) copy
+    /// only the fields they need.
     ///
     /// Returns `Ok(None)` on a clean close (EOF at a message boundary).
     /// When a read times out, `keep_waiting` decides whether to keep
-    /// listening (the server polls its shutdown flag here): `false` ends
-    /// the connection — cleanly if no partial message is buffered,
-    /// with `TimedOut` otherwise.
-    pub fn next_message(
-        &mut self,
-        stream: &mut TcpStream,
-        keep_waiting: &mut dyn FnMut() -> bool,
-    ) -> io::Result<Option<Message>> {
-        self.next_frame_with(stream, keep_waiting, |frame| Message {
-            start_line: frame.start_line.to_string(),
-            close: frame.close,
-            body: frame.body.to_vec(),
-        })
-    }
-
-    /// Read one complete message and hand the zero-copy [`Frame`] to
-    /// `read` before the buffer is drained — the allocation-free
-    /// counterpart of [`next_message`](Self::next_message) for callers
-    /// (like [`HttpClient::recv_status`](crate::HttpClient::recv_status))
-    /// that only need a couple of fields.
+    /// listening: `false` ends the read — cleanly if no partial message
+    /// is buffered, with `TimedOut` otherwise.
     pub fn next_frame_with<T>(
         &mut self,
         stream: &mut TcpStream,
@@ -114,26 +92,6 @@ impl MessageReader {
         }
     }
 
-    /// Parse one message purely from already-buffered bytes — no socket
-    /// read.  `Ok(None)` means the buffer holds no complete message yet.
-    /// The server uses this to drain a pipelined burst into one batch.
-    pub fn buffered_message(&mut self) -> io::Result<Option<Message>> {
-        // One shared parser for both frontends: the worker pool copies the
-        // zero-copy frame into an owned message (its batches outlive the
-        // buffer), the event loop answers straight off the borrow.
-        let Some((frame, used)) = parse_frame(&self.buf)? else {
-            return Ok(None);
-        };
-        let message = Message {
-            start_line: frame.start_line.to_string(),
-            close: frame.close,
-            body: frame.body.to_vec(),
-        };
-        // Keep any pipelined bytes for the next message.
-        self.buf.drain(..used);
-        Ok(Some(message))
-    }
-
     fn fill(&mut self, stream: &mut TcpStream) -> io::Result<Fill> {
         let mut chunk = [0u8; 8 * 1024];
         match stream.read(&mut chunk) {
@@ -158,10 +116,8 @@ impl MessageReader {
 
 /// A zero-copy view of one HTTP/1.1 message parsed straight out of a
 /// connection buffer: every field borrows the buffer, so a pipelined
-/// burst parses without a single per-frame allocation.  The event-loop
-/// frontend routes requests directly off these borrows; the worker pool's
-/// [`MessageReader`] copies them into owned [`Message`]s because its
-/// batches outlive the read buffer.
+/// burst parses without a single per-frame allocation.  The server routes
+/// requests directly off these borrows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame<'a> {
     /// The start line, e.g. `POST /v1/arrive HTTP/1.1`.
@@ -178,18 +134,21 @@ pub struct Frame<'a> {
 /// drains them once the frame is answered.  `Ok(None)` means the buffer
 /// holds no complete message yet (keep reading).  Framing errors — the
 /// head/body size caps, a non-UTF-8 head, a bad `Content-Length` — are
-/// `InvalidData`, with the same messages either frontend maps to 413
-/// ([`is_too_large`]) or 400, so hardened edge semantics cannot drift
-/// between them.
+/// `InvalidData`; the server maps the size caps to 413
+/// ([`is_too_large`]) and the rest to 400.
 pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame<'_>, usize)>> {
+    parse_frame_within(buf, MAX_BODY_BYTES)
+}
+
+/// [`parse_frame`] with a body cap of `max_body` bytes instead of
+/// [`MAX_BODY_BYTES`]: a larger `Content-Length` is rejected from the
+/// head alone, before any body bytes are buffered.
+pub(crate) fn parse_frame_within(
+    buf: &[u8],
+    max_body: usize,
+) -> io::Result<Option<(Frame<'_>, usize)>> {
     // A complete head (terminated by CRLFCRLF)?
     let head_end = match find_head_end(buf) {
-        Some(end) if end > MAX_HEAD_BYTES => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "message head exceeds the size cap",
-            ));
-        }
         Some(end) => end,
         None if buf.len() > MAX_HEAD_BYTES => {
             return Err(io::Error::new(
@@ -221,7 +180,7 @@ pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame<'_>, usize)>> {
             close = value.eq_ignore_ascii_case("close");
         }
     }
-    if content_length > MAX_BODY_BYTES {
+    if content_length > max_body {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "body exceeds the size cap",
@@ -244,9 +203,20 @@ pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame<'_>, usize)>> {
     )))
 }
 
-/// Offset of the `\r\n\r\n` head terminator, if present.
+/// Offset of the `\r\n\r\n` head terminator, if present.  Only the first
+/// [`MAX_HEAD_BYTES`] (plus the terminator) are searched: a terminator
+/// past them is over the cap either way, and a large buffer without one
+/// is not rescanned end to end.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    buf[..buf.len().min(MAX_HEAD_BYTES + 4)]
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+}
+
+/// Whether `buf` starts with a complete message head (the server's
+/// header deadline runs only while it does not).
+pub(crate) fn head_complete(buf: &[u8]) -> bool {
+    find_head_end(buf).is_some()
 }
 
 /// Whether a framing error is the head/body size cap (the server answers
@@ -262,8 +232,10 @@ pub fn reason_phrase(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         413 => "Payload Too Large",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }
@@ -318,19 +290,6 @@ fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
     out.extend_from_slice(&digits[i..]);
 }
 
-/// Serialize a response into `out` (cleared first) and write it.
-pub fn write_response(
-    stream: &mut TcpStream,
-    out: &mut Vec<u8>,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    out.clear();
-    append_response(out, status, body, keep_alive);
-    stream.write_all(out)
-}
-
 /// Append one serialized request to `out` (the client batches a
 /// pipelined burst into a single write).
 pub fn append_request(out: &mut Vec<u8>, method: &str, path: &str, body: &[u8]) {
@@ -363,6 +322,14 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    /// One parsed message, copied out of its frame.
+    #[derive(Debug)]
+    struct Message {
+        start_line: String,
+        close: bool,
+        body: Vec<u8>,
+    }
+
     /// Feed raw bytes through a real socket pair and parse them.
     fn parse_bytes(chunks: &[&[u8]]) -> io::Result<Vec<Message>> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -383,7 +350,12 @@ mod tests {
         let mut reader = MessageReader::new();
         let mut messages = Vec::new();
         let outcome = loop {
-            match reader.next_message(&mut stream, &mut || true) {
+            let read = |frame: &Frame<'_>| Message {
+                start_line: frame.start_line.to_string(),
+                close: frame.close,
+                body: frame.body.to_vec(),
+            };
+            match reader.next_frame_with(&mut stream, &mut || true, read) {
                 Ok(Some(m)) => messages.push(m),
                 Ok(None) => break Ok(messages),
                 Err(e) => break Err(e),
@@ -483,7 +455,7 @@ mod tests {
 
     #[test]
     fn reason_phrases_cover_the_emitted_statuses() {
-        for status in [200, 400, 404, 405, 409, 413, 500] {
+        for status in [200, 400, 404, 405, 408, 409, 413, 500, 503] {
             assert!(!reason_phrase(status).is_empty());
         }
     }

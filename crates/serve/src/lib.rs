@@ -17,12 +17,13 @@
 //!   auto-rebalance policy.  Everything the server does over HTTP is a
 //!   method here, so tests and benchmarks can cross-check the HTTP path
 //!   against an offline core driven with the same seed.
-//! * [`serve`]/[`HttpServer`] — two interchangeable frontends selected by
-//!   [`Frontend`]: the default pre-forked worker-thread pool (shared
-//!   listener, core on a dedicated engine thread behind an mpsc command
-//!   channel) and a single-threaded nonblocking event loop (zero-copy
-//!   parsing, commands executed inline on the thread that owns the core).
-//!   Both are bit-identical to an offline [`ServeCore`] on the same seed.
+//! * [`serve`]/[`HttpServer`] — an accept thread and one blocking thread
+//!   per connection: the thread that reads a request parses it straight
+//!   off the connection buffer, executes it on the core under a mutex and
+//!   writes the reply, so a request never crosses a thread.  Fixed bounds
+//!   cap what clients can make it hold (connections, header and idle
+//!   time, body size, replies per write; see `docs/SERVE.md`).  It is
+//!   bit-identical to an offline [`ServeCore`] on the same seed.
 //! * [`HttpClient`] — a minimal blocking keep-alive
 //!   client used by the trace-replay driver, the end-to-end tests and the
 //!   repository benchmark's serving workloads (`perfbench/`).
@@ -33,8 +34,8 @@
 //!
 //! ## Determinism
 //!
-//! The engine thread applies commands in arrival order against a seeded
-//! RNG, so a given command sequence produces one trajectory: driving the
+//! A connection's commands apply in arrival order against a seeded RNG,
+//! so a given command sequence produces one trajectory: driving the
 //! HTTP API from one connection is reproducible end to end, and
 //! `GET /v1/snapshot` / `POST /v1/restore` round-trip the exact state
 //! (format-v2 snapshots, including the RNG).  See `docs/SERVE.md` for the
@@ -48,7 +49,7 @@ use std::fmt;
 pub mod api;
 pub mod client;
 pub mod core;
-mod event_loop;
+mod frontend;
 pub mod http;
 pub mod metrics;
 pub mod replay;
@@ -68,7 +69,8 @@ pub use server::{serve, Frontend, HttpServer, ServerConfig};
 /// An error with an HTTP status: everything a handler can reject.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeError {
-    /// HTTP status code the handler maps to (400, 404, 405, 409, 500).
+    /// HTTP status code the handler maps to (400, 404, 405, 408, 409,
+    /// 413, 500, 503).
     pub status: u16,
     /// Human-readable description, returned as `{"error": ...}`.
     pub message: String,
@@ -105,6 +107,22 @@ impl ServeError {
     pub fn conflict(message: impl Into<String>) -> Self {
         Self {
             status: 409,
+            message: message.into(),
+        }
+    }
+
+    /// 408 — the client took too long to send a request head.
+    pub fn timeout(message: impl Into<String>) -> Self {
+        Self {
+            status: 408,
+            message: message.into(),
+        }
+    }
+
+    /// 503 — the server is at its connection cap.
+    pub fn unavailable(message: impl Into<String>) -> Self {
+        Self {
+            status: 503,
             message: message.into(),
         }
     }
@@ -147,5 +165,10 @@ mod tests {
         );
         assert_eq!(ServeError::conflict("empty bin").status, 409);
         assert_eq!(ServeError::internal("boom").status, 500);
+        assert_eq!(ServeError::timeout("slow head").status, 408);
+        assert_eq!(
+            ServeError::unavailable("full").to_string(),
+            "503 Service Unavailable: full"
+        );
     }
 }

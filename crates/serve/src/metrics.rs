@@ -105,17 +105,17 @@ struct EndpointCounters {
 #[derive(Debug)]
 pub struct ServeMetrics {
     registry: Registry,
-    /// Worker-side request parse + route time.
+    /// Request parse + route time.
     pub stage_parse_ns: Arc<Histogram>,
-    /// Time a command waited on the engine channel before being applied.
+    /// Time from reading a request's bytes to the start of its execution.
     pub stage_queue_ns: Arc<Histogram>,
-    /// Engine-thread time applying one command.
+    /// Time applying one command to the core.
     pub stage_apply_ns: Arc<Histogram>,
-    /// Worker-side time writing a (batched) response burst to the socket.
+    /// Time writing a (batched) response burst to the socket.
     pub stage_write_ns: Arc<Histogram>,
-    /// Request payload bytes (start line + body; striped by worker).
+    /// Request payload bytes (start line + body; striped by connection).
     pub request_bytes: Arc<ShardedCounter>,
-    /// Response bytes written (striped by worker).
+    /// Response bytes written (striped by connection).
     pub response_bytes: Arc<ShardedCounter>,
     /// Per-endpoint request/error counters (indexed like [`ENDPOINTS`]).
     endpoints: Vec<EndpointCounters>,

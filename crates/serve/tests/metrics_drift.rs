@@ -11,7 +11,7 @@
 use rls_core::{Config, RlsRule};
 use rls_live::{LiveEngine, LiveParams};
 use rls_obs::Registry;
-use rls_serve::{serve, Frontend, HttpClient, ServeCore, ServePolicy, ServerConfig, CATALOG};
+use rls_serve::{serve, HttpClient, ServeCore, ServePolicy, ServerConfig, CATALOG};
 use rls_workloads::ArrivalProcess;
 
 fn boot_with_metrics() -> (rls_serve::HttpServer, Registry) {
@@ -29,15 +29,7 @@ fn boot_with_metrics() -> (rls_serve::HttpServer, Registry) {
     );
     let registry = Registry::new();
     core.attach_metrics(&registry);
-    let server = serve(
-        core,
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            frontend: Frontend::WorkerPool,
-        },
-    )
-    .expect("ephemeral-port server boots");
+    let server = serve(core, &ServerConfig::default()).expect("ephemeral-port server boots");
     (server, registry)
 }
 
@@ -113,7 +105,12 @@ fn every_cataloged_metric_is_exposed_and_finite() {
     assert!(count_of("rls_engine_arrivals_total") >= 40.0);
     assert!(count_of("rls_engine_departures_total") >= 13.0);
     assert!(count_of("rls_serve_request_bytes_total") > 0.0);
-    assert!(count_of("rls_serve_stage_ns_count{stage=\"apply\"}") > 0.0);
+    // All four stages are live: parse, queue (read to execution), apply
+    // and write.
+    for stage in ["parse", "queue", "apply", "write"] {
+        let series = format!("rls_serve_stage_ns_count{{stage=\"{stage}\"}}");
+        assert!(count_of(&series) > 0.0, "no samples in {series}");
+    }
     assert!(count_of("rls_serve_errors_total{endpoint=\"arrive\"}") >= 1.0);
 
     server.shutdown();
@@ -165,15 +162,7 @@ fn metrics_endpoints_404_without_telemetry() {
             rings_per_arrival: 0.0,
         },
     );
-    let server = serve(
-        core,
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            frontend: Frontend::WorkerPool,
-        },
-    )
-    .unwrap();
+    let server = serve(core, &ServerConfig::default()).unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let (status, _) = client.request("GET", "/v1/metrics", b"").unwrap();
     assert_eq!(status, 404);
