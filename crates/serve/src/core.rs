@@ -396,23 +396,33 @@ impl ServeCore {
     /// pretty JSON (byte-compatible with `rls-experiments live` snapshot
     /// files).
     pub fn snapshot_json(&self) -> String {
-        serde_json::to_string_pretty(&Snapshot::capture(&self.engine, &self.rng))
-            .expect("snapshots always encode")
+        render_snapshot(&self.capture_snapshot())
+    }
+
+    /// The checkpoint [`snapshot_json`](Self::snapshot_json) renders,
+    /// taken apart from the rendering so the server can capture it under
+    /// the engine's lock and render it after releasing the lock.
+    pub(crate) fn capture_snapshot(&self) -> Snapshot {
+        Snapshot::capture(&self.engine, &self.rng)
     }
 
     /// `POST /v1/restore` — replace engine and RNG with a snapshot and
     /// re-arm the stats window (warm-up measured from the restored clock).
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<RestoreReply, ServeError> {
-        let (engine, rng) = snapshot
-            .restore()
-            .map_err(|e| ServeError::conflict(e.to_string()))?;
-        self.engine = engine;
+        Ok(self.install(prepare_restore(snapshot)?))
+    }
+
+    /// The second half of [`restore`](Self::restore): swap a prepared
+    /// engine and RNG in.  Building them reads only the snapshot, so the
+    /// server does that before it takes the engine's lock.
+    pub(crate) fn install(&mut self, restored: Restored) -> RestoreReply {
+        self.engine = restored.engine;
         // The restored engine starts bare; re-tap it into the same
         // registry (instruments are shared, so totals keep accumulating).
         if let Some(m) = &self.metrics {
             self.engine.attach_metrics(m.registry());
         }
-        self.rng = rng;
+        self.rng = restored.rng;
         self.steady = SteadyState::new(self.engine.time() + self.warmup);
         self.steady
             .on_start(self.engine.tracker(), self.engine.time());
@@ -422,12 +432,35 @@ impl ServeCore {
         // Re-derive the identity from the restored engine; the boot seed
         // is kept for provenance (the RNG now comes from the snapshot).
         self.identity = identity_of(&self.engine, self.identity.seed);
-        Ok(RestoreReply {
+        RestoreReply {
             n: self.engine.config().n(),
             m: self.engine.config().m(),
             time: self.engine.time(),
-        })
+        }
     }
+}
+
+/// Pretty JSON of a snapshot, as `GET /v1/snapshot` serves it.
+pub(crate) fn render_snapshot(snapshot: &Snapshot) -> String {
+    serde_json::to_string_pretty(snapshot).expect("snapshots always encode")
+}
+
+/// An engine and RNG rebuilt from a snapshot, ready to
+/// [`install`](ServeCore::install).
+#[derive(Debug)]
+pub(crate) struct Restored {
+    engine: LiveEngine,
+    rng: DefaultRng,
+}
+
+/// The first half of [`ServeCore::restore`]: rebuild the engine and RNG
+/// from `snapshot` alone (`409` if the snapshot does not describe a
+/// valid engine).
+pub(crate) fn prepare_restore(snapshot: &Snapshot) -> Result<Restored, ServeError> {
+    let (engine, rng) = snapshot
+        .restore()
+        .map_err(|e| ServeError::conflict(e.to_string()))?;
+    Ok(Restored { engine, rng })
 }
 
 /// The boot identity of an engine driven from `seed`.

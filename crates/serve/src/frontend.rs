@@ -4,21 +4,24 @@
 //! ```text
 //!   TcpListener (blocking accept; 503 past the connection cap)
 //!        │ one thread per connection
-//!   ┌────▼─────────────────────────────────────────────┐
-//!   │ read (blocking; deadline = header or idle bound) │
-//!   │   ──► parse frames (zero-copy) ──► route         │
-//!   │   ──► lock the core, execute the batch, unlock   │
-//!   │   ──► write the batch's replies                  │
-//!   └──────────────────────────────────────────────────┘
+//!   ┌────▼───────────────────────────────────────────────────────┐
+//!   │ read (blocking; deadline = header or idle bound)           │
+//!   │   ──► frame ──► route       up to 64 frames, no lock       │
+//!   │   ──► lock ──► execute ──► unlock                          │
+//!   │                 the batch's engine commands, typed replies │
+//!   │   ──► encode ──► write      in frame order, no lock        │
+//!   └────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! A request never crosses a thread: the thread that read it executes it
 //! on the core and writes its reply.  The core sits behind a `Mutex`
-//! taken once per batch of pipelined frames, and only for a batch that
-//! holds an engine command — `GET /v1/metrics` and `GET /v1/debug/flight`
-//! read atomics and never wait for the engine.  Nothing polls: an idle
-//! connection costs a thread parked in `read`, an idle server a thread
-//! parked in `accept`.
+//! held once per batch of pipelined frames, for the engine commands
+//! only: framing, routing (a posted snapshot is rebuilt into its engine
+//! there), JSON encoding and the socket write all happen without it.  A
+//! batch without an engine command never takes the lock — `GET
+//! /v1/metrics` and `GET /v1/debug/flight` read atomics and never wait
+//! for the engine.  Nothing polls: an idle connection costs a thread
+//! parked in `read`, an idle server a thread parked in `accept`.
 //!
 //! **Determinism.**  One connection's commands apply in byte-stream
 //! order, so a single-connection drive of the HTTP API is reproducible
@@ -36,7 +39,11 @@
 //! ([`MAX_UNFLUSHED_BYTES`]).  A connection is not read while its replies
 //! are being written, so one connection holds at most one head of
 //! [`http::MAX_HEAD_BYTES`] plus one capped body of input, and
-//! [`MAX_UNFLUSHED_BYTES`] plus one reply of output.
+//! [`MAX_UNFLUSHED_BYTES`] plus one reply of output.  Between phases a
+//! batch holds at most [`MAX_BATCH`] typed replies, of which only a
+//! snapshot grows with the instance, and a snapshot ends its batch; a
+//! restore's rebuilt engine grows with its body, which the input bound
+//! already caps.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -49,13 +56,16 @@ use std::time::{Duration, Instant};
 use crate::core::ServeCore;
 use crate::http;
 use crate::metrics::{endpoint_index, ServeMetrics};
-use crate::server::{elapsed_ns, execute, flight_coords, route, to_json, ErrorBody, Routed};
+use crate::server::{
+    elapsed_ns, execute, flight_coords, route, to_json, EngineCmd, ErrorBody, Reply, Routed,
+};
 use crate::ServeError;
 
 /// Read chunk size.
 const READ_CHUNK: usize = 8 * 1024;
 
-/// Most pipelined frames executed under one hold of the core's lock.
+/// Most pipelined frames in one batch (framed together, their engine
+/// commands executed under one hold of the core's lock).
 const MAX_BATCH: usize = 64;
 
 /// Open connections; one more is answered `503` and closed.
@@ -69,8 +79,8 @@ const HEADER_TIMEOUT: Duration = Duration::from_secs(10);
 /// or a write the client does not drain — before it is closed.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Reply bytes past which a batch stops and is written before the next
-/// frame is executed.
+/// Encoded reply bytes past which a batch's responses are written before
+/// the next reply is encoded.
 const MAX_UNFLUSHED_BYTES: usize = 1 << 20;
 
 /// Pause after a failed `accept` (out of descriptors, say), so the
@@ -253,6 +263,7 @@ fn serve_connection(
         metrics,
         stripe,
     };
+    let mut batch = Batch::default();
     let mut buf: Vec<u8> = Vec::with_capacity(READ_CHUNK);
     let mut chunk = [0u8; READ_CHUNK];
     // Since when the buffer has held an incomplete request head.
@@ -296,7 +307,7 @@ fn serve_connection(
         };
         let read_at = Instant::now();
         buf.extend_from_slice(&chunk[..read]);
-        let consumed = match conn.answer_buffered(&buf, core, limits, read_at) {
+        let consumed = match conn.answer_buffered(&buf, &mut batch, core, limits, read_at) {
             Some(consumed) => consumed,
             None => return,
         };
@@ -322,60 +333,74 @@ fn is_timeout(e: &io::Error) -> bool {
 /// A connection's socket, the replies it owes, and its telemetry.
 struct Conn<'s> {
     stream: TcpStream,
-    /// Replies of the batch being answered.
+    /// Encoded replies not yet written.
     out: Vec<u8>,
     metrics: Option<&'s ServeMetrics>,
     stripe: usize,
 }
 
+/// One batch of pipelined frames between its three phases, kept per
+/// connection so its vectors are reused.
+#[derive(Default)]
+struct Batch {
+    /// Every framed request, in frame order.
+    slots: Vec<Slot>,
+    /// The engine commands among them, in frame order, until they run.
+    cmds: Vec<EngineCmd>,
+    /// Their typed replies, in the same order, until they are encoded.
+    replies: Vec<Result<Reply, ServeError>>,
+}
+
+/// One framed request of a batch.
+struct Slot {
+    /// Its endpoint's index in the request counters.
+    endpoint: usize,
+    keep_alive: bool,
+    answer: Answer,
+}
+
+/// What a framed request is answered with.
+enum Answer {
+    /// The batch's next engine reply.
+    Engine,
+    /// The metric catalog (`GET /v1/metrics`).
+    Metrics,
+    /// The flight recorder (`GET /v1/debug/flight`).
+    Flight,
+    /// An error found while routing.
+    Error(ServeError),
+    /// A framing error's status and body; the connection then closes.
+    Framing(u16, String),
+}
+
 impl Conn<'_> {
     /// Answer every complete frame at the front of `buf`, in batches of
-    /// at most [`MAX_BATCH`] frames or `max_unflushed_bytes` of replies,
-    /// each executed under one hold of the core's lock and written
-    /// before the next begins.  Returns how many bytes were consumed, or
-    /// `None` once the connection is to be dropped (a close was
-    /// answered, a framing error, a failed write).  Zero-copy: frames
-    /// borrow `buf`.
+    /// at most [`MAX_BATCH`] frames, each in three phases: frame and
+    /// route without the lock, execute the engine commands under one
+    /// hold of the core's lock, then encode and write without it.  A
+    /// batch is written before the next is framed.  Returns how many
+    /// bytes were consumed, or `None` once the connection is to be
+    /// dropped (a close was answered, a framing error, a failed write).
+    /// Zero-copy: frames borrow `buf`.
     fn answer_buffered(
         &mut self,
         buf: &[u8],
+        batch: &mut Batch,
         core: &Mutex<ServeCore>,
         limits: &Limits,
         read_at: Instant,
     ) -> Option<usize> {
         let mut consumed = 0usize;
         loop {
-            let mut guard = None;
-            let mut answered = 0usize;
-            let mut keep_alive = true;
-            let mut more = false;
-            while keep_alive {
-                if answered == MAX_BATCH || self.out.len() >= limits.max_unflushed_bytes {
-                    more = true;
-                    break;
-                }
-                match http::parse_frame_within(&buf[consumed..], limits.max_body_bytes) {
-                    Ok(Some((frame, used))) => {
-                        keep_alive = self.answer_frame(&frame, read_at, core, &mut guard);
-                        consumed += used;
-                        answered += 1;
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Size caps answer 413, everything else 400, then
-                        // close: the rest of the buffer is poisoned.
-                        let status = if http::is_too_large(&e) { 413 } else { 400 };
-                        if let Some(m) = self.metrics {
-                            m.record_request(endpoint_index(""), status);
-                        }
-                        let body = format!("{{\"error\": {:?}}}", e.to_string());
-                        http::append_response(&mut self.out, status, body.as_bytes(), false);
-                        keep_alive = false;
-                    }
-                }
+            let (used, more) = self.frame_batch(&buf[consumed..], batch, limits);
+            consumed += used;
+            if batch.slots.is_empty() {
+                return Some(consumed);
             }
-            drop(guard);
-            if !self.write_out() || !keep_alive {
+            if !batch.cmds.is_empty() {
+                execute_batch(batch, core, read_at, self.metrics);
+            }
+            if !self.encode_and_write(batch, limits) {
                 return None;
             }
             if !more {
@@ -384,29 +409,54 @@ impl Conn<'_> {
         }
     }
 
-    /// Route one frame and execute it, appending the response; an engine
-    /// command takes the core's lock into `guard` unless the batch holds
-    /// it already.  `read_at` is when the frame's bytes were read: the
-    /// queue stage runs from there to the start of execution, lock wait
-    /// included.  Returns whether the connection stays open.
-    fn answer_frame<'c>(
-        &mut self,
-        frame: &http::Frame<'_>,
-        read_at: Instant,
-        core: &'c Mutex<ServeCore>,
-        guard: &mut Option<MutexGuard<'c, ServeCore>>,
-    ) -> bool {
+    /// Phase 1, without the lock: frame and route up to [`MAX_BATCH`]
+    /// frames from the front of `buf`.  The batch ends early after a
+    /// frame that closes the connection, a framing error, or a
+    /// `GET /v1/snapshot` (the one reply whose size grows with the
+    /// instance).  Returns the bytes consumed and whether complete
+    /// frames may follow.
+    fn frame_batch(&mut self, buf: &[u8], batch: &mut Batch, limits: &Limits) -> (usize, bool) {
+        let mut consumed = 0usize;
+        while batch.slots.len() < MAX_BATCH {
+            match http::parse_frame_within(&buf[consumed..], limits.max_body_bytes) {
+                Ok(Some((frame, used))) => {
+                    consumed += used;
+                    if self.route_frame(&frame, batch) {
+                        return (consumed, true);
+                    }
+                }
+                Ok(None) => return (consumed, false),
+                Err(e) => {
+                    // Size caps answer 413, everything else 400, then
+                    // close: the rest of the buffer is poisoned.
+                    let status = if http::is_too_large(&e) { 413 } else { 400 };
+                    let body = format!("{{\"error\": {:?}}}", e.to_string());
+                    batch.slots.push(Slot {
+                        endpoint: endpoint_index(""),
+                        keep_alive: false,
+                        answer: Answer::Framing(status, body),
+                    });
+                    return (consumed, false);
+                }
+            }
+        }
+        (consumed, true)
+    }
+
+    /// Route one frame into the batch; an engine command joins the
+    /// batch's commands.  Returns whether the batch ends with it.
+    fn route_frame(&mut self, frame: &http::Frame<'_>, batch: &mut Batch) -> bool {
         let metrics = self.metrics;
-        let mut keep_alive = !frame.close;
+        let keep_alive = !frame.close;
         let parse_start = metrics.map(|_| Instant::now());
         let mut parts = frame.start_line.split_ascii_whitespace();
         let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
-            let e = ServeError::bad_request("bad request line");
-            if let Some(m) = metrics {
-                m.record_request(endpoint_index(""), e.status);
-            }
-            append_error(&mut self.out, &e, keep_alive);
-            return keep_alive;
+            batch.slots.push(Slot {
+                endpoint: endpoint_index(""),
+                keep_alive,
+                answer: Answer::Error(ServeError::bad_request("bad request line")),
+            });
+            return !keep_alive;
         };
         let endpoint = endpoint_index(path);
         if let Some(m) = metrics {
@@ -419,54 +469,94 @@ impl Conn<'_> {
         if let (Some(m), Some(start)) = (metrics, parse_start) {
             m.stage_parse_ns.record(elapsed_ns(start));
         }
-        let (status, content_type, body) = match routed {
+        let mut ends = !keep_alive;
+        let answer = match routed {
             Ok(Routed::Engine(cmd)) => {
-                if guard.is_none() {
-                    *guard = core.lock().ok();
-                }
-                match guard.as_deref_mut() {
-                    Some(core) => execute_timed(core, &cmd, read_at, metrics),
+                ends |= matches!(cmd, EngineCmd::Snapshot);
+                batch.cmds.push(cmd);
+                Answer::Engine
+            }
+            Ok(Routed::Metrics) => Answer::Metrics,
+            Ok(Routed::Flight) => Answer::Flight,
+            Err(e) => Answer::Error(e),
+        };
+        batch.slots.push(Slot {
+            endpoint,
+            keep_alive,
+            answer,
+        });
+        ends
+    }
+
+    /// Phase 3, without the lock: encode each reply and append the
+    /// responses in frame order, writing whenever `max_unflushed_bytes`
+    /// have gathered and once more at the end.  The write stage runs
+    /// from here to the batch's last byte written.  Returns whether the
+    /// connection stays open.
+    fn encode_and_write(&mut self, batch: &mut Batch, limits: &Limits) -> bool {
+        let metrics = self.metrics;
+        let write_start = metrics.map(|_| Instant::now());
+        let mut replies = batch.replies.drain(..);
+        let mut keep_alive = true;
+        for slot in batch.slots.drain(..) {
+            keep_alive = slot.keep_alive;
+            let (status, content_type, body) = match slot.answer {
+                Answer::Engine => match replies.next() {
+                    Some(Ok(reply)) => (200, "application/json", reply.to_json()),
+                    Some(Err(e)) => error_reply(&e),
                     None => {
-                        // An earlier command panicked on the core: its state
-                        // is unknown, so nothing more is served from it.
+                        // An earlier command panicked on the core: its
+                        // state is unknown, so nothing more is served
+                        // from it.
                         keep_alive = false;
                         error_reply(&ServeError::internal("the engine has stopped"))
                     }
-                }
+                },
+                Answer::Metrics => match metrics {
+                    Some(m) => (200, "text/plain; version=0.0.4", m.render_prometheus()),
+                    None => error_reply(&ServeError::not_found("/v1/metrics")),
+                },
+                Answer::Flight => match metrics {
+                    Some(m) => (200, "application/json", m.flight_json()),
+                    None => error_reply(&ServeError::not_found("/v1/debug/flight")),
+                },
+                Answer::Error(e) => error_reply(&e),
+                Answer::Framing(status, body) => (status, "application/json", body),
+            };
+            if let Some(m) = metrics {
+                m.record_request(slot.endpoint, status);
             }
-            Ok(Routed::Metrics) => match metrics {
-                Some(m) => (200, "text/plain; version=0.0.4", m.render_prometheus()),
-                None => error_reply(&ServeError::not_found(path)),
-            },
-            Ok(Routed::Flight) => match metrics {
-                Some(m) => (200, "application/json", m.flight_json()),
-                None => error_reply(&ServeError::not_found(path)),
-            },
-            Err(e) => error_reply(&e),
-        };
-        if let Some(m) = metrics {
-            m.record_request(endpoint, status);
+            http::append_response_typed(
+                &mut self.out,
+                status,
+                content_type,
+                body.as_bytes(),
+                keep_alive,
+            );
+            if !keep_alive {
+                break;
+            }
+            if self.out.len() >= limits.max_unflushed_bytes && !self.write_out() {
+                return false;
+            }
         }
-        http::append_response_typed(
-            &mut self.out,
-            status,
-            content_type,
-            body.as_bytes(),
-            keep_alive,
-        );
+        if !self.write_out() {
+            return false;
+        }
+        if let (Some(m), Some(start)) = (metrics, write_start) {
+            m.stage_write_ns.record(elapsed_ns(start));
+        }
         keep_alive
     }
 
-    /// Write the batch's replies.  Returns `false` if the client is gone
-    /// (or did not drain them within the idle deadline).
+    /// Write the replies gathered so far.  Returns `false` if the client
+    /// is gone (or did not drain them within the idle deadline).
     fn write_out(&mut self) -> bool {
         if self.out.is_empty() {
             return true;
         }
-        let write_start = self.metrics.map(|_| Instant::now());
         let written = self.stream.write_all(&self.out).is_ok();
-        if let (true, Some(m), Some(start)) = (written, self.metrics, write_start) {
-            m.stage_write_ns.record(elapsed_ns(start));
+        if let (true, Some(m)) = (written, self.metrics) {
             m.response_bytes.add(self.stripe, self.out.len() as u64);
         }
         self.out.clear();
@@ -475,14 +565,36 @@ impl Conn<'_> {
     }
 }
 
+/// Phase 2: execute the batch's engine commands in frame order under one
+/// hold of the core's lock, keeping their typed replies.  A poisoned lock
+/// (an earlier command panicked) leaves the replies short, and the first
+/// command without one is answered that the engine has stopped.
+fn execute_batch(
+    batch: &mut Batch,
+    core: &Mutex<ServeCore>,
+    read_at: Instant,
+    metrics: Option<&ServeMetrics>,
+) {
+    let Ok(mut core) = core.lock() else {
+        batch.cmds.clear();
+        return;
+    };
+    for cmd in batch.cmds.drain(..) {
+        batch
+            .replies
+            .push(execute_timed(&mut core, cmd, read_at, metrics));
+    }
+}
+
 /// Execute one engine command on the locked core, recording its queue
 /// and apply stages and a flight event.
 fn execute_timed(
     core: &mut ServeCore,
-    cmd: &crate::server::EngineCmd,
+    cmd: EngineCmd,
     read_at: Instant,
     metrics: Option<&ServeMetrics>,
-) -> (u16, &'static str, String) {
+) -> Result<Reply, ServeError> {
+    let (kind, a, b) = flight_coords(&cmd);
     let apply_start = Instant::now();
     let queue_ns = u64::try_from(apply_start.saturating_duration_since(read_at).as_nanos())
         .unwrap_or(u64::MAX);
@@ -492,7 +604,6 @@ fn execute_timed(
             // Log the fatal command and dump the recorder, so the
             // post-mortem names the exact command sequence.
             if let Some(m) = metrics {
-                let (kind, a, b) = flight_coords(cmd);
                 m.flight
                     .record(kind, a, b, queue_ns, elapsed_ns(apply_start));
                 eprintln!("the engine panicked mid-command; flight recorder dump:");
@@ -505,13 +616,9 @@ fn execute_timed(
         let apply_ns = elapsed_ns(apply_start);
         m.stage_queue_ns.record(queue_ns);
         m.stage_apply_ns.record(apply_ns);
-        let (kind, a, b) = flight_coords(cmd);
         m.flight.record(kind, a, b, queue_ns, apply_ns);
     }
-    match reply {
-        Ok(body) => (200, "application/json", body),
-        Err(e) => error_reply(&e),
-    }
+    reply
 }
 
 /// Give back a buffer's capacity once a large body or reply has passed

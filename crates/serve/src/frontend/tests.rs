@@ -1,7 +1,8 @@
 //! The frontend's resource bounds, each reached through a crate-private
 //! [`Limits`] smaller than the shipped constants: the header deadline
 //! (slowloris), the connection cap, the body cap under a memory budget,
-//! the idle deadline and the cap on replies gathered before a write.
+//! the idle deadline and the cap on replies gathered before a write
+//! (also for snapshots, each larger than the cap).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -13,12 +14,21 @@ use rls_workloads::ArrivalProcess;
 
 use super::Limits;
 use crate::server::serve_within;
-use crate::{HttpClient, HttpServer, ServeCore, ServePolicy, ServerConfig};
+use crate::{ArriveRequest, HttpClient, HttpServer, ServeCore, ServePolicy, ServerConfig};
 
 fn make_core(seed: u64) -> ServeCore {
-    let initial = Config::uniform(16, 4).unwrap();
-    let params =
-        LiveParams::balanced(ArrivalProcess::Poisson { rate_per_bin: 2.0 }, 16, 64).unwrap();
+    make_core_of(16, seed)
+}
+
+/// A core over `n` bins holding four balls each.
+fn make_core_of(n: usize, seed: u64) -> ServeCore {
+    let initial = Config::uniform(n, 4).unwrap();
+    let params = LiveParams::balanced(
+        ArrivalProcess::Poisson { rate_per_bin: 2.0 },
+        n,
+        4 * n as u64,
+    )
+    .unwrap();
     let engine = LiveEngine::new(initial, params, RlsRule::paper()).unwrap();
     ServeCore::new(
         engine,
@@ -270,4 +280,48 @@ fn a_deep_pipeline_is_answered_in_order_past_the_unflushed_cap() {
     assert_eq!(bins, expected);
     let core = server.shutdown();
     assert_eq!(core.engine().counters().arrivals, 300);
+}
+
+#[test]
+fn a_pipeline_of_snapshots_is_answered_in_order_past_the_unflushed_cap() {
+    // 64 bins: each snapshot is larger than the cap on its own.
+    let (n, seed) = (64, 26);
+    let limits = Limits {
+        max_unflushed_bytes: 1024,
+        ..Limits::default()
+    };
+    let server = serve_within(make_core_of(n, seed), &ServerConfig::default(), limits).unwrap();
+    let mut offline = make_core_of(n, seed);
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    // Each snapshot ends its batch; the arrival before it changes what
+    // it must show.
+    const ROUNDS: usize = 12;
+    for bin in 0..ROUNDS {
+        let body = format!("{{\"bin\": {bin}, \"rings\": 0}}");
+        client.queue("POST", "/v1/arrive", body.as_bytes());
+        client.queue("GET", "/v1/snapshot", b"");
+    }
+    client.flush().unwrap();
+    for bin in 0..ROUNDS {
+        let (status, body) = client.recv().unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        let expected = offline
+            .arrive(&ArriveRequest {
+                bin: Some(bin),
+                rings: Some(0),
+                weight: None,
+            })
+            .unwrap();
+        assert_eq!(body, crate::server::to_json(&expected).into_bytes());
+        let (status, snapshot) = client.recv().unwrap();
+        assert_eq!(status, 200);
+        assert!(snapshot.len() > 1024, "{} bytes", snapshot.len());
+        assert_eq!(
+            snapshot,
+            offline.snapshot_json().into_bytes(),
+            "round {bin}"
+        );
+    }
+    let core = server.shutdown();
+    assert_eq!(core.engine().counters().arrivals, ROUNDS as u64);
 }

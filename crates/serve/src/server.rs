@@ -1,9 +1,10 @@
 //! The HTTP server: configuration, routing and the running-server handle.
 //!
 //! The frontend in `frontend.rs` gives each connection a blocking thread
-//! that parses frames straight off its buffer, routes them here (`route`)
-//! and executes engine commands (`execute`) on the [`ServeCore`] under a
-//! mutex, so a request never crosses a thread.  One connection's commands
+//! that parses frames straight off its buffer, routes them here (`route`),
+//! executes engine commands (`execute`) on the [`ServeCore`] under a
+//! mutex and encodes their typed `Reply`s once the mutex is released,
+//! so a request never crosses a thread.  One connection's commands
 //! apply in byte-stream order, which is what makes a single-connection
 //! drive of the HTTP API deterministic and lets tests cross-check the
 //! server against an offline [`ServeCore`] on the same seed.
@@ -17,8 +18,11 @@ use std::time::Instant;
 
 use rls_live::Snapshot;
 
-use crate::api::{AddBinRequest, ArriveRequest, DepartRequest, DrainBinRequest, RingRequest};
-use crate::core::ServeCore;
+use crate::api::{
+    AddBinReply, AddBinRequest, ArriveReply, ArriveRequest, DepartReply, DepartRequest,
+    DrainBinReply, DrainBinRequest, HealthReply, RestoreReply, RingReply, RingRequest, StatsReply,
+};
+use crate::core::{prepare_restore, render_snapshot, Restored, ServeCore};
 use crate::frontend::Limits;
 use crate::metrics::{flight_kind, FLIGHT_NONE};
 use crate::ServeError;
@@ -58,8 +62,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// A command decoded from one HTTP request.
-#[derive(Debug, Clone)]
+/// A command decoded from one HTTP request.  A restore arrives with its
+/// engine already rebuilt from the posted snapshot, so executing it is
+/// only the swap.
+#[derive(Debug)]
 pub(crate) enum EngineCmd {
     Arrive(ArriveRequest),
     Depart(DepartRequest),
@@ -68,12 +74,43 @@ pub(crate) enum EngineCmd {
     DrainBin(DrainBinRequest),
     Stats,
     Snapshot,
-    Restore(Box<Snapshot>),
+    Restore(Box<Restored>),
     Health,
 }
 
-/// A command's answer: a ready-to-send JSON body.
-type EngineReply = Result<String, ServeError>;
+/// An engine command's answer, typed: the frontend encodes it only after
+/// releasing the engine's lock.
+#[derive(Debug)]
+pub(crate) enum Reply {
+    Arrive(ArriveReply),
+    Depart(DepartReply),
+    Ring(RingReply),
+    AddBin(AddBinReply),
+    DrainBin(DrainBinReply),
+    Stats(Box<StatsReply>),
+    /// The captured checkpoint; the only reply whose size grows with the
+    /// instance.
+    Snapshot(Box<Snapshot>),
+    Restore(RestoreReply),
+    Health(HealthReply),
+}
+
+impl Reply {
+    /// The JSON body sent for this reply.
+    pub(crate) fn to_json(&self) -> String {
+        match self {
+            Reply::Arrive(r) => to_json(r),
+            Reply::Depart(r) => to_json(r),
+            Reply::Ring(r) => to_json(r),
+            Reply::AddBin(r) => to_json(r),
+            Reply::DrainBin(r) => to_json(r),
+            Reply::Stats(r) => to_json(r),
+            Reply::Snapshot(s) => render_snapshot(s),
+            Reply::Restore(r) => to_json(r),
+            Reply::Health(r) => to_json(r),
+        }
+    }
+}
 
 /// What a routed request asks for.
 #[derive(Debug)]
@@ -188,18 +225,20 @@ pub(crate) fn to_json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("API replies always encode")
 }
 
-pub(crate) fn execute(core: &mut ServeCore, cmd: &EngineCmd) -> EngineReply {
-    match cmd {
-        EngineCmd::Arrive(req) => core.arrive(req).map(|r| to_json(&r)),
-        EngineCmd::Depart(req) => core.depart(req).map(|r| to_json(&r)),
-        EngineCmd::Ring(req) => core.ring(req).map(|r| to_json(&r)),
-        EngineCmd::Stats => Ok(to_json(&core.stats())),
-        EngineCmd::Snapshot => Ok(core.snapshot_json()),
-        EngineCmd::Restore(snapshot) => core.restore(snapshot).map(|r| to_json(&r)),
-        EngineCmd::Health => Ok(to_json(&core.health())),
-        EngineCmd::AddBin(req) => core.add_bin(req).map(|r| to_json(&r)),
-        EngineCmd::DrainBin(req) => core.drain_bin(req).map(|r| to_json(&r)),
-    }
+/// Run one command on the core.  Nothing here encodes: the reply stays
+/// typed until the caller has released the core.
+pub(crate) fn execute(core: &mut ServeCore, cmd: EngineCmd) -> Result<Reply, ServeError> {
+    Ok(match cmd {
+        EngineCmd::Arrive(req) => Reply::Arrive(core.arrive(&req)?),
+        EngineCmd::Depart(req) => Reply::Depart(core.depart(&req)?),
+        EngineCmd::Ring(req) => Reply::Ring(core.ring(&req)?),
+        EngineCmd::Stats => Reply::Stats(Box::new(core.stats())),
+        EngineCmd::Snapshot => Reply::Snapshot(Box::new(core.capture_snapshot())),
+        EngineCmd::Restore(restored) => Reply::Restore(core.install(*restored)),
+        EngineCmd::Health => Reply::Health(core.health()),
+        EngineCmd::AddBin(req) => Reply::AddBin(core.add_bin(&req)?),
+        EngineCmd::DrainBin(req) => Reply::DrainBin(core.drain_bin(&req)?),
+    })
 }
 
 #[derive(serde::Serialize)]
@@ -208,7 +247,8 @@ pub(crate) struct ErrorBody {
 }
 
 /// Decode a request into an engine command or a telemetry answer (no
-/// state access here — pure routing).
+/// state access here — pure routing; a posted snapshot is rebuilt into
+/// its engine here, `409` if it describes no valid engine).
 pub(crate) fn route(method: &str, path: &str, body: &[u8]) -> Result<Routed, ServeError> {
     let parse_body = |what: &str| -> Result<serde_json::Value, ServeError> {
         let text = std::str::from_utf8(body)
@@ -259,7 +299,7 @@ pub(crate) fn route(method: &str, path: &str, body: &[u8]) -> Result<Routed, Ser
                 .map_err(|_| ServeError::bad_request("snapshot body is not UTF-8"))?;
             let snapshot =
                 Snapshot::from_json(text).map_err(|e| ServeError::bad_request(e.to_string()))?;
-            engine(EngineCmd::Restore(Box::new(snapshot)))
+            engine(EngineCmd::Restore(Box::new(prepare_restore(&snapshot)?)))
         }
         ("GET", "/healthz") => engine(EngineCmd::Health),
         ("GET", "/v1/metrics") => Ok(Routed::Metrics),

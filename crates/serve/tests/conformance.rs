@@ -1,5 +1,6 @@
 //! Conformance: every edge of the HTTP surface, asserted over real
-//! sockets — status semantics, framing errors, pipelining, half-closed
+//! sockets — status semantics, framing errors, pipelining (a mixed burst
+//! answered in frame order, bit-equal to an offline core), half-closed
 //! sockets, and a snapshot restored at the body cap.  The frontend's other
 //! bounds are tested with shrunken limits inside the crate
 //! (`src/frontend/tests.rs`); the round-trip time after a pause has
@@ -13,7 +14,10 @@ use rls_core::{Config, RlsRule};
 use rls_live::{LiveEngine, LiveParams};
 use rls_obs::Registry;
 use rls_serve::http::MAX_BODY_BYTES;
-use rls_serve::{serve, HttpClient, HttpServer, ServeCore, ServePolicy, ServerConfig};
+use rls_serve::{
+    serve, ArriveRequest, DepartRequest, HttpClient, HttpServer, RingRequest, ServeCore,
+    ServePolicy, ServerConfig,
+};
 use rls_workloads::ArrivalProcess;
 
 fn make_core(seed: u64) -> ServeCore {
@@ -202,6 +206,134 @@ fn requests_pipelined_behind_a_close_are_discarded() {
     // The discarded arrival never reached the engine.
     let core = server.shutdown();
     assert_eq!(core.engine().counters().arrivals, 0);
+}
+
+/// One response cut from a raw byte stream: status, `Content-Type`,
+/// whether it announced `Connection: close`, and the body.
+struct Response {
+    status: u16,
+    content_type: String,
+    close: bool,
+    body: String,
+}
+
+/// Split a stream of `Content-Length`-framed responses.
+fn split_responses(mut raw: &[u8]) -> Vec<Response> {
+    let mut responses = Vec::new();
+    while !raw.is_empty() {
+        let head_end = raw
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("a complete response head");
+        let head = std::str::from_utf8(&raw[..head_end]).unwrap();
+        let mut lines = head.split("\r\n");
+        let status = lines.next().unwrap()[9..12].parse().unwrap();
+        let (mut content_type, mut close, mut length) = (String::new(), false, 0usize);
+        for line in lines {
+            let (name, value) = line.split_once(": ").unwrap();
+            match name {
+                "Content-Type" => content_type = value.to_string(),
+                "Content-Length" => length = value.parse().unwrap(),
+                "Connection" => close = value == "close",
+                _ => {}
+            }
+        }
+        let body_start = head_end + 4;
+        let body = String::from_utf8(raw[body_start..body_start + length].to_vec()).unwrap();
+        responses.push(Response {
+            status,
+            content_type,
+            close,
+            body,
+        });
+        raw = &raw[body_start + length..];
+    }
+    responses
+}
+
+#[test]
+fn a_mixed_pipelined_burst_is_answered_in_frame_order_like_an_offline_core() {
+    let seed = 27;
+    let mut core = make_core(seed);
+    core.attach_metrics(&Registry::new());
+    let server = serve(core, &ServerConfig::default()).unwrap();
+    let mut offline = make_core(seed);
+    let mut stream = raw_socket(&server);
+    // One burst in one write: engine commands, telemetry and routing
+    // errors interleaved, a close mid-burst, and two requests behind it
+    // that must never run.
+    let frames: [(&str, &str, &str, bool); 12] = [
+        ("POST", "/v1/arrive", "", false),
+        ("POST", "/v1/arrive", r#"{"bin": 3, "rings": 2}"#, false),
+        ("GET", "/v1/metrics", "", false),
+        ("POST", "/v1/depart", "", false),
+        ("GET", "/nope", "", false),
+        ("POST", "/v1/ring", "", false),
+        ("PUT", "/v1/stats", "", false),
+        ("POST", "/v1/arrive", "not json", false),
+        ("GET", "/v1/stats", "", false),
+        ("POST", "/v1/depart/2", "", true),
+        ("POST", "/v1/arrive", "", false),
+        ("GET", "/healthz", "", false),
+    ];
+    let mut burst = Vec::new();
+    for (method, path, body, close) in frames {
+        let close = if close { "Connection: close\r\n" } else { "" };
+        burst.extend_from_slice(
+            format!(
+                "{method} {path} HTTP/1.1\r\n{close}Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+    }
+    stream.write_all(&burst).unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let responses = split_responses(&raw);
+
+    // The offline core answers the same engine commands in the same order.
+    let engine = [
+        serde_json::to_string(&offline.arrive(&ArriveRequest::default()).unwrap()).unwrap(),
+        serde_json::to_string(
+            &offline
+                .arrive(&ArriveRequest {
+                    bin: Some(3),
+                    rings: Some(2),
+                    weight: None,
+                })
+                .unwrap(),
+        )
+        .unwrap(),
+        serde_json::to_string(&offline.depart(&DepartRequest::default()).unwrap()).unwrap(),
+        serde_json::to_string(&offline.ring(&RingRequest::default()).unwrap()).unwrap(),
+        serde_json::to_string(&offline.stats()).unwrap(),
+        serde_json::to_string(&offline.depart(&DepartRequest { bin: Some(2) }).unwrap()).unwrap(),
+    ];
+    let statuses: Vec<u16> = responses.iter().map(|r| r.status).collect();
+    assert_eq!(statuses, [200, 200, 200, 200, 404, 200, 405, 400, 200, 200]);
+    let engine_at = [0, 1, 3, 5, 8, 9];
+    for (at, expected) in engine_at.iter().zip(&engine) {
+        assert_eq!(&responses[*at].body, expected, "response {at}");
+    }
+    assert_eq!(responses[2].content_type, "text/plain; version=0.0.4");
+    assert!(responses[2].body.contains("rls_serve_requests_total"));
+    for at in [4, 6, 7] {
+        assert!(
+            responses[at].body.starts_with("{\"error\":"),
+            "{}",
+            responses[at].body
+        );
+    }
+    // Only the last answer announces the close, and nothing follows it.
+    let closes: Vec<bool> = responses.iter().map(|r| r.close).collect();
+    assert_eq!(
+        closes,
+        [false, false, false, false, false, false, false, false, false, true]
+    );
+    let core = server.shutdown();
+    assert_eq!(core.engine().counters().arrivals, 2);
+    assert_eq!(core.engine().config(), offline.engine().config());
 }
 
 #[test]
