@@ -2,7 +2,7 @@
 //! own derived random stream, aggregated into a [`CellResult`].
 
 use rls_core::{RebalancePolicy, RlsRule, RlsVariant};
-use rls_graph::DestSampler;
+use rls_graph::{DestSampler, Topology};
 use rls_live::{LiveEngine, LiveParams, Reconvergence, SteadyState, DEFAULT_RECONV_THRESHOLD};
 use rls_protocols::crs_local_search::{CrsLocalSearch, CrsPlacement};
 use rls_protocols::{GreedyD, SelfishDistributed, SelfishGlobal, ThresholdProtocol};
@@ -111,7 +111,7 @@ pub fn run_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignError>
     // (protocol, topology) pair; the static dispatch below is offline-only.
     match cell.protocol {
         ProtocolSpec::RlsGeq | ProtocolSpec::RlsStrict => run_simulation_cell(cell, seed),
-        _ if !cell.topology.is_complete() => Err(CampaignError::unsupported(format!(
+        _ if cell.topology.0 != Topology::Complete => Err(CampaignError::unsupported(format!(
             "protocol `{}` is only available on the complete topology",
             cell.protocol
         ))),
@@ -480,8 +480,7 @@ impl Accumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{HitSpec, StopSpec, TopologySpec, WorkloadSpec};
-    use rls_graph::Topology;
+    use crate::spec::{HitSpec, Spec, StopSpec};
     use rls_workloads::Workload;
 
     fn base_cell() -> CellSpec {
@@ -489,8 +488,8 @@ mod tests {
             n: 8,
             m: 64,
             protocol: ProtocolSpec::RlsGeq,
-            workload: WorkloadSpec(Workload::AllInOneBin),
-            topology: TopologySpec::complete(),
+            workload: Spec(Workload::AllInOneBin),
+            topology: Spec(Topology::Complete),
             churn: None,
             stop: StopSpec::default(),
             hits: Vec::new(),
@@ -558,7 +557,7 @@ mod tests {
         // RLS cells on a sparse topology honour max_time: the run stops at
         // the first event past the cap.
         let mut graph = base_cell();
-        graph.topology = TopologySpec(Topology::Cycle);
+        graph.topology = Spec(Topology::Cycle);
         graph.m = 8 * 64;
         graph.stop.max_time = Some(0.05);
         let r = run_cell(&graph, 1).unwrap();
@@ -570,7 +569,7 @@ mod tests {
     #[test]
     fn graph_cells_run_both_rls_variants_with_hits() {
         let mut cell = base_cell();
-        cell.topology = TopologySpec(Topology::Cycle);
+        cell.topology = Spec(Topology::Cycle);
         cell.stop.max_activations = Some(200_000);
         let r = run_cell(&cell, 5).unwrap();
         assert_eq!(r.goal_rate, 1.0);
@@ -619,7 +618,7 @@ mod tests {
         ] {
             let mut cell = base_cell();
             cell.protocol = protocol;
-            cell.workload = WorkloadSpec(Workload::UniformRandom);
+            cell.workload = Spec(Workload::UniformRandom);
             cell.stop.target_discrepancy = 1.0;
             let r = run_cell(&cell, 9).unwrap_or_else(|e| panic!("{protocol}: {e}"));
             assert_eq!(r.unit, unit, "{protocol}");
@@ -662,13 +661,12 @@ mod tests {
 
     #[test]
     fn weighted_dynamic_cells_run_and_have_their_own_identity() {
-        use crate::spec::{SpeedSpec, WeightSpec};
         use rls_workloads::{SpeedProfile, WeightDist};
 
         let mut cell = dynamic_cell();
         let dynamic = cell.dynamic.as_mut().unwrap();
-        dynamic.weights = Some(WeightSpec(WeightDist::UniformInt { lo: 1, hi: 8 }));
-        dynamic.speeds = Some(SpeedSpec(SpeedProfile::TwoClass {
+        dynamic.weights = Some(Spec(WeightDist::UniformInt { lo: 1, hi: 8 }));
+        dynamic.speeds = Some(Spec(SpeedProfile::TwoClass {
             speed: 4,
             fraction: 0.25,
         }));
@@ -683,8 +681,7 @@ mod tests {
         // cell, and a bad weight law surfaces as a spec error.
         assert_ne!(cell_seed(7, &cell), cell_seed(7, &dynamic_cell()));
         let mut bad = cell.clone();
-        bad.dynamic.as_mut().unwrap().weights =
-            Some(WeightSpec(WeightDist::UniformInt { lo: 0, hi: 8 }));
+        bad.dynamic.as_mut().unwrap().weights = Some(Spec(WeightDist::UniformInt { lo: 0, hi: 8 }));
         assert!(run_cell(&bad, 1).is_err());
     }
 
@@ -732,7 +729,7 @@ mod tests {
             for topology in [Topology::Complete, Topology::Cycle] {
                 let mut cell = dynamic_cell();
                 cell.protocol = protocol;
-                cell.topology = TopologySpec(topology);
+                cell.topology = Spec(topology);
                 let r1 = run_cell(&cell, 21).unwrap_or_else(|e| panic!("{protocol}: {e}"));
                 let r2 = run_cell(&cell, 21).unwrap();
                 assert_eq!(r1, r2, "{protocol} on {topology} must be deterministic");
@@ -745,7 +742,7 @@ mod tests {
         let mut a = dynamic_cell();
         a.protocol = ProtocolSpec::GreedyD { d: 2 };
         let mut b = a.clone();
-        b.topology = TopologySpec(Topology::Cycle);
+        b.topology = Spec(Topology::Cycle);
         assert_ne!(cell_seed(7, &a), cell_seed(7, &b));
     }
 
@@ -799,7 +796,7 @@ mod tests {
     #[test]
     fn invalid_workload_parameters_surface_as_errors() {
         let mut cell = base_cell();
-        cell.workload = WorkloadSpec(Workload::OneOverOneUnder);
+        cell.workload = Spec(Workload::OneOverOneUnder);
         cell.m = 63; // not divisible by n = 8
         assert!(run_cell(&cell, 1).is_err());
     }

@@ -57,8 +57,7 @@ pub use cell::{cell_seed, run_cell, CellResult, ChurnAggregate, DynamicAggregate
 pub use engine::{Campaign, CampaignReport, CampaignStatus, CellOutcome};
 pub use metrics::CampaignMetrics;
 pub use spec::{
-    ArrivalSpec, CampaignSpec, CellSpec, ChurnSpec, DynamicSpec, Grid, HitSpec, MExpr,
-    ProtocolSpec, SpeedSpec, StopSpec, TopologySpec, WeightSpec, WorkloadSpec,
+    CampaignSpec, CellSpec, DynamicSpec, Grid, HitSpec, MExpr, ProtocolSpec, Spec, StopSpec,
 };
 pub use store::{cell_key, CellRecord, DiskStore, MemoryStore, Store, ENGINE_VERSION};
 
@@ -190,19 +189,15 @@ pub fn spec_from_value(value: &serde::Value) -> Result<CampaignSpec, CampaignErr
             None => vec![ProtocolSpec::RlsGeq],
         },
         workload: match grid_map.get("workload") {
-            Some(v) => {
-                Vec::<WorkloadSpec>::from_value(v).map_err(|e| field_err("grid.workload", e))?
-            }
-            None => vec![WorkloadSpec(rls_workloads::Workload::AllInOneBin)],
+            Some(v) => Vec::from_value(v).map_err(|e| field_err("grid.workload", e))?,
+            None => vec![Spec(rls_workloads::Workload::AllInOneBin)],
         },
         topology: match grid_map.get("topology") {
-            Some(v) => {
-                Vec::<TopologySpec>::from_value(v).map_err(|e| field_err("grid.topology", e))?
-            }
-            None => vec![TopologySpec::complete()],
+            Some(v) => Vec::from_value(v).map_err(|e| field_err("grid.topology", e))?,
+            None => vec![Spec(rls_graph::Topology::Complete)],
         },
         churn: match grid_map.get("churn") {
-            Some(v) => Vec::<ChurnSpec>::from_value(v).map_err(|e| field_err("grid.churn", e))?,
+            Some(v) => Vec::from_value(v).map_err(|e| field_err("grid.churn", e))?,
             None => Vec::new(),
         },
     };
@@ -255,7 +250,10 @@ target_discrepancy = 0.0
         let from_json = spec_from_str(&json).unwrap();
         assert_eq!(from_toml, from_json);
         assert_eq!(from_toml.grid.protocol, vec![ProtocolSpec::RlsGeq]);
-        assert_eq!(from_toml.grid.topology, vec![TopologySpec::complete()]);
+        assert_eq!(
+            from_toml.grid.topology,
+            vec![Spec(rls_graph::Topology::Complete)]
+        );
         assert_eq!(from_toml.cells().unwrap().len(), 2);
     }
 

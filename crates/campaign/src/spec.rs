@@ -6,10 +6,12 @@
 //! grid's cartesian product expands into [`CellSpec`]s, the unit of
 //! execution and caching.
 //!
-//! Spec atoms ([`MExpr`], [`ProtocolSpec`], [`WorkloadSpec`],
-//! [`TopologySpec`], [`HitSpec`]) serialize as short strings
-//! (`"8x"`, `"rls-geq"`, `"zipf:1.5"`, `"random-regular:4"`,
-//! `"8*ln(n)"`) so TOML and JSON specs stay one-line readable.
+//! Spec atoms serialize as short strings (`"8x"`, `"rls-geq"`,
+//! `"zipf:1.5"`, `"random-regular:4"`, `"8*ln(n)"`) so TOML and JSON specs
+//! stay one-line readable.  [`MExpr`], [`ProtocolSpec`] and [`HitSpec`]
+//! are campaign vocabulary; the instance types of other crates (workloads,
+//! topologies, arrival, weight, speed and churn laws) ride in [`Spec`],
+//! which reads and writes each through the type's own text form.
 
 use std::fmt;
 use std::str::FromStr;
@@ -20,14 +22,51 @@ use serde::{de, Deserialize, Serialize, Value};
 
 use crate::CampaignError;
 
-/// Unwrap the spec-error prefix when embedding an atom parse failure in a
-/// deserialization error (avoids "campaign spec error: ... campaign spec
-/// error: ..." nesting).
-fn atom_err(e: CampaignError) -> de::Error {
-    de::Error::custom(match e {
-        CampaignError::Spec(m) => m,
-        other => other.to_string(),
-    })
+/// An atom's string value: its text form.
+fn str_value(atom: &impl fmt::Display) -> Value {
+    Value::Str(atom.to_string())
+}
+
+/// Parse an atom from a string value.
+fn parse_value<T: FromStr<Err = String>>(v: &Value, expected: &str) -> Result<T, de::Error> {
+    let s = v
+        .as_str()
+        .ok_or_else(|| de::Error::type_error(expected, v))?;
+    s.parse().map_err(de::Error::custom)
+}
+
+/// A grid atom whose text form belongs to its own crate: [`Workload`],
+/// [`Topology`], [`ArrivalProcess`], [`WeightDist`], [`SpeedProfile`] or
+/// [`ChurnProcess`].  `Display` and `FromStr` delegate to `T`, and the
+/// atom (de)serializes as that string, so a cell's identity hashes exactly
+/// the text the library prints and parses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spec<T>(pub T);
+
+impl<T: fmt::Display> fmt::Display for Spec<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl<T: FromStr> FromStr for Spec<T> {
+    type Err = T::Err;
+
+    fn from_str(s: &str) -> Result<Self, T::Err> {
+        s.parse().map(Spec)
+    }
+}
+
+impl<T: fmt::Display> Serialize for Spec<T> {
+    fn to_value(&self) -> Value {
+        str_value(self)
+    }
+}
+
+impl<T: FromStr<Err = String>> Deserialize for Spec<T> {
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        parse_value(v, "spec string").map(Spec)
+    }
 }
 
 /// How a grid point's ball count is derived from its bin count.
@@ -64,9 +103,9 @@ impl fmt::Display for MExpr {
 }
 
 impl FromStr for MExpr {
-    type Err = CampaignError;
+    type Err = String;
 
-    fn from_str(s: &str) -> Result<Self, CampaignError> {
+    fn from_str(s: &str) -> Result<Self, String> {
         let s = s.trim();
         if s == "n^2" || s == "n2" {
             return Ok(MExpr::NSquared);
@@ -74,15 +113,15 @@ impl FromStr for MExpr {
         if let Some(factor) = s.strip_suffix('x') {
             let factor: f64 = factor
                 .parse()
-                .map_err(|_| CampaignError::spec(format!("bad per-bin ball count `{s}`")))?;
+                .map_err(|_| format!("bad per-bin ball count `{s}`"))?;
             if !(factor.is_finite() && factor > 0.0) {
-                return Err(CampaignError::spec(format!("bad per-bin ball count `{s}`")));
+                return Err(format!("bad per-bin ball count `{s}`"));
             }
             return Ok(MExpr::PerBin(factor));
         }
         s.parse::<u64>()
             .map(MExpr::Absolute)
-            .map_err(|_| CampaignError::spec(format!("bad ball count `{s}` (use 512, 8x or n^2)")))
+            .map_err(|_| format!("bad ball count `{s}` (use 512, 8x or n^2)"))
     }
 }
 
@@ -90,20 +129,17 @@ impl Serialize for MExpr {
     fn to_value(&self) -> Value {
         match self {
             MExpr::Absolute(m) => Value::UInt(*m),
-            other => Value::Str(other.to_string()),
+            other => str_value(other),
         }
     }
 }
 
 impl Deserialize for MExpr {
     fn from_value(v: &Value) -> Result<Self, de::Error> {
-        if let Some(m) = v.as_u64() {
-            return Ok(MExpr::Absolute(m));
+        match v.as_u64() {
+            Some(m) => Ok(MExpr::Absolute(m)),
+            None => parse_value(v, "ball-count expression"),
         }
-        let s = v
-            .as_str()
-            .ok_or_else(|| de::Error::type_error("ball-count expression", v))?;
-        s.parse().map_err(atom_err)
     }
 }
 
@@ -179,20 +215,18 @@ impl fmt::Display for ProtocolSpec {
 }
 
 impl FromStr for ProtocolSpec {
-    type Err = CampaignError;
+    type Err = String;
 
-    fn from_str(s: &str) -> Result<Self, CampaignError> {
+    fn from_str(s: &str) -> Result<Self, String> {
         let (head, param) = match s.split_once(':') {
             Some((head, param)) => (head.trim(), Some(param.trim())),
             None => (s.trim(), None),
         };
-        let parse_u64 = |what: &str| -> Result<u64, CampaignError> {
+        let parse_u64 = |what: &str| -> Result<u64, String> {
             param
-                .ok_or_else(|| {
-                    CampaignError::spec(format!("`{head}` needs a {what}, e.g. `{head}:2000`"))
-                })?
+                .ok_or_else(|| format!("`{head}` needs a {what}, e.g. `{head}:2000`"))?
                 .parse()
-                .map_err(|_| CampaignError::spec(format!("bad {what} in `{s}`")))
+                .map_err(|_| format!("bad {what} in `{s}`"))
         };
         match head {
             "rls-geq" => Ok(ProtocolSpec::RlsGeq),
@@ -212,154 +246,20 @@ impl FromStr for ProtocolSpec {
             "greedy" => Ok(ProtocolSpec::GreedyD {
                 d: parse_u64("choice count")? as usize,
             }),
-            other => Err(CampaignError::spec(format!("unknown protocol `{other}`"))),
+            other => Err(format!("unknown protocol `{other}`")),
         }
     }
 }
 
 impl Serialize for ProtocolSpec {
     fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+        str_value(self)
     }
 }
 
 impl Deserialize for ProtocolSpec {
     fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| de::Error::type_error("protocol string", v))?;
-        s.parse().map_err(atom_err)
-    }
-}
-
-/// A workload named in a campaign grid (string form of
-/// [`rls_workloads::Workload`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadSpec(pub Workload);
-
-impl fmt::Display for WorkloadSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Workload::Zipf { exponent } => write!(f, "zipf:{exponent}"),
-            Workload::BlockImbalance { offset } => write!(f, "block-imbalance:{offset}"),
-            Workload::OverUnderPairs { pairs } => write!(f, "over-under-pairs:{pairs}"),
-            plain => write!(f, "{}", plain.name()),
-        }
-    }
-}
-
-impl FromStr for WorkloadSpec {
-    type Err = CampaignError;
-
-    fn from_str(s: &str) -> Result<Self, CampaignError> {
-        let (head, param) = match s.split_once(':') {
-            Some((head, param)) => (head.trim(), Some(param.trim())),
-            None => (s.trim(), None),
-        };
-        let workload = match head {
-            "all-in-one-bin" => Workload::AllInOneBin,
-            "uniform-random" => Workload::UniformRandom,
-            "two-choices" => Workload::TwoChoices,
-            "balanced" => Workload::Balanced,
-            "one-over-one-under" => Workload::OneOverOneUnder,
-            "zipf" => Workload::Zipf {
-                exponent: param
-                    .ok_or_else(|| {
-                        CampaignError::spec("`zipf` needs an exponent, e.g. `zipf:1.5`")
-                    })?
-                    .parse()
-                    .map_err(|_| CampaignError::spec(format!("bad zipf exponent in `{s}`")))?,
-            },
-            "block-imbalance" => Workload::BlockImbalance {
-                offset: param
-                    .ok_or_else(|| {
-                        CampaignError::spec(
-                            "`block-imbalance` needs an offset, e.g. `block-imbalance:4`",
-                        )
-                    })?
-                    .parse()
-                    .map_err(|_| CampaignError::spec(format!("bad offset in `{s}`")))?,
-            },
-            "over-under-pairs" => Workload::OverUnderPairs {
-                pairs: param
-                    .ok_or_else(|| {
-                        CampaignError::spec(
-                            "`over-under-pairs` needs a count, e.g. `over-under-pairs:4`",
-                        )
-                    })?
-                    .parse()
-                    .map_err(|_| CampaignError::spec(format!("bad pair count in `{s}`")))?,
-            },
-            other => return Err(CampaignError::spec(format!("unknown workload `{other}`"))),
-        };
-        Ok(WorkloadSpec(workload))
-    }
-}
-
-impl Serialize for WorkloadSpec {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for WorkloadSpec {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| de::Error::type_error("workload string", v))?;
-        s.parse().map_err(atom_err)
-    }
-}
-
-/// A topology named in a campaign grid (string form of
-/// [`rls_graph::Topology`]).  Static RLS cells run the superposition
-/// engine on any topology and dynamic cells the live engine; both sample
-/// destinations from the ringing bin's neighbourhood (uniform over all
-/// bins on `complete`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopologySpec(pub Topology);
-
-impl TopologySpec {
-    /// The paper's complete-graph model.
-    pub fn complete() -> Self {
-        TopologySpec(Topology::Complete)
-    }
-
-    /// Whether this is the complete topology (the only one the offline
-    /// non-RLS protocols run on).
-    pub fn is_complete(&self) -> bool {
-        matches!(self.0, Topology::Complete)
-    }
-}
-
-impl fmt::Display for TopologySpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl FromStr for TopologySpec {
-    type Err = CampaignError;
-
-    fn from_str(s: &str) -> Result<Self, CampaignError> {
-        Topology::parse_spec(s)
-            .map(TopologySpec)
-            .map_err(CampaignError::spec)
-    }
-}
-
-impl Serialize for TopologySpec {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for TopologySpec {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| de::Error::type_error("topology string", v))?;
-        s.parse().map_err(atom_err)
+        parse_value(v, "protocol string")
     }
 }
 
@@ -393,19 +293,19 @@ impl fmt::Display for HitSpec {
 }
 
 impl FromStr for HitSpec {
-    type Err = CampaignError;
+    type Err = String;
 
-    fn from_str(s: &str) -> Result<Self, CampaignError> {
+    fn from_str(s: &str) -> Result<Self, String> {
         let s = s.trim();
         if let Some(prefix) = s.strip_suffix("*ln(n)") {
             let factor: f64 = prefix
                 .parse()
-                .map_err(|_| CampaignError::spec(format!("bad hit threshold `{s}`")))?;
+                .map_err(|_| format!("bad hit threshold `{s}`"))?;
             return Ok(HitSpec::LnFactor(factor));
         }
-        s.parse::<f64>().map(HitSpec::Absolute).map_err(|_| {
-            CampaignError::spec(format!("bad hit threshold `{s}` (use 1.0 or 8*ln(n))"))
-        })
+        s.parse::<f64>()
+            .map(HitSpec::Absolute)
+            .map_err(|_| format!("bad hit threshold `{s}` (use 1.0 or 8*ln(n))"))
     }
 }
 
@@ -413,224 +313,17 @@ impl Serialize for HitSpec {
     fn to_value(&self) -> Value {
         match self {
             HitSpec::Absolute(x) => Value::Float(*x),
-            other => Value::Str(other.to_string()),
+            other => str_value(other),
         }
     }
 }
 
 impl Deserialize for HitSpec {
     fn from_value(v: &Value) -> Result<Self, de::Error> {
-        if let Some(x) = v.as_f64() {
-            return Ok(HitSpec::Absolute(x));
+        match v.as_f64() {
+            Some(x) => Ok(HitSpec::Absolute(x)),
+            None => parse_value(v, "hit threshold"),
         }
-        let s = v
-            .as_str()
-            .ok_or_else(|| de::Error::type_error("hit threshold", v))?;
-        s.parse().map_err(atom_err)
-    }
-}
-
-/// An arrival process named in a campaign spec (string form of
-/// [`rls_workloads::ArrivalProcess`]): `"poisson:2"`, `"bursts:2:16"`,
-/// `"hotspot:2:0.25"`.  Rates are per bin, so the same string keeps the
-/// offered load density constant across the grid's `n` axis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrivalSpec(pub ArrivalProcess);
-
-impl fmt::Display for ArrivalSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            ArrivalProcess::Poisson { rate_per_bin } => write!(f, "poisson:{rate_per_bin}"),
-            ArrivalProcess::Bursts { rate_per_bin, size } => {
-                write!(f, "bursts:{rate_per_bin}:{size}")
-            }
-            ArrivalProcess::Hotspot { rate_per_bin, bias } => {
-                write!(f, "hotspot:{rate_per_bin}:{bias}")
-            }
-        }
-    }
-}
-
-impl FromStr for ArrivalSpec {
-    type Err = CampaignError;
-
-    fn from_str(s: &str) -> Result<Self, CampaignError> {
-        let mut parts = s.split(':').map(str::trim);
-        let head = parts.next().unwrap_or("");
-        let rate = |p: Option<&str>| -> Result<f64, CampaignError> {
-            p.ok_or_else(|| {
-                CampaignError::spec(format!("`{head}` needs a rate, e.g. `{head}:2.0`"))
-            })?
-            .parse()
-            .map_err(|_| CampaignError::spec(format!("bad arrival rate in `{s}`")))
-        };
-        let process = match head {
-            "poisson" => ArrivalProcess::Poisson {
-                rate_per_bin: rate(parts.next())?,
-            },
-            "bursts" => ArrivalProcess::Bursts {
-                rate_per_bin: rate(parts.next())?,
-                size: parts
-                    .next()
-                    .ok_or_else(|| {
-                        CampaignError::spec("`bursts` needs a size, e.g. `bursts:2:16`")
-                    })?
-                    .parse()
-                    .map_err(|_| CampaignError::spec(format!("bad burst size in `{s}`")))?,
-            },
-            "hotspot" => ArrivalProcess::Hotspot {
-                rate_per_bin: rate(parts.next())?,
-                bias: parts
-                    .next()
-                    .ok_or_else(|| {
-                        CampaignError::spec("`hotspot` needs a bias, e.g. `hotspot:2:0.25`")
-                    })?
-                    .parse()
-                    .map_err(|_| CampaignError::spec(format!("bad hotspot bias in `{s}`")))?,
-            },
-            other => {
-                return Err(CampaignError::spec(format!(
-                    "unknown arrival process `{other}`"
-                )))
-            }
-        };
-        if parts.next().is_some() {
-            return Err(CampaignError::spec(format!(
-                "too many parameters in arrival process `{s}`"
-            )));
-        }
-        process
-            .validate()
-            .map_err(|e| CampaignError::spec(format!("arrival process `{s}`: {e}")))?;
-        Ok(ArrivalSpec(process))
-    }
-}
-
-impl Serialize for ArrivalSpec {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for ArrivalSpec {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| de::Error::type_error("arrival-process string", v))?;
-        s.parse().map_err(atom_err)
-    }
-}
-
-/// A ball-weight law named in a campaign spec (string form of
-/// [`rls_workloads::WeightDist`]): `"unit"`, `"uniform:1:8"`,
-/// `"pareto:1.5:64"`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightSpec(pub WeightDist);
-
-impl fmt::Display for WeightSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl FromStr for WeightSpec {
-    type Err = CampaignError;
-
-    fn from_str(s: &str) -> Result<Self, CampaignError> {
-        s.parse()
-            .map(WeightSpec)
-            .map_err(|e| CampaignError::spec(format!("weight distribution `{s}`: {e}")))
-    }
-}
-
-impl Serialize for WeightSpec {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for WeightSpec {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| de::Error::type_error("weight-distribution string", v))?;
-        s.parse().map_err(atom_err)
-    }
-}
-
-/// A membership churn profile named in a campaign grid (string form of
-/// [`rls_workloads::ChurnProcess`]): `"none"`, `"steady:0.2:0.1:warm"`,
-/// `"flash:0.05:4:warm"`, `"diurnal:200:0.4:0.4"`.  A grid axis rather
-/// than a `[dynamic]` field, so one campaign sweeps several autoscaling
-/// regimes; it expands into [`CellSpec::churn`] (`"none"` entries become
-/// `None`, sharing the static-membership identity).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnSpec(pub ChurnProcess);
-
-impl fmt::Display for ChurnSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl FromStr for ChurnSpec {
-    type Err = CampaignError;
-
-    fn from_str(s: &str) -> Result<Self, CampaignError> {
-        s.parse()
-            .map(ChurnSpec)
-            .map_err(|e| CampaignError::spec(format!("churn profile `{s}`: {e}")))
-    }
-}
-
-impl Serialize for ChurnSpec {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for ChurnSpec {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| de::Error::type_error("churn-profile string", v))?;
-        s.parse().map_err(atom_err)
-    }
-}
-
-/// A bin-speed profile named in a campaign spec (string form of
-/// [`rls_workloads::SpeedProfile`]): `"uniform"`, `"two-class:4:0.25"`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeedSpec(pub SpeedProfile);
-
-impl fmt::Display for SpeedSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl FromStr for SpeedSpec {
-    type Err = CampaignError;
-
-    fn from_str(s: &str) -> Result<Self, CampaignError> {
-        s.parse()
-            .map(SpeedSpec)
-            .map_err(|e| CampaignError::spec(format!("speed profile `{s}`: {e}")))
-    }
-}
-
-impl Serialize for SpeedSpec {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for SpeedSpec {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| de::Error::type_error("speed-profile string", v))?;
-        s.parse().map_err(atom_err)
     }
 }
 
@@ -641,16 +334,17 @@ impl Deserialize for SpeedSpec {
 /// named arrival process and measured over `[warmup, warmup + window]`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DynamicSpec {
-    /// Law of the arrival stream (per-bin rate).
-    pub arrival: ArrivalSpec,
+    /// Law of the arrival stream (per-bin rate, so the same string keeps
+    /// the offered load density constant across the grid's `n` axis).
+    pub arrival: Spec<ArrivalProcess>,
     /// Simulated time discarded before measurement starts.
     pub warmup: f64,
     /// Length of the measurement window.
     pub window: f64,
     /// Ball-weight law (`None` = unit weights, the classic engine).
-    pub weights: Option<WeightSpec>,
+    pub weights: Option<Spec<WeightDist>>,
     /// Bin-speed profile (`None` = uniform speeds).
-    pub speeds: Option<SpeedSpec>,
+    pub speeds: Option<Spec<SpeedProfile>>,
 }
 
 impl DynamicSpec {
@@ -726,14 +420,17 @@ pub struct Grid {
     /// Protocol variants.
     pub protocol: Vec<ProtocolSpec>,
     /// Initial-configuration families.
-    pub workload: Vec<WorkloadSpec>,
-    /// Topologies (defaults to `[complete]`).
-    pub topology: Vec<TopologySpec>,
+    pub workload: Vec<Spec<Workload>>,
+    /// Topologies (defaults to `[complete]`).  Static RLS cells run the
+    /// superposition engine on any topology and dynamic cells the live
+    /// engine; both sample destinations from the ringing bin's
+    /// neighbourhood (uniform over all bins on `complete`).
+    pub topology: Vec<Spec<Topology>>,
     /// Membership churn profiles (defaults to `[]` = static membership).
     /// Non-`none` entries require a `[dynamic]` section: churn is a law of
     /// the online engine, an offline run-to-balance cell has no clock for
     /// bins to join on.
-    pub churn: Vec<ChurnSpec>,
+    pub churn: Vec<Spec<ChurnProcess>>,
 }
 
 /// A declarative experiment campaign.
@@ -785,8 +482,8 @@ impl CampaignSpec {
                 n: vec![],
                 m: vec![],
                 protocol: vec![ProtocolSpec::RlsGeq],
-                workload: vec![WorkloadSpec(Workload::AllInOneBin)],
-                topology: vec![TopologySpec::complete()],
+                workload: vec![Spec(Workload::AllInOneBin)],
+                topology: vec![Spec(Topology::Complete)],
                 churn: Vec::new(),
             },
             stop: StopSpec::default(),
@@ -834,7 +531,7 @@ impl CampaignSpec {
         }
         // An absent churn axis is the single static-membership point;
         // explicit `"none"` entries collapse to the same cell identity.
-        let churn_axis: Vec<Option<ChurnSpec>> = if self.grid.churn.is_empty() {
+        let churn_axis: Vec<Option<Spec<ChurnProcess>>> = if self.grid.churn.is_empty() {
             vec![None]
         } else {
             self.grid
@@ -882,12 +579,12 @@ pub struct CellSpec {
     /// Protocol variant.
     pub protocol: ProtocolSpec,
     /// Initial-configuration family.
-    pub workload: WorkloadSpec,
+    pub workload: Spec<Workload>,
     /// Topology (complete = the paper's model).
-    pub topology: TopologySpec,
+    pub topology: Spec<Topology>,
     /// Membership churn profile (`None` = static membership).  Requires
     /// `dynamic`; the churn stream is superposed into the cell's CTMC.
-    pub churn: Option<ChurnSpec>,
+    pub churn: Option<Spec<ChurnProcess>>,
     /// Stop condition.
     pub stop: StopSpec,
     /// Thresholds whose first-hit times are recorded.
@@ -930,37 +627,6 @@ mod tests {
         }
         assert!("selfish-global".parse::<ProtocolSpec>().is_err());
         assert!("warp-drive".parse::<ProtocolSpec>().is_err());
-    }
-
-    #[test]
-    fn workload_and_topology_strings_round_trip() {
-        for s in [
-            "all-in-one-bin",
-            "uniform-random",
-            "two-choices",
-            "balanced",
-            "one-over-one-under",
-            "zipf:1.5",
-            "block-imbalance:4",
-            "over-under-pairs:3",
-        ] {
-            assert_eq!(s.parse::<WorkloadSpec>().unwrap().to_string(), s);
-        }
-        for s in [
-            "complete",
-            "cycle",
-            "path",
-            "torus",
-            "hypercube",
-            "star",
-            "binary-tree",
-            "random-regular:4",
-            "erdos-renyi:0.25",
-        ] {
-            assert_eq!(s.parse::<TopologySpec>().unwrap().to_string(), s);
-        }
-        assert!("zipf".parse::<WorkloadSpec>().is_err());
-        assert!("moebius".parse::<TopologySpec>().is_err());
     }
 
     #[test]
@@ -1025,6 +691,25 @@ mod tests {
         let json = serde_json::to_string(&dynamic).unwrap();
         let back: CampaignSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, dynamic);
+
+        // A library atom is exactly its own text form on the wire.
+        fn atom<T>(text: &str)
+        where
+            T: fmt::Display + FromStr<Err = String> + PartialEq + fmt::Debug,
+        {
+            let spec: Spec<T> = text.parse().unwrap();
+            assert_eq!(spec.to_value(), Value::Str(text.to_string()));
+            assert_eq!(Spec::<T>::from_value(&spec.to_value()).unwrap(), spec);
+            assert!(Spec::<T>::from_value(&Value::UInt(3)).is_err());
+        }
+        atom::<Workload>("zipf:1.5");
+        atom::<Topology>("random-regular:4");
+        atom::<ArrivalProcess>("bursts:2:16");
+        atom::<WeightDist>("pareto:1.5:64");
+        atom::<SpeedProfile>("two-class:4:0.25");
+        atom::<ChurnProcess>("flash:0.05:4:warm");
+        let err = Spec::<ArrivalProcess>::from_value(&Value::Str("meteor:1".into())).unwrap_err();
+        assert!(err.to_string().contains("unknown arrival process `meteor`"));
     }
 
     #[test]
@@ -1036,10 +721,10 @@ mod tests {
             "flash:0.05:4:warm",
             "diurnal:200:0.2:0.2",
         ] {
-            assert_eq!(s.parse::<ChurnSpec>().unwrap().to_string(), s);
+            assert_eq!(s.parse::<Spec<ChurnProcess>>().unwrap().to_string(), s);
         }
         for bad in ["steady", "steady:-1:0.2", "flash:0.05:0", "tidal:1:1"] {
-            assert!(bad.parse::<ChurnSpec>().is_err(), "{bad}");
+            assert!(bad.parse::<Spec<ChurnProcess>>().is_err(), "{bad}");
         }
     }
 
@@ -1082,28 +767,8 @@ mod tests {
     }
 
     #[test]
-    fn arrival_strings_round_trip() {
-        for s in ["poisson:2", "bursts:1.5:16", "hotspot:2:0.25"] {
-            assert_eq!(s.parse::<ArrivalSpec>().unwrap().to_string(), s);
-        }
-        for bad in [
-            "poisson",
-            "poisson:zero",
-            "poisson:-1",
-            "bursts:2",
-            "bursts:2:0",
-            "hotspot:2",
-            "hotspot:2:1.5",
-            "poisson:2:3",
-            "meteor:1",
-        ] {
-            assert!(bad.parse::<ArrivalSpec>().is_err(), "{bad}");
-        }
-    }
-
-    #[test]
     fn dynamic_spec_validates_windows() {
-        let arrival: ArrivalSpec = "poisson:1".parse().unwrap();
+        let arrival: Spec<ArrivalProcess> = "poisson:1".parse().unwrap();
         assert!(DynamicSpec {
             arrival,
             warmup: 0.0,

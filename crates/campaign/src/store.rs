@@ -223,7 +223,8 @@ impl Store for DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ProtocolSpec, StopSpec, TopologySpec, WorkloadSpec};
+    use crate::spec::{ProtocolSpec, Spec, StopSpec};
+    use rls_graph::Topology;
     use rls_workloads::Workload;
 
     fn record(key_seed: u64) -> CellRecord {
@@ -231,8 +232,8 @@ mod tests {
             n: 4,
             m: 16,
             protocol: ProtocolSpec::RlsGeq,
-            workload: WorkloadSpec(Workload::AllInOneBin),
-            topology: TopologySpec::complete(),
+            workload: Spec(Workload::AllInOneBin),
+            topology: Spec(Topology::Complete),
             churn: None,
             stop: StopSpec::default(),
             hits: Vec::new(),

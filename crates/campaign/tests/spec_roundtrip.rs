@@ -4,11 +4,11 @@
 
 use proptest::prelude::*;
 use proptest::{Strategy, TestRng};
+use rls_campaign::hash::sha256_hex;
 use rls_campaign::{cell_key, export};
 use rls_campaign::{
-    spec_from_str, spec_to_toml_string, ArrivalSpec, Campaign, CampaignSpec, ChurnSpec,
-    DynamicSpec, Grid, HitSpec, MExpr, MemoryStore, ProtocolSpec, SpeedSpec, StopSpec,
-    TopologySpec, WeightSpec, WorkloadSpec,
+    spec_from_str, spec_to_toml_string, Campaign, CampaignSpec, DynamicSpec, Grid, HitSpec, MExpr,
+    MemoryStore, ProtocolSpec, Spec, StopSpec,
 };
 use rls_graph::Topology;
 use rls_workloads::{ArrivalProcess, ChurnProcess, SpeedProfile, WeightDist, Workload};
@@ -50,8 +50,8 @@ fn protocol(rng: &mut TestRng) -> ProtocolSpec {
     }
 }
 
-fn workload(rng: &mut TestRng) -> WorkloadSpec {
-    WorkloadSpec(match rng.below(8) {
+fn workload(rng: &mut TestRng) -> Spec<Workload> {
+    Spec(match rng.below(8) {
         0 => Workload::AllInOneBin,
         1 => Workload::UniformRandom,
         2 => Workload::TwoChoices,
@@ -69,8 +69,8 @@ fn workload(rng: &mut TestRng) -> WorkloadSpec {
     })
 }
 
-fn topology(rng: &mut TestRng) -> TopologySpec {
-    TopologySpec(match rng.below(9) {
+fn topology(rng: &mut TestRng) -> Spec<Topology> {
+    Spec(match rng.below(9) {
         0 => Topology::Complete,
         1 => Topology::Cycle,
         2 => Topology::Path,
@@ -95,8 +95,8 @@ fn hit(rng: &mut TestRng) -> HitSpec {
     }
 }
 
-fn weight(rng: &mut TestRng) -> WeightSpec {
-    WeightSpec(match rng.below(3) {
+fn weight(rng: &mut TestRng) -> Spec<WeightDist> {
+    Spec(match rng.below(3) {
         0 => WeightDist::Unit,
         1 => {
             let lo = 1 + rng.below(8);
@@ -112,8 +112,8 @@ fn weight(rng: &mut TestRng) -> WeightSpec {
     })
 }
 
-fn speed(rng: &mut TestRng) -> SpeedSpec {
-    SpeedSpec(if rng.below(2) == 0 {
+fn speed(rng: &mut TestRng) -> Spec<SpeedProfile> {
+    Spec(if rng.below(2) == 0 {
         SpeedProfile::Uniform
     } else {
         SpeedProfile::TwoClass {
@@ -123,8 +123,8 @@ fn speed(rng: &mut TestRng) -> SpeedSpec {
     })
 }
 
-fn churn(rng: &mut TestRng) -> ChurnSpec {
-    ChurnSpec(match rng.below(4) {
+fn churn(rng: &mut TestRng) -> Spec<ChurnProcess> {
+    Spec(match rng.below(4) {
         0 => ChurnProcess::None,
         1 => ChurnProcess::Steady {
             join_rate: dyadic(rng),
@@ -145,8 +145,8 @@ fn churn(rng: &mut TestRng) -> ChurnSpec {
     })
 }
 
-fn arrival(rng: &mut TestRng) -> ArrivalSpec {
-    ArrivalSpec(match rng.below(3) {
+fn arrival(rng: &mut TestRng) -> Spec<ArrivalProcess> {
+    Spec(match rng.below(3) {
         0 => ArrivalProcess::Poisson {
             rate_per_bin: dyadic(rng),
         },
@@ -250,10 +250,7 @@ fn csv_export_is_deterministic_across_runs() {
         let mut s = CampaignSpec::new(name, 2024, 3);
         s.grid.n = vec![4, 8, 16];
         s.grid.m = vec![MExpr::PerBin(4.0), MExpr::Absolute(48)];
-        s.grid.workload = vec![
-            WorkloadSpec(Workload::AllInOneBin),
-            WorkloadSpec(Workload::UniformRandom),
-        ];
+        s.grid.workload = vec![Spec(Workload::AllInOneBin), Spec(Workload::UniformRandom)];
         s
     };
     let run = |threads: usize| {
@@ -272,9 +269,45 @@ fn csv_export_is_deterministic_across_runs() {
     assert_eq!(first.trim().lines().count(), 13);
 }
 
+/// SHA-256 over each shipped spec's cell keys, in grid order, one per
+/// line.  A cell key hashes the text form of every instance in the cell,
+/// so a change to any `Display` (or to `ENGINE_VERSION`) moves these and
+/// would orphan every results store built from the shipped specs.
+const SHIPPED_KEY_DIGESTS: &[(&str, &str)] = &[
+    (
+        "dynamic_elastic.toml",
+        "f4eb292a67590b76cc9fe859368535be34bdcbff9778bb0fdb982faf169770c6",
+    ),
+    (
+        "dynamic_policies.toml",
+        "c280ab5136258109909bc35d921fa1bda0e7ac9341ebc29cbc6c99c850528e59",
+    ),
+    (
+        "dynamic_steady_state.toml",
+        "6b452f0556117778331afa6714308a552da626b64772c8f5240d81a1adae2bf4",
+    ),
+    (
+        "dynamic_weighted.toml",
+        "35bad15f46607200cdf05eca3021825e8efd99b2c5383e5683f7dd2a3e97f581",
+    ),
+    (
+        "protocol_comparison.toml",
+        "8879a98b1a02b06146649a4a3a7d01a1dc5bae5ae1606b2a391ad651d7f6d89d",
+    ),
+    (
+        "theorem1_scaling.toml",
+        "2d826c741ca5f9398773b5d9599f1b812013e1e0a4063cef1d6562e19e8fa64e",
+    ),
+    (
+        "topologies.toml",
+        "3cdc26532925dafa0daa972ff96ca21cab26e11514a860f48e0954562015015f",
+    ),
+];
+
 /// Every spec shipped in `specs/` parses and expands into a non-empty grid
-/// of distinct cells, so a doc that points at one never points at a file
-/// the CLI would reject.
+/// of distinct cells whose keys match the pinned digest, so a doc that
+/// points at one never points at a file the CLI would reject, and a store
+/// built from one stays addressable.
 #[test]
 fn shipped_specs_parse_and_resolve_their_cells() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
@@ -296,6 +329,16 @@ fn shipped_specs_parse_and_resolve_their_cells() {
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(!cells.is_empty(), "{}: empty grid", path.display());
         let mut keys: Vec<String> = cells.iter().map(|c| cell_key(spec.seed, c)).collect();
+        let file = path.file_name().unwrap().to_str().unwrap();
+        let pinned = SHIPPED_KEY_DIGESTS
+            .iter()
+            .find(|(name, _)| *name == file)
+            .unwrap_or_else(|| panic!("{file}: no pinned key digest"));
+        assert_eq!(
+            sha256_hex(keys.join("\n").as_bytes()),
+            pinned.1,
+            "{file}: cell keys changed"
+        );
         keys.sort();
         keys.dedup();
         assert_eq!(

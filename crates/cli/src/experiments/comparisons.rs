@@ -2,7 +2,7 @@
 //! and the variant-equivalence remark — expressed as campaign grids whose
 //! protocol axis spans the related-work implementations.
 
-use rls_campaign::{run_cached, CampaignSpec, CellOutcome, MExpr, ProtocolSpec, WorkloadSpec};
+use rls_campaign::{run_cached, CampaignSpec, CellOutcome, MExpr, ProtocolSpec, Spec};
 use rls_workloads::Workload;
 
 use crate::table::{fmt_f64, Table};
@@ -22,7 +22,7 @@ pub fn versus_crs(scale: Scale, seed: u64) -> Table {
     rls_spec.grid.m = vec![MExpr::PerBin(1.0)];
     // RLS starts from the same two-choices placement family CRS assumes
     // (CRS draws its own placement because it needs the candidate sets).
-    rls_spec.grid.workload = vec![WorkloadSpec(Workload::TwoChoices)];
+    rls_spec.grid.workload = vec![Spec(Workload::TwoChoices)];
     rls_spec.stop.max_activations = Some(budget);
     let rls_report = run_cached(rls_spec).expect("E12 RLS cells are always runnable");
 
@@ -82,7 +82,7 @@ pub fn versus_selfish(scale: Scale, seed: u64) -> Table {
             rounds: round_budget,
         },
     ];
-    spec.grid.workload = vec![WorkloadSpec(Workload::UniformRandom)];
+    spec.grid.workload = vec![Spec(Workload::UniformRandom)];
     spec.stop.target_discrepancy = 1.0;
     let report = run_cached(spec).expect("E13 grid cells are always runnable");
 

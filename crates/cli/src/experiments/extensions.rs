@@ -5,7 +5,7 @@
 //! because the weighted/speed protocols carry their own state types and
 //! Nash-stability goals, which are outside the campaign cell model.
 
-use rls_campaign::{run_cached, CampaignSpec, MExpr, TopologySpec};
+use rls_campaign::{run_cached, CampaignSpec, MExpr, Spec};
 use rls_graph::{mixing::estimate_mixing, Topology};
 use rls_protocols::speeds::{SpeedGoal, SpeedRls};
 use rls_protocols::weighted::{WeightedGoal, WeightedRls};
@@ -132,7 +132,7 @@ pub fn topologies(scale: Scale, seed: u64) -> Table {
     let mut spec = CampaignSpec::new("e16-topologies", seed, trials);
     spec.grid.n = vec![n];
     spec.grid.m = vec![MExpr::PerBin(factor as f64)];
-    spec.grid.topology = topology_axis.iter().copied().map(TopologySpec).collect();
+    spec.grid.topology = topology_axis.iter().copied().map(Spec).collect();
     spec.stop.max_activations = Some(budget);
     let report = run_cached(spec).expect("E16 topologies all build at these sizes");
 

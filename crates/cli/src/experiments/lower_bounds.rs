@@ -4,7 +4,7 @@
 
 use rls_analysis::bounds::{divisibility_overhead_bound, sparse_case_expected_bound};
 use rls_analysis::{lower_bound_all_in_one_bin, lower_bound_one_over_one_under};
-use rls_campaign::{run_cached, CampaignSpec, MExpr, WorkloadSpec};
+use rls_campaign::{run_cached, CampaignSpec, MExpr, Spec};
 use rls_workloads::Workload;
 
 use crate::table::{fmt_f64, Table};
@@ -19,10 +19,7 @@ pub fn lower_bounds(scale: Scale, seed: u64) -> Table {
     let mut spec = CampaignSpec::new("e3-lower-bounds", seed, trials);
     spec.grid.n = ns.clone();
     spec.grid.m = vec![MExpr::PerBin(8.0)];
-    spec.grid.workload = vec![
-        WorkloadSpec(Workload::AllInOneBin),
-        WorkloadSpec(Workload::OneOverOneUnder),
-    ];
+    spec.grid.workload = vec![Spec(Workload::AllInOneBin), Spec(Workload::OneOverOneUnder)];
     let report = run_cached(spec).expect("E3 grid cells are always runnable");
 
     let mut table = Table::new(

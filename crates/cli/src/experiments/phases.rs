@@ -6,7 +6,7 @@
 //! (`offset ≈ 4 ln n` block imbalance, `n/4` over/under pairs).
 
 use rls_analysis::bounds::{phase1_time_bound, phase2_time_bound, phase3_time_bound};
-use rls_campaign::{run_cached, CampaignSpec, CellOutcome, HitSpec, MExpr, WorkloadSpec};
+use rls_campaign::{run_cached, CampaignSpec, CellOutcome, HitSpec, MExpr, Spec};
 use rls_workloads::Workload;
 
 use crate::table::{fmt_f64, Table};
@@ -75,7 +75,7 @@ fn per_n_outcomes(
             let mut spec = CampaignSpec::new(name, seed, trials);
             spec.grid.n = vec![n];
             spec.grid.m = vec![MExpr::PerBin(factor as f64)];
-            spec.grid.workload = vec![WorkloadSpec(workload)];
+            spec.grid.workload = vec![Spec(workload)];
             spec.hits = hits.clone();
             let report = run_cached(spec).expect("phase cells are always runnable");
             report
@@ -160,7 +160,8 @@ pub fn phase3(scale: Scale, seed: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rls_campaign::{CellSpec, ProtocolSpec, StopSpec, TopologySpec};
+    use rls_campaign::{CellSpec, ProtocolSpec, StopSpec};
+    use rls_graph::Topology;
 
     /// The phase decomposition is ordered: coarse balance before 1-balance
     /// before perfect balance, within a single cell's hit tracking.
@@ -170,8 +171,8 @@ mod tests {
             n: 16,
             m: 256,
             protocol: ProtocolSpec::RlsGeq,
-            workload: WorkloadSpec(Workload::AllInOneBin),
-            topology: TopologySpec::complete(),
+            workload: Spec(Workload::AllInOneBin),
+            topology: Spec(Topology::Complete),
             churn: None,
             stop: StopSpec::default(),
             hits: vec![HitSpec::LnFactor(PHASE1_LN_FACTOR), HitSpec::Absolute(1.0)],

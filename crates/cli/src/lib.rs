@@ -15,6 +15,7 @@
 
 pub mod campaign_cmd;
 pub mod experiments;
+pub mod instance;
 pub mod live_cmd;
 pub mod serve_cmd;
 pub mod table;

@@ -20,15 +20,15 @@
 //! content-addressed through `rls-campaign::hash`.
 
 use rls_campaign::hash::sha256_hex;
-use rls_campaign::{ArrivalSpec, WorkloadSpec};
 use rls_core::{RebalancePolicy, RlsRule};
 use rls_graph::Topology;
 use rls_live::{
-    replay as replay_log, EventLog, LiveEngine, LiveParams, LogFooter, LogHeader, Recorder,
-    ShardedEngine, Snapshot, SteadyState, SteadySummary,
+    replay as replay_log, EventLog, LogFooter, LogHeader, Recorder, ShardedEngine, Snapshot,
+    SteadyState, SteadySummary,
 };
 use rls_rng::rng_from_seed;
-use rls_workloads::Workload;
+
+use crate::instance::{str_of, Flags, InstanceArgs};
 
 /// A parsed `live ...` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,26 +50,12 @@ pub enum LiveCommand {
 /// Arguments of `live run`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
-    /// Number of bins.
-    pub n: usize,
-    /// Target population (`ρ = m/n`).
-    pub m: u64,
-    /// Initial-configuration family.
-    pub workload: WorkloadSpec,
-    /// Arrival process (per-bin rate).
-    pub arrival: ArrivalSpec,
-    /// Per-ball departure rate override (`None` = hold the population).
-    pub service: Option<f64>,
-    /// Rebalance policy applied per ring.
-    pub policy: RebalancePolicy,
-    /// Topology ring destinations are sampled from.
-    pub topology: Topology,
+    /// The instance flags `live run` shares with `serve run`.
+    pub instance: InstanceArgs,
     /// Simulated-time horizon.
     pub time: f64,
     /// Warm-up discarded before measurement (defaults to `time/5`).
     pub warmup: Option<f64>,
-    /// Master seed.
-    pub seed: u64,
     /// Shard count (`0` = sequential engine).
     pub shards: usize,
     /// Synchronization slice of the sharded engine.
@@ -87,16 +73,9 @@ pub struct RunArgs {
 impl Default for RunArgs {
     fn default() -> Self {
         Self {
-            n: 64,
-            m: 512,
-            workload: WorkloadSpec(Workload::Balanced),
-            arrival: ArrivalSpec(rls_workloads::ArrivalProcess::Poisson { rate_per_bin: 1.0 }),
-            service: None,
-            policy: RebalancePolicy::rls(),
-            topology: Topology::Complete,
+            instance: InstanceArgs::default(),
             time: 60.0,
             warmup: None,
-            seed: 0xC0FFEE,
             shards: 0,
             slice: 0.25,
             threads: 0,
@@ -139,73 +118,22 @@ fn expect_single_path(raw: &[String], verb: &str) -> Result<String, String> {
 
 fn parse_run_args(raw: &[String]) -> Result<RunArgs, String> {
     let mut args = RunArgs::default();
-    let mut i = 0;
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        let mut value = |what: &str| -> Result<&String, String> {
-            i += 1;
-            raw.get(i).ok_or(format!("{flag} needs {what}"))
-        };
+    let mut flags = Flags::new(raw);
+    while let Some(flag) = flags.next() {
+        if args.instance.parse_flag(flag, &mut flags)? {
+            continue;
+        }
         match flag {
-            "--n" => {
-                args.n = value("a bin count")?
-                    .parse()
-                    .map_err(|_| "bad --n value".to_string())?
-            }
-            "--m" => {
-                args.m = value("a ball count")?
-                    .parse()
-                    .map_err(|_| "bad --m value".to_string())?
-            }
-            "--workload" => args.workload = value("a workload")?.parse().map_err(str_of)?,
-            "--arrival" => args.arrival = value("an arrival process")?.parse().map_err(str_of)?,
-            "--service" => {
-                args.service = Some(
-                    value("a rate")?
-                        .parse()
-                        .map_err(|_| "bad --service value".to_string())?,
-                )
-            }
-            "--policy" => args.policy = value("a policy")?.parse().map_err(str_of)?,
-            "--topology" => args.topology = value("a topology")?.parse().map_err(str_of)?,
-            "--time" => {
-                args.time = value("a duration")?
-                    .parse()
-                    .map_err(|_| "bad --time value".to_string())?
-            }
-            "--warmup" => {
-                args.warmup = Some(
-                    value("a duration")?
-                        .parse()
-                        .map_err(|_| "bad --warmup value".to_string())?,
-                )
-            }
-            "--seed" => {
-                args.seed = value("a seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed value".to_string())?
-            }
-            "--shards" => {
-                args.shards = value("a shard count")?
-                    .parse()
-                    .map_err(|_| "bad --shards value".to_string())?
-            }
-            "--slice" => {
-                args.slice = value("a duration")?
-                    .parse()
-                    .map_err(|_| "bad --slice value".to_string())?
-            }
-            "--threads" => {
-                args.threads = value("a thread count")?
-                    .parse()
-                    .map_err(|_| "bad --threads value".to_string())?
-            }
-            "--record" => args.record = Some(value("a file path")?.clone()),
-            "--snapshot" => args.snapshot = Some(value("a file path")?.clone()),
-            "--resume" => args.resume = Some(value("a file path")?.clone()),
+            "--time" => args.time = flags.value(flag)?,
+            "--warmup" => args.warmup = Some(flags.value(flag)?),
+            "--shards" => args.shards = flags.value(flag)?,
+            "--slice" => args.slice = flags.value(flag)?,
+            "--threads" => args.threads = flags.value(flag)?,
+            "--record" => args.record = Some(flags.value(flag)?),
+            "--snapshot" => args.snapshot = Some(flags.value(flag)?),
+            "--resume" => args.resume = Some(flags.value(flag)?),
             other => return Err(format!("unknown live run flag `{other}`")),
         }
-        i += 1;
     }
     if !(args.time.is_finite() && args.time > 0.0) {
         return Err("--time must be positive".to_string());
@@ -228,10 +156,6 @@ fn parse_run_args(raw: &[String]) -> Result<RunArgs, String> {
     Ok(args)
 }
 
-fn str_of(e: impl ToString) -> String {
-    e.to_string()
-}
-
 /// Execute a parsed live command, returning the text to print.
 pub fn execute_live(command: &LiveCommand) -> Result<String, String> {
     match command {
@@ -239,20 +163,6 @@ pub fn execute_live(command: &LiveCommand) -> Result<String, String> {
         LiveCommand::Run(args) => run_sequential(args),
         LiveCommand::Replay { log } => replay_cmd(log),
         LiveCommand::Status { path } => status_cmd(path),
-    }
-}
-
-fn build_params(args: &RunArgs) -> Result<LiveParams, String> {
-    match args.service {
-        Some(rate) => {
-            let params = LiveParams {
-                arrivals: args.arrival.0,
-                service_rate: rate,
-            };
-            params.validate().map_err(str_of)?;
-            Ok(params)
-        }
-        None => LiveParams::balanced(args.arrival.0, args.n, args.m).map_err(str_of),
     }
 }
 
@@ -267,14 +177,16 @@ fn run_sequential(args: &RunArgs) -> Result<String, String> {
         Some(path) => {
             // The snapshot carries the authoritative dynamics; reject
             // contradictory CLI flags rather than silently ignoring them.
-            if args.service.is_some() {
+            let instance = &args.instance;
+            if instance.service.is_some() {
                 return Err(
                     "--resume restores the snapshot's dynamics; drop --service (and rely on \
                      the snapshot's --n/--m/--workload/--arrival/--seed as well)"
                         .to_string(),
                 );
             }
-            if args.policy != RebalancePolicy::rls() || args.topology != Topology::Complete {
+            if instance.policy != RebalancePolicy::rls() || instance.topology != Topology::Complete
+            {
                 return Err(
                     "--resume restores the snapshot's policy and topology; drop \
                      --policy/--topology"
@@ -288,23 +200,11 @@ fn run_sequential(args: &RunArgs) -> Result<String, String> {
             let key = snapshot_key(&snapshot);
             (engine, rng, Some((key, snapshot.time)))
         }
-        None => {
-            let params = build_params(args)?;
-            let initial = args
-                .workload
-                .0
-                .generate(args.n, args.m, &mut rng_from_seed(args.seed ^ 0x1717))
-                .map_err(str_of)?;
-            let engine = LiveEngine::with_policy(
-                initial.clone(),
-                params,
-                args.policy,
-                args.topology,
-                args.seed ^ 0x6AF1,
-            )
-            .map_err(str_of)?;
-            (engine, rng_from_seed(args.seed), None)
-        }
+        None => (
+            args.instance.live_engine()?,
+            rng_from_seed(args.instance.seed),
+            None,
+        ),
     };
     // From here on the engine is the single source of truth for the
     // instance shape and dynamics (on --resume they come from the
@@ -340,8 +240,8 @@ fn run_sequential(args: &RunArgs) -> Result<String, String> {
         ),
         n,
         initial_loads.iter().sum::<u64>() as f64 / n as f64,
-        &ArrivalSpec(params.arrivals).to_string(),
-        args.seed,
+        &params.arrivals.to_string(),
+        args.instance.seed,
         engine.time(),
         &summary,
         engine.counters().events,
@@ -366,14 +266,14 @@ fn run_sequential(args: &RunArgs) -> Result<String, String> {
                 warmup: start_time + warmup,
                 description: format!(
                     "seed {}, arrival {}, service {:.6}, policy {}, topology {}{}",
-                    args.seed,
-                    ArrivalSpec(params.arrivals),
+                    args.instance.seed,
+                    params.arrivals,
                     params.service_rate,
                     engine.policy(),
                     engine.topology(),
                     match &args.resume {
                         Some(snap) => format!(", resumed from {snap}"),
-                        None => format!(", workload {}", args.workload),
+                        None => format!(", workload {}", args.instance.workload),
                     }
                 ),
             },
@@ -401,21 +301,17 @@ fn run_sequential(args: &RunArgs) -> Result<String, String> {
 }
 
 fn run_sharded(args: &RunArgs) -> Result<String, String> {
-    let params = build_params(args)?;
-    let initial = args
-        .workload
-        .0
-        .generate(args.n, args.m, &mut rng_from_seed(args.seed ^ 0x1717))
-        .map_err(str_of)?;
+    let instance = &args.instance;
+    let boot = instance.boot()?;
     let mut engine = ShardedEngine::with_policy(
-        initial,
-        params,
-        args.policy,
-        args.topology,
-        args.seed ^ 0x6AF1,
+        boot.initial,
+        boot.params,
+        instance.policy,
+        instance.topology,
+        boot.graph_seed,
         args.shards,
         args.slice,
-        args.seed,
+        instance.seed,
     )
     .map_err(str_of)?;
     let outcome = engine.run(args.time, warmup_of(args), args.threads);
@@ -424,12 +320,12 @@ fn run_sharded(args: &RunArgs) -> Result<String, String> {
         &mut out,
         &format!(
             "live run (sharded engine, {} shards, slice {}, policy {}, topology {})",
-            args.shards, args.slice, args.policy, args.topology
+            args.shards, args.slice, instance.policy, instance.topology
         ),
-        args.n,
-        args.m as f64 / args.n as f64,
-        &args.arrival.to_string(),
-        args.seed,
+        instance.n,
+        instance.m as f64 / instance.n as f64,
+        &instance.arrival.to_string(),
+        instance.seed,
         outcome.time,
         &outcome.summary,
         outcome.counters.events,
@@ -569,6 +465,14 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    fn small(n: usize, m: u64) -> InstanceArgs {
+        InstanceArgs {
+            n,
+            m,
+            ..InstanceArgs::default()
+        }
+    }
+
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("rls-live-cli-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -601,10 +505,10 @@ mod tests {
         let LiveCommand::Run(args) = cmd else {
             panic!("expected run");
         };
-        assert_eq!(args.n, 16);
-        assert_eq!(args.m, 128);
+        assert_eq!(args.instance.n, 16);
+        assert_eq!(args.instance.m, 128);
         assert_eq!(args.shards, 4);
-        assert_eq!(args.arrival.to_string(), "bursts:2:8");
+        assert_eq!(args.instance.arrival.to_string(), "bursts:2:8");
 
         assert_eq!(
             parse_live_args(&strings(&["replay", "log.json"])).unwrap(),
@@ -640,13 +544,12 @@ mod tests {
         let dir = temp_dir("e2e");
         let log = dir.join("run.json").to_string_lossy().to_string();
         let mut args = RunArgs {
-            n: 8,
-            m: 64,
+            instance: small(8, 64),
             time: 8.0,
             record: Some(log.clone()),
             ..RunArgs::default()
         };
-        args.arrival = "poisson:2".parse().unwrap();
+        args.instance.arrival = "poisson:2".parse().unwrap();
         let out = execute_live(&LiveCommand::Run(Box::new(args))).unwrap();
         assert!(out.contains("mean gap"), "{out}");
         assert!(out.contains("recorded"), "{out}");
@@ -668,8 +571,7 @@ mod tests {
 
         // Straight run to t=10, recording the final state via a snapshot.
         let straight = RunArgs {
-            n: 8,
-            m: 64,
+            instance: small(8, 64),
             time: 10.0,
             snapshot: Some(log_a.clone()),
             ..RunArgs::default()
@@ -678,16 +580,14 @@ mod tests {
 
         // Split run: stop at t=4, snapshot, resume to t=10.
         let first = RunArgs {
-            n: 8,
-            m: 64,
+            instance: small(8, 64),
             time: 4.0,
             snapshot: Some(snap.clone()),
             ..RunArgs::default()
         };
         execute_live(&LiveCommand::Run(Box::new(first))).unwrap();
         let second = RunArgs {
-            n: 8,
-            m: 64,
+            instance: small(8, 64),
             time: 10.0,
             resume: Some(snap.clone()),
             snapshot: Some(log_b.clone()),
@@ -713,8 +613,7 @@ mod tests {
     #[test]
     fn sharded_run_executes() {
         let args = RunArgs {
-            n: 16,
-            m: 128,
+            instance: small(16, 128),
             time: 6.0,
             shards: 4,
             threads: 2,

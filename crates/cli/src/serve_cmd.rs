@@ -27,16 +27,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rls_campaign::{ArrivalSpec, WorkloadSpec};
-use rls_core::RebalancePolicy;
-use rls_graph::Topology;
-use rls_live::{EventLog, LiveEngine, LiveParams};
+use rls_live::{EventLog, LiveEngine};
 use rls_obs::Registry;
 use rls_rng::rng_from_seed;
 use rls_serve::{
     core_from_log, replay_over_http, serve, HttpServer, ServeCore, ServePolicy, ServerConfig,
 };
-use rls_workloads::{SpeedProfile, WeightDist, Workload};
+use rls_workloads::{SpeedProfile, WeightDist};
+
+use crate::instance::{str_of, Flags, InstanceArgs};
 
 /// A parsed `serve ...` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,23 +56,10 @@ pub enum ServeCommand {
 pub struct ServeArgs {
     /// Bind address.
     pub addr: String,
-    /// Number of bins.
-    pub n: usize,
-    /// Initial population.
-    pub m: u64,
-    /// Initial-configuration family.
-    pub workload: WorkloadSpec,
-    /// Arrival process (placement law for sampled arrivals; also the
-    /// engine's time scale).
-    pub arrival: ArrivalSpec,
-    /// Per-ball departure rate override (`None` = hold the population).
-    pub service: Option<f64>,
-    /// Rebalance policy applied per ring.
-    pub policy: RebalancePolicy,
-    /// Topology ring destinations are sampled from.
-    pub topology: Topology,
-    /// Master seed.
-    pub seed: u64,
+    /// The instance flags `serve run` shares with `live run` (the arrival
+    /// process is the placement law for sampled arrivals and the engine's
+    /// time scale).
+    pub instance: InstanceArgs,
     /// Warm-up (engine-time units) excluded from `/v1/stats`.
     pub warmup: f64,
     /// Mean auto-rebalance rings per arrival (`None` = the balanced
@@ -95,14 +81,7 @@ impl Default for ServeArgs {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:7171".to_string(),
-            n: 64,
-            m: 512,
-            workload: WorkloadSpec(Workload::Balanced),
-            arrival: ArrivalSpec(rls_workloads::ArrivalProcess::Poisson { rate_per_bin: 1.0 }),
-            service: None,
-            policy: RebalancePolicy::rls(),
-            topology: Topology::Complete,
-            seed: 0xC0FFEE,
+            instance: InstanceArgs::default(),
             warmup: 0.0,
             rebalance: None,
             for_seconds: None,
@@ -127,48 +106,24 @@ pub fn parse_serve_args(raw: &[String]) -> Result<ServeCommand, String> {
     }
 }
 
-fn str_of(e: impl ToString) -> String {
-    e.to_string()
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
-    text.parse()
-        .map_err(|_| format!("bad {flag} value `{text}`"))
-}
-
 fn parse_run(raw: &[String]) -> Result<ServeArgs, String> {
     let mut args = ServeArgs::default();
-    let mut i = 0;
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        let mut value = |what: &str| -> Result<String, String> {
-            i += 1;
-            raw.get(i).cloned().ok_or(format!("{flag} needs {what}"))
-        };
+    let mut flags = Flags::new(raw);
+    while let Some(flag) = flags.next() {
+        if args.instance.parse_flag(flag, &mut flags)? {
+            continue;
+        }
         match flag {
-            "--addr" => args.addr = value("an address")?,
-            "--n" => args.n = parse_num(&value("a bin count")?, "--n")?,
-            "--m" => args.m = parse_num(&value("a ball count")?, "--m")?,
-            "--workload" => args.workload = value("a workload")?.parse().map_err(str_of)?,
-            "--arrival" => args.arrival = value("an arrival process")?.parse().map_err(str_of)?,
-            "--service" => args.service = Some(parse_num(&value("a rate")?, "--service")?),
-            "--policy" => args.policy = value("a policy")?.parse()?,
-            "--topology" => args.topology = value("a topology")?.parse()?,
-            "--seed" => args.seed = parse_num(&value("a seed")?, "--seed")?,
-            "--warmup" => args.warmup = parse_num(&value("a duration")?, "--warmup")?,
-            "--rebalance" => args.rebalance = Some(parse_num(&value("a mean")?, "--rebalance")?),
-            "--for" => args.for_seconds = Some(parse_num(&value("seconds")?, "--for")?),
-            "--weights" => {
-                args.weights = value("a weight distribution")?.parse().map_err(str_of)?
-            }
-            "--speeds" => args.speeds = value("a speed profile")?.parse().map_err(str_of)?,
-            "--metrics-json" => args.metrics_json = Some(value("a path")?),
-            "--metrics-interval" => {
-                args.metrics_interval = parse_num(&value("seconds")?, "--metrics-interval")?
-            }
+            "--addr" => args.addr = flags.value(flag)?,
+            "--warmup" => args.warmup = flags.value(flag)?,
+            "--rebalance" => args.rebalance = Some(flags.value(flag)?),
+            "--for" => args.for_seconds = Some(flags.value(flag)?),
+            "--weights" => args.weights = flags.value(flag)?,
+            "--speeds" => args.speeds = flags.value(flag)?,
+            "--metrics-json" => args.metrics_json = Some(flags.value(flag)?),
+            "--metrics-interval" => args.metrics_interval = flags.value(flag)?,
             other => return Err(format!("unknown serve run flag `{other}`")),
         }
-        i += 1;
     }
     validate_server(&args)?;
     Ok(args)
@@ -177,19 +132,13 @@ fn parse_run(raw: &[String]) -> Result<ServeArgs, String> {
 fn parse_replay(raw: &[String]) -> Result<ServeCommand, String> {
     let mut log = None;
     let mut addr = None;
-    let mut i = 0;
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        let mut value = |what: &str| -> Result<String, String> {
-            i += 1;
-            raw.get(i).cloned().ok_or(format!("{flag} needs {what}"))
-        };
-        match flag {
-            "--addr" => addr = Some(value("an address")?),
+    let mut flags = Flags::new(raw);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => addr = Some(flags.value(arg)?),
             path if !path.starts_with("--") && log.is_none() => log = Some(path.to_string()),
             other => return Err(format!("unknown serve replay argument `{other}`")),
         }
-        i += 1;
     }
     Ok(ServeCommand::Replay {
         log: log.ok_or("serve replay needs a log file path")?,
@@ -198,7 +147,7 @@ fn parse_replay(raw: &[String]) -> Result<ServeCommand, String> {
 }
 
 fn validate_server(args: &ServeArgs) -> Result<(), String> {
-    if args.n == 0 {
+    if args.instance.n == 0 {
         return Err("--n must be at least 1".to_string());
     }
     if !(args.warmup.is_finite() && args.warmup >= 0.0) {
@@ -224,53 +173,33 @@ fn validate_server(args: &ServeArgs) -> Result<(), String> {
 /// registry is the one `/v1/metrics` renders; the CLI's snapshot writer
 /// reads the same instruments.
 fn boot(args: &ServeArgs) -> Result<(HttpServer, f64, Registry), String> {
-    let params = match args.service {
-        Some(rate) => {
-            let params = LiveParams {
-                arrivals: args.arrival.0,
-                service_rate: rate,
-            };
-            params.validate().map_err(str_of)?;
-            params
-        }
-        None => LiveParams::balanced(args.arrival.0, args.n, args.m).map_err(str_of)?,
-    };
-    let initial = args
-        .workload
-        .0
-        .generate(args.n, args.m, &mut rng_from_seed(args.seed ^ 0x1717))
-        .map_err(str_of)?;
+    let instance = &args.instance;
     // The classic (unit-weight, uniform-speed) shape uses the plain
     // constructor so default runs stay bit-identical to earlier releases.
     let engine = if args.weights.is_unit() && args.speeds.is_uniform() {
-        LiveEngine::with_policy(
-            initial,
-            params,
-            args.policy,
-            args.topology,
-            args.seed ^ 0x6AF1,
-        )
+        instance.live_engine()?
     } else {
+        let boot = instance.boot()?;
         LiveEngine::with_hetero(
-            initial,
-            params,
-            args.policy,
-            args.topology,
-            args.seed ^ 0x6AF1,
+            boot.initial,
+            boot.params,
+            instance.policy,
+            instance.topology,
+            boot.graph_seed,
             args.weights,
-            args.speeds.speeds(args.n),
-            &mut rng_from_seed(args.seed ^ 0x4E16),
+            args.speeds.speeds(instance.n),
+            &mut rng_from_seed(instance.seed ^ 0x4E16),
         )
-    }
-    .map_err(str_of)?;
+        .map_err(str_of)?
+    };
     // Default rebalance intensity: the paper's regime has rings at rate m
     // against arrivals at rate λ, i.e. m/λ rings per arrival.
     let rings_per_arrival = args
         .rebalance
-        .unwrap_or(args.m as f64 / args.arrival.0.total_rate(args.n));
+        .unwrap_or(instance.m as f64 / instance.arrival.total_rate(instance.n));
     let mut core = ServeCore::new(
         engine,
-        args.seed,
+        instance.seed,
         args.warmup,
         ServePolicy { rings_per_arrival },
     );
@@ -337,12 +266,12 @@ fn run_cmd(args: &ServeArgs) -> Result<String, String> {
          GET /v1/snapshot · POST /v1/restore · GET /healthz · GET /v1/metrics · \
          GET /v1/debug/flight\n",
         server.addr(),
-        args.n,
-        args.m,
-        args.arrival,
-        args.seed,
-        args.policy,
-        args.topology,
+        args.instance.n,
+        args.instance.m,
+        args.instance.arrival,
+        args.instance.seed,
+        args.instance.policy,
+        args.instance.topology,
         args.weights,
         args.speeds,
     );
@@ -433,6 +362,9 @@ fn replay_cmd(log_path: &str, addr: Option<&str>) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rls_core::RebalancePolicy;
+    use rls_graph::Topology;
+    use rls_live::LiveParams;
 
     fn strings(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -459,7 +391,7 @@ mod tests {
         let ServeCommand::Run(args) = cmd else {
             panic!("expected run");
         };
-        assert_eq!((args.n, args.m), (32, 256));
+        assert_eq!((args.instance.n, args.instance.m), (32, 256));
         assert_eq!(args.rebalance, Some(4.0));
         assert_eq!(args.for_seconds, Some(0.5));
 
@@ -484,8 +416,8 @@ mod tests {
         let ServeCommand::Run(args) = cmd else {
             panic!("expected run");
         };
-        assert_eq!(args.policy, RebalancePolicy::GreedyD { d: 2 });
-        assert_eq!(args.topology, Topology::Torus2D);
+        assert_eq!(args.instance.policy, RebalancePolicy::GreedyD { d: 2 });
+        assert_eq!(args.instance.topology, Topology::Torus2D);
 
         let cmd = parse_serve_args(&strings(&[
             "run",
@@ -567,8 +499,11 @@ mod tests {
     fn run_for_a_moment_then_report() {
         let args = ServeArgs {
             addr: "127.0.0.1:0".to_string(),
-            n: 8,
-            m: 64,
+            instance: InstanceArgs {
+                n: 8,
+                m: 64,
+                ..InstanceArgs::default()
+            },
             for_seconds: Some(0.05),
             ..ServeArgs::default()
         };
@@ -585,8 +520,11 @@ mod tests {
 
         let args = ServeArgs {
             addr: "127.0.0.1:0".to_string(),
-            n: 8,
-            m: 64,
+            instance: InstanceArgs {
+                n: 8,
+                m: 64,
+                ..InstanceArgs::default()
+            },
             for_seconds: Some(0.05),
             metrics_json: Some(path.to_string_lossy().to_string()),
             metrics_interval: 0.02,
@@ -608,8 +546,11 @@ mod tests {
     fn run_boots_a_weighted_server() {
         let args = ServeArgs {
             addr: "127.0.0.1:0".to_string(),
-            n: 8,
-            m: 64,
+            instance: InstanceArgs {
+                n: 8,
+                m: 64,
+                ..InstanceArgs::default()
+            },
             weights: WeightDist::UniformInt { lo: 1, hi: 8 },
             speeds: SpeedProfile::TwoClass {
                 speed: 4,

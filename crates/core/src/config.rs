@@ -280,14 +280,6 @@ impl Config {
         self.loads.len() - 1
     }
 
-    /// The loads sorted non-increasingly (the canonical representative used
-    /// in the Lemma 2 coupling, which is ignorant of bin identity).
-    pub fn sorted_desc(&self) -> Vec<u64> {
-        let mut v = self.loads.clone();
-        v.sort_unstable_by(|a, b| b.cmp(a));
-        v
-    }
-
     /// Histogram of loads: for each load value, how many bins carry it.
     pub fn histogram(&self) -> std::collections::BTreeMap<u64, usize> {
         let mut hist = std::collections::BTreeMap::new();
@@ -481,9 +473,8 @@ mod tests {
     }
 
     #[test]
-    fn sorted_desc_and_histogram() {
+    fn histogram_counts_bins_per_load() {
         let c = Config::from_loads(vec![1, 4, 2, 4]).unwrap();
-        assert_eq!(c.sorted_desc(), vec![4, 4, 2, 1]);
         let h = c.histogram();
         assert_eq!(h.get(&4), Some(&2));
         assert_eq!(h.get(&1), Some(&1));

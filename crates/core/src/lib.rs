@@ -7,9 +7,8 @@
 //! moves / destructive moves / neutral moves (Figure 1), the RLS decision
 //! rule in both its `≥` form (this paper) and its strict `>` form
 //! ([Goldberg 2004] and [Ganesh et al. 2012]), and the bookkeeping the
-//! analysis relies on: overloaded balls, the Phase-2 potential `3A − k − h`,
-//! sorted views and the majorization/closeness relations used by the
-//! Destructive Majorization Lemma.
+//! analysis relies on: overloaded balls and the Phase-2 potential
+//! `3A − k − h`.
 //!
 //! Everything here is deterministic and purely combinatorial; randomness
 //! (clocks, destination sampling, adversaries) lives in `rls-sim`.
@@ -38,7 +37,6 @@
 mod config;
 mod error;
 mod index;
-mod majorization;
 mod membership;
 mod moves;
 mod policy;
@@ -49,7 +47,6 @@ mod tracker;
 pub use config::{BinCounts, Config};
 pub use error::{ConfigError, MoveError};
 pub use index::LoadIndex;
-pub use majorization::{is_close, majorizes, sorted_desc};
 pub use membership::{Membership, MembershipRecord, MembershipSnapshot};
 pub use moves::{Move, MoveClass};
 pub use policy::{BinState, HeteroRingContext, RebalancePolicy, RingContext, RingDecision};

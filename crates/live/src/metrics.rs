@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use rls_obs::{Counter, Histogram, Registry, ShardedCounter};
+use rls_obs::{Counter, Histogram, Registry};
 
 /// Telemetry handles for one [`LiveEngine`](crate::LiveEngine).
 ///
@@ -80,8 +80,9 @@ pub struct ShardedMetrics {
     pub outbox_deliveries: Arc<Counter>,
     /// Nanoseconds spent in the single-threaded barrier merge per slice.
     pub barrier_merge_ns: Arc<Histogram>,
-    /// Events processed per shard worker (striped; hint = shard id).
-    pub shard_events: Arc<ShardedCounter>,
+    /// Events processed across shard workers (summed by the barrier's
+    /// sequential merge, so a plain counter).
+    pub shard_events: Arc<Counter>,
 }
 
 impl ShardedMetrics {
@@ -100,7 +101,7 @@ impl ShardedMetrics {
                 "rls_sharded_barrier_merge_ns",
                 "Nanoseconds spent in the single-threaded barrier merge per slice",
             ),
-            shard_events: registry.sharded_counter(
+            shard_events: registry.counter(
                 "rls_sharded_shard_events_total",
                 "Events processed across shard workers",
             ),
@@ -140,7 +141,7 @@ mod tests {
         let registry = Registry::new();
         let m = ShardedMetrics::register(&registry);
         m.slices.inc();
-        m.shard_events.add(3, 5);
+        m.shard_events.add(5);
         m.barrier_merge_ns.record(100);
         let text = registry.render_prometheus();
         assert!(text.contains("rls_sharded_slices_total 1"));

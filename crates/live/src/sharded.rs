@@ -298,15 +298,12 @@ impl ShardedEngine {
         let mut events = 0;
         let mut deliveries = 0u64;
         let mut inboxes: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
-        for (s, result) in results.iter().enumerate() {
+        for result in &results {
             for &dest in &result.outbox {
                 inboxes[self.owner_of(dest as usize)].push(dest);
             }
             deliveries += result.outbox.len() as u64;
             events += result.delta.events;
-            if let Some(m) = &self.metrics {
-                m.shard_events.add(s, result.delta.events);
-            }
         }
         {
             let shards = &self.shards;
@@ -338,6 +335,7 @@ impl ShardedEngine {
         if let Some(m) = &self.metrics {
             m.slices.inc();
             m.outbox_deliveries.add(deliveries);
+            m.shard_events.add(events);
             if let Some(start) = barrier_start {
                 let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 m.barrier_merge_ns.record(ns);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use rls_live::{
     LiveCommand, LiveEngine, LiveEventKind, LiveObserver, Reconvergence, Snapshot, SteadyState,
-    SNAPSHOT_VERSION,
+    DEFAULT_RECONV_THRESHOLD, SNAPSHOT_VERSION,
 };
 use rls_obs::Registry;
 use rls_rng::{rng_from_seed, DefaultRng};
@@ -29,12 +29,6 @@ use crate::ServeError;
 /// stay O(small), since it holds the engine's lock that every connection
 /// needs.
 pub const MAX_RINGS_PER_REQUEST: u64 = 10_000;
-
-/// Gap threshold at which a scale event counts as re-converged: the
-/// fullest live bin is back within one ball of the average, the same
-/// "balanced up to a constant" state the paper's Theorem 1 bounds the
-/// convergence time to.
-pub const RECONV_GAP_THRESHOLD: f64 = 1.0;
 
 /// How the server rebalances on its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +97,7 @@ impl ServeCore {
             engine,
             rng: rng_from_seed(seed),
             steady,
-            reconv: Reconvergence::new(RECONV_GAP_THRESHOLD),
+            reconv: Reconvergence::new(DEFAULT_RECONV_THRESHOLD),
             policy,
             warmup,
             identity,
@@ -428,7 +422,7 @@ impl ServeCore {
             .on_start(self.engine.tracker(), self.engine.time());
         // Re-convergence episodes do not survive a restore: the window (and
         // any outstanding scale event) belongs to the run that recorded it.
-        self.reconv = Reconvergence::new(RECONV_GAP_THRESHOLD);
+        self.reconv = Reconvergence::new(DEFAULT_RECONV_THRESHOLD);
         // Re-derive the identity from the restored engine; the boot seed
         // is kept for provenance (the RNG now comes from the snapshot).
         self.identity = identity_of(&self.engine, self.identity.seed);

@@ -61,7 +61,7 @@ pub use api::{
     RestoreReply, RingReply, RingRequest, StatsReply,
 };
 pub use client::HttpClient;
-pub use core::{ServeCore, ServePolicy, RECONV_GAP_THRESHOLD};
+pub use core::{ServeCore, ServePolicy};
 pub use metrics::{endpoint_index, ServeMetrics, CATALOG, ENDPOINTS};
 pub use replay::{core_from_log, replay_over_http, ReplayOutcome};
 pub use server::{serve, Frontend, HttpServer, ServerConfig};

@@ -5,8 +5,9 @@
 //! arrivals and departures.  An [`ArrivalProcess`] describes the *law* of
 //! that stream: how arrival epochs are spaced in continuous time, how many
 //! balls each epoch injects, and where they land.  Like [`Workload`], the
-//! variants are plain serializable values so campaign specs can name them
-//! in TOML/JSON grids (`"poisson:2"`, `"bursts:2:16"`, `"hotspot:2:0.5"`).
+//! variants are plain values with a spec-string form (`Display` +
+//! `FromStr`: `"poisson:2"`, `"bursts:2:16"`, `"hotspot:2:0.5"`) that
+//! campaign grids and the CLI's `--arrival` flag both read.
 //!
 //! Rates are *per bin*: a process with `rate_per_bin = α` injects `α · n`
 //! balls per unit of simulated time into an `n`-bin system, so the same
@@ -132,10 +133,86 @@ impl ArrivalProcess {
     }
 }
 
+impl core::fmt::Display for ArrivalProcess {
+    /// The spec-string form; [`FromStr`](core::str::FromStr) inverts it.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            ArrivalProcess::Poisson { rate_per_bin } => write!(f, "poisson:{rate_per_bin}"),
+            ArrivalProcess::Bursts { rate_per_bin, size } => {
+                write!(f, "bursts:{rate_per_bin}:{size}")
+            }
+            ArrivalProcess::Hotspot { rate_per_bin, bias } => {
+                write!(f, "hotspot:{rate_per_bin}:{bias}")
+            }
+        }
+    }
+}
+
+impl core::str::FromStr for ArrivalProcess {
+    type Err = String;
+
+    /// Parse the spec-string forms `poisson:<rate>`, `bursts:<rate>:<size>`
+    /// and `hotspot:<rate>:<bias>`; the result is
+    /// [`validate`](ArrivalProcess::validate)d.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let mut parts = s.split(':').map(str::trim);
+        let head = parts.next().unwrap_or("");
+        let mut param = |need: &str| parts.next().ok_or_else(|| format!("`{head}` needs {need}"));
+        let bad = |what: &str| format!("bad {what} in `{s}`");
+        let need_rate = format!("a rate, e.g. `{head}:2.0`");
+        let rate = |p: &str| p.parse().map_err(|_| bad("arrival rate"));
+        let process = match head {
+            "poisson" => ArrivalProcess::Poisson {
+                rate_per_bin: rate(param(&need_rate)?)?,
+            },
+            "bursts" => ArrivalProcess::Bursts {
+                rate_per_bin: rate(param(&need_rate)?)?,
+                size: param("a size, e.g. `bursts:2:16`")?
+                    .parse()
+                    .map_err(|_| bad("burst size"))?,
+            },
+            "hotspot" => ArrivalProcess::Hotspot {
+                rate_per_bin: rate(param(&need_rate)?)?,
+                bias: param("a bias, e.g. `hotspot:2:0.25`")?
+                    .parse()
+                    .map_err(|_| bad("hotspot bias"))?,
+            },
+            other => return Err(format!("unknown arrival process `{other}`")),
+        };
+        if parts.next().is_some() {
+            return Err(format!("too many parameters in arrival process `{s}`"));
+        }
+        process
+            .validate()
+            .map_err(|e| format!("arrival process `{s}`: {e}"))?;
+        Ok(process)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rls_rng::rng_from_seed;
+
+    #[test]
+    fn spec_strings_round_trip() {
+        for s in ["poisson:2", "bursts:1.5:16", "hotspot:2:0.25"] {
+            assert_eq!(s.parse::<ArrivalProcess>().unwrap().to_string(), s);
+        }
+        for bad in [
+            "poisson",
+            "poisson:zero",
+            "poisson:-1",
+            "bursts:2",
+            "bursts:2:0",
+            "hotspot:2",
+            "hotspot:2:1.5",
+            "poisson:2:3",
+            "meteor:1",
+        ] {
+            assert!(bad.parse::<ArrivalProcess>().is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn rates_and_epochs() {

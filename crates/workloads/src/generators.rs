@@ -195,10 +195,79 @@ impl Workload {
     }
 }
 
+impl core::fmt::Display for Workload {
+    /// The spec-string form; [`FromStr`](core::str::FromStr) inverts it.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            Workload::Zipf { exponent } => write!(f, "zipf:{exponent}"),
+            Workload::BlockImbalance { offset } => write!(f, "block-imbalance:{offset}"),
+            Workload::OverUnderPairs { pairs } => write!(f, "over-under-pairs:{pairs}"),
+            plain => f.write_str(plain.name()),
+        }
+    }
+}
+
+impl core::str::FromStr for Workload {
+    type Err = String;
+
+    /// Parse the spec-string forms: the plain names, `zipf:<exponent>`,
+    /// `block-imbalance:<offset>` and `over-under-pairs:<pairs>`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let (head, param) = match s.split_once(':') {
+            Some((head, param)) => (head.trim(), Some(param.trim())),
+            None => (s.trim(), None),
+        };
+        let param = |need: &str| param.ok_or_else(|| format!("`{head}` needs {need}"));
+        let bad = |what: &str| format!("bad {what} in `{s}`");
+        Ok(match head {
+            "all-in-one-bin" => Workload::AllInOneBin,
+            "uniform-random" => Workload::UniformRandom,
+            "two-choices" => Workload::TwoChoices,
+            "balanced" => Workload::Balanced,
+            "one-over-one-under" => Workload::OneOverOneUnder,
+            "zipf" => Workload::Zipf {
+                exponent: param("an exponent, e.g. `zipf:1.5`")?
+                    .parse()
+                    .map_err(|_| bad("zipf exponent"))?,
+            },
+            "block-imbalance" => Workload::BlockImbalance {
+                offset: param("an offset, e.g. `block-imbalance:4`")?
+                    .parse()
+                    .map_err(|_| bad("offset"))?,
+            },
+            "over-under-pairs" => Workload::OverUnderPairs {
+                pairs: param("a count, e.g. `over-under-pairs:4`")?
+                    .parse()
+                    .map_err(|_| bad("pair count"))?,
+            },
+            other => return Err(format!("unknown workload `{other}`")),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rls_rng::rng_from_seed;
+
+    #[test]
+    fn spec_strings_round_trip() {
+        for s in [
+            "all-in-one-bin",
+            "uniform-random",
+            "two-choices",
+            "balanced",
+            "one-over-one-under",
+            "zipf:1.5",
+            "block-imbalance:4",
+            "over-under-pairs:3",
+        ] {
+            assert_eq!(s.parse::<Workload>().unwrap().to_string(), s);
+        }
+        for bad in ["zipf", "zipf:steep", "block-imbalance", "moebius"] {
+            assert!(bad.parse::<Workload>().is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn names_are_stable() {

@@ -26,8 +26,10 @@
 //! with the RLS clocks: Poisson singles, adversarial bursts, or a hotspot
 //! stream biased toward one bin.
 //!
-//! Workloads and arrival processes are plain serializable values, so
-//! campaign specs (`rls-campaign`) can name them in TOML/JSON grids.
+//! Every type here — workloads, arrival processes, weight laws, speed
+//! profiles and churn processes — owns its one spec-string form
+//! (`Display` + `FromStr`, e.g. `zipf:1.5`, `bursts:2:16`), so campaign
+//! specs (`rls-campaign`) and the CLI name them with the same text.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
