@@ -92,16 +92,28 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
 }
 
 /// Run one of the hand-routed subcommands, mapping its output/error onto
-/// the process exit code.
-fn run_subcommand(result: Result<String, String>) -> ExitCode {
-    match result {
+/// the process exit code.  Usage follows an argument error only: a
+/// command that parsed and then failed (a port in use, an unsupported
+/// engine combination) reports just its error.
+fn run_subcommand<C>(
+    parsed: Result<C, String>,
+    execute: impl FnOnce(&C) -> Result<String, String>,
+) -> ExitCode {
+    let cmd = match parsed {
+        Ok(cmd) => cmd,
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match execute(&cmd) {
         Ok(output) => {
             print!("{output}");
             ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -115,15 +127,13 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         Some("campaign") => {
-            return run_subcommand(
-                parse_campaign_args(&raw[1..]).and_then(|cmd| execute_campaign(&cmd)),
-            );
+            return run_subcommand(parse_campaign_args(&raw[1..]), execute_campaign);
         }
         Some("live") => {
-            return run_subcommand(parse_live_args(&raw[1..]).and_then(|cmd| execute_live(&cmd)));
+            return run_subcommand(parse_live_args(&raw[1..]), execute_live);
         }
         Some("serve") => {
-            return run_subcommand(parse_serve_args(&raw[1..]).and_then(|cmd| execute_serve(&cmd)));
+            return run_subcommand(parse_serve_args(&raw[1..]), execute_serve);
         }
         _ => {}
     }

@@ -273,6 +273,88 @@ impl LoadIndex {
         (base + child, self.levels)
     }
 
+    /// The start of a staged descent of `rank`: in front of the root,
+    /// nothing read yet.  `None` when `rank` is past the current total.
+    ///
+    /// A staged descent walks the same path as [`bin_at`](Self::bin_at),
+    /// a few levels at a time ([`descend`](Self::descend)), so a caller
+    /// can [`prefetch`](Self::prefetch) the next node and come back once
+    /// it has arrived.  It only ever serves as a memory hint: it records
+    /// no descent depth and never panics, even when the tree has changed
+    /// since the descent started (a stale path just prefetches the wrong
+    /// line).
+    ///
+    /// ```
+    /// use rls_core::LoadIndex;
+    ///
+    /// let idx = LoadIndex::from_loads(&[3, 0, 5, 1, 0, 2, 7, 4, 1, 6]);
+    /// // Rank 9's path in two stages, each prefetching the node it stops at.
+    /// let upper = idx.descend(idx.descent(9).unwrap(), 1).unwrap();
+    /// idx.prefetch(upper);
+    /// let leaf = idx.descend(upper, 0).unwrap();
+    /// idx.prefetch(leaf);
+    /// assert!(idx.descent(idx.total()).is_none());
+    /// ```
+    pub fn descent(&self, rank: u64) -> Option<Descent> {
+        (rank < self.total()).then_some(Descent {
+            level: self.levels - 1,
+            node: 0,
+            rank,
+        })
+    }
+
+    /// Continue `descent` down to `level` (0: in front of a leaf node),
+    /// reading each node in between and stepping into the child that holds
+    /// the rank, as [`bin_at`](Self::bin_at) does.  `None` when the path
+    /// runs into a node the tree does not store, which only a descent
+    /// started before the tree changed can do.
+    pub fn descend(&self, mut descent: Descent, level: u32) -> Option<Descent> {
+        while descent.level > level {
+            let node: &[u64; FANOUT] = self
+                .node_words(descent.level, descent.node)?
+                .try_into()
+                .ok()?;
+            descent.node = descent.node * FANOUT + select_child(node, &mut descent.rank);
+            descent.level -= 1;
+        }
+        Some(descent)
+    }
+
+    /// Ask the CPU to start loading the node `descent` stands in front of
+    /// (both of its cache lines, since the words need not be line
+    /// aligned).  A hint only: it changes no state and no result.
+    #[inline]
+    pub fn prefetch(&self, descent: Descent) {
+        if let Some(words) = self.node_words(descent.level, descent.node) {
+            prefetch_lines(words);
+        }
+    }
+
+    /// Ask the CPU to start loading `bin`'s leaf, the line a load probe
+    /// of `bin` reads.  A hint only; out-of-range bins are ignored.
+    #[inline]
+    pub fn prefetch_bin(&self, bin: usize) {
+        if let Some(word) = self.loads().get(bin) {
+            prefetch_line(word);
+        }
+    }
+
+    /// The stored words of node `node` on `level` (0: a leaf node, whose
+    /// last one may be partial), or `None` past the end.
+    #[inline]
+    fn node_words(&self, level: u32, node: usize) -> Option<&[u64]> {
+        let words = match level {
+            0 => self.loads(),
+            _ => self
+                .interior
+                .get(*self.level_start.get(level as usize - 1)?..)?,
+        };
+        let base = node.checked_mul(FANOUT)?;
+        words
+            .get(base..words.len().min(base + FANOUT))
+            .filter(|w| !w.is_empty())
+    }
+
     /// Add one ball to `bin`.
     ///
     /// # Panics
@@ -380,6 +462,45 @@ impl LoadIndex {
     }
 }
 
+/// A rank's descent through a [`LoadIndex`], stopped in front of one node
+/// (see [`LoadIndex::descent`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Descent {
+    /// Level of the node read next (0: a leaf node).
+    level: u32,
+    /// That node's index within its level.
+    node: usize,
+    /// The rank still to place within that node.
+    rank: u64,
+}
+
+/// Prefetch the first and the last of `words`: every cache line of a
+/// node of at most 64 bytes.
+#[inline]
+fn prefetch_lines(words: &[u64]) {
+    if let (Some(first), Some(last)) = (words.first(), words.last()) {
+        prefetch_line(first);
+        prefetch_line(last);
+    }
+}
+
+/// Hint the CPU to pull the cache line holding `word` into L1.  A no-op
+/// off x86_64.
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch_line(word: &u64) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint: it never faults (not even on a bad
+    // address), never writes and changes no value a load returns; `word`
+    // is a live reference, and SSE is part of the x86_64 baseline.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(core::ptr::from_ref(word).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = word;
+}
+
 /// The interior levels (offsets `starts`, `words` in all) over `leaves`:
 /// level 1 sums each leaf node (the last may be partial), every higher
 /// level each node of the level below.
@@ -470,6 +591,74 @@ mod tests {
                 loads.len()
             );
         }
+    }
+
+    #[test]
+    fn a_staged_descent_walks_the_path_of_bin_at() {
+        // One, two and four levels; the last leaf node partial or whole.
+        for n in [5usize, 13, 64, 300] {
+            let loads: Vec<u64> = (0..n as u64).map(|b| (b * 7 + 3) % 5).collect();
+            let idx = LoadIndex::from_loads(&loads);
+            for rank in 0..idx.total() {
+                let start = idx.descent(rank).expect("rank below the total");
+                assert_eq!(start.level + 1, idx.levels);
+                // In two stages, as the engine prefetches: to level 1, then
+                // to the leaves.
+                let upper = idx.descend(start, 1).unwrap();
+                assert_eq!(upper.level, start.level.min(1));
+                let leaf = idx.descend(upper, 0).unwrap();
+                assert_eq!(leaf.level, 0);
+                assert_eq!(leaf.node, idx.bin_at(rank) / FANOUT, "n {n} rank {rank}");
+                assert_eq!(idx.descend(start, 0), Some(leaf));
+                idx.prefetch(start);
+                idx.prefetch(leaf);
+            }
+            assert_eq!(idx.descent(idx.total()), None);
+            assert_eq!(idx.descent(u64::MAX), None);
+        }
+    }
+
+    #[test]
+    fn a_stale_descent_never_panics() {
+        // Start every descent on a full tree, empty most of it, then finish
+        // the descents and prefetch: paths now lead into zero-mass and
+        // absent nodes, which yield `None` or a harmless node.
+        let mut idx = LoadIndex::from_loads(&[9u64; 1000]);
+        let starts: Vec<Descent> = (0..idx.total())
+            .step_by(7)
+            .map(|rank| idx.descent(rank).unwrap())
+            .collect();
+        for bin in 1..1000 {
+            idx.retire_bin(bin);
+        }
+        for &start in &starts {
+            for level in (0..idx.levels).rev() {
+                if let Some(d) = idx.descend(start, level) {
+                    idx.prefetch(d);
+                }
+            }
+        }
+        for bin in [0, 999, 1000, 1023, 1024, usize::MAX] {
+            idx.prefetch_bin(bin);
+        }
+        let far = Descent {
+            level: 0,
+            node: usize::MAX,
+            rank: 0,
+        };
+        idx.prefetch(far);
+        assert_eq!(idx.descend(far, 0), Some(far));
+        assert_eq!(
+            idx.descend(
+                Descent {
+                    level: 2,
+                    node: usize::MAX / 4,
+                    rank: 0
+                },
+                0
+            ),
+            None
+        );
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! assert_eq!(cfg.loads(), &[8, 1, 2, 1]);
 //! ```
 
-#![forbid(unsafe_code)]
+// One audited `unsafe`: the cache-prefetch hint in `index.rs`.
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 mod config;
@@ -46,7 +47,7 @@ mod tracker;
 
 pub use config::{BinCounts, Config};
 pub use error::{ConfigError, MoveError};
-pub use index::LoadIndex;
+pub use index::{Descent, LoadIndex};
 pub use membership::{Membership, MembershipRecord, MembershipSnapshot};
 pub use moves::{Move, MoveClass};
 pub use policy::{BinState, HeteroRingContext, RebalancePolicy, RingContext, RingDecision};

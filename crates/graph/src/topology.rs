@@ -67,14 +67,22 @@ impl Topology {
             Some((head, param)) => (head.trim(), Some(param.trim())),
             None => (s.trim(), None),
         };
+        // A name that takes no parameter must come without one.
+        let plain = |topology| match param {
+            None => Ok(topology),
+            Some(_) => Err(format!(
+                "topology `{head}` takes no parameter (got `{}`)",
+                s.trim()
+            )),
+        };
         let topology = match head {
-            "complete" => Topology::Complete,
-            "cycle" => Topology::Cycle,
-            "path" => Topology::Path,
-            "torus" | "torus-2d" | "torus2d" => Topology::Torus2D,
-            "hypercube" => Topology::Hypercube,
-            "star" => Topology::Star,
-            "binary-tree" => Topology::BinaryTree,
+            "complete" => plain(Topology::Complete)?,
+            "cycle" => plain(Topology::Cycle)?,
+            "path" => plain(Topology::Path)?,
+            "torus" | "torus-2d" | "torus2d" => plain(Topology::Torus2D)?,
+            "hypercube" => plain(Topology::Hypercube)?,
+            "star" => plain(Topology::Star)?,
+            "binary-tree" => plain(Topology::BinaryTree)?,
             "random-regular" => Topology::RandomRegular {
                 degree: param
                     .ok_or_else(|| {
@@ -249,9 +257,24 @@ mod tests {
             "nope",
             "random-regular",
             "random-regular:x",
+            "random-regular:4:2",
             "erdos-renyi",
+            "erdos-renyi:0.1:3",
         ] {
             assert!(bad.parse::<Topology>().is_err(), "{bad}");
+        }
+        // A parameter on a name that takes none is an error naming the
+        // spelling, not silently dropped.
+        for bad in [
+            "complete:7",
+            "cycle:",
+            "torus:4",
+            "binary-tree:2",
+            "star: 3",
+        ] {
+            let err = bad.parse::<Topology>().unwrap_err();
+            assert!(err.contains("takes no parameter"), "{bad}: {err}");
+            assert!(err.contains(bad.trim()), "{bad}: {err}");
         }
     }
 

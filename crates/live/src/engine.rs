@@ -30,8 +30,8 @@
 // re-derive a float decision.
 
 use rls_core::{
-    BinState, Config, HeteroRingContext, LoadIndex, LoadTracker, Membership, MembershipSnapshot,
-    RebalancePolicy, RingContext, RingDecision, RlsRule,
+    BinState, Config, Descent, HeteroRingContext, LoadIndex, LoadTracker, Membership,
+    MembershipSnapshot, RebalancePolicy, RingContext, RingDecision, RlsRule,
 };
 use rls_graph::{ElasticDest, Topology};
 use rls_rng::dist::{Distribution, Exponential, Poisson};
@@ -39,7 +39,6 @@ use rls_rng::{Rng64, RngExt};
 use rls_workloads::{ArrivalProcess, ChurnEvent, ChurnProcess, WeightDist};
 use serde::{Deserialize, Serialize};
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use rls_obs::Registry;
@@ -140,6 +139,84 @@ fn bin_state(books: &Books, h: &Hetero, bin: usize) -> BinState {
     BinState {
         weight: books.weights()[bin],
         speed: h.speeds[bin],
+    }
+}
+
+/// Events [`LiveEngine::run_until`] draws ahead of applying them (see
+/// [`LiveEngine::run_ahead`]).  An event's leaf node is prefetched
+/// `AHEAD / 2` events after it was drawn.
+const AHEAD: usize = 16;
+
+/// The smallest tree, in leaf slots, on which [`LiveEngine::run_until`]
+/// draws ahead (a power of two: more than 2¹⁹ bins).  Below it the tree
+/// and loads stay in L2, prefetching buys little, and the staged descents
+/// and the queue cost time: an in-process sweep (greedy-2, 16 balls per
+/// bin, `run_until` slices of about 18k events, 2-vCPU Xeon guest)
+/// measured the step loop's time over draw-ahead's at 0.67× for 2¹⁰
+/// bins, 0.72× for 2¹⁷, 0.89× for 2¹⁸, 0.88–1.08× (median 0.97×) for
+/// 2¹⁹, 1.40× for 2²⁰ and 1.66× for 2²².
+const AHEAD_MIN_CAPACITY: usize = 1 << 20;
+
+/// The most ring candidates a drawn-ahead event holds: greedy-`d` with a
+/// larger `d` runs the plain [`LiveEngine::step`] loop.
+const AHEAD_CHOICES: usize = 4;
+
+/// Which superposed source produced an event (see
+/// [`LiveEngine::draw_band`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Band {
+    Arrival,
+    Departure,
+    Ring,
+    Churn,
+}
+
+/// The random part of one event, drawn before the event is applied.
+#[derive(Debug)]
+struct Drawn {
+    /// The event's time.
+    time: f64,
+    what: Ahead,
+    /// Where the prefetching descent of the clock rank stands (`None` for
+    /// arrivals).  A hint only: the event's bin comes from a full descent
+    /// when it is applied.
+    descent: Option<Descent>,
+}
+
+/// The draws of one drawn-ahead event.
+#[derive(Debug)]
+enum Ahead {
+    /// The placed bins, in draw order.
+    Arrival(Vec<u32>),
+    /// The departing ball's clock rank.
+    Departure { rank: u64 },
+    /// The ringing ball's clock rank and the candidates in draw order
+    /// (the first `policy.choices()` are drawn).
+    Ring {
+        rank: u64,
+        candidates: [usize; AHEAD_CHOICES],
+    },
+}
+
+impl Drawn {
+    /// The ball count after this event, from `m` before it (an overflow
+    /// saturates here and panics when the arrival is applied, as in
+    /// [`LiveEngine::step`]).
+    fn population_after(&self, m: u64) -> u64 {
+        match &self.what {
+            Ahead::Arrival(bins) => m.saturating_add(bins.len() as u64),
+            Ahead::Departure { .. } => m - 1,
+            Ahead::Ring { .. } => m,
+        }
+    }
+
+    /// Second prefetch stage: read the level-1 node (prefetched when the
+    /// event was drawn) and prefetch the leaf node of the clock rank.
+    fn prefetch_leaf(&mut self, index: &LoadIndex) {
+        self.descent = self.descent.and_then(|d| index.descend(d, 0));
+        if let Some(d) = self.descent {
+            index.prefetch(d);
+        }
     }
 }
 
@@ -640,74 +717,109 @@ impl LiveEngine {
     /// trajectories are bit-identical to the pre-elastic engine.
     pub fn step<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> Option<LiveEvent> {
         let kind = loop {
-            let m = self.index().total();
-            let epoch_rate = self
-                .params
-                .arrivals
-                .epoch_rate(self.membership.live_count());
-            // Departure and ring clocks run per ball at the bin's speed, so
-            // their total rates scale with the rate mass R = Σ s_i·ℓ_i
-            // (= m on unit engines).
-            let clock_mass = self.books.clock_mass();
-            let depart_rate = clock_mass as f64 * self.params.service_rate;
-            let ring_rate = clock_mass as f64;
-            let total = epoch_rate + depart_rate + ring_rate + self.churn.max_rate();
-            if total <= 0.0 {
-                return None;
-            }
-
-            let dt = Exponential::new(total)
-                .expect("positive total rate")
-                .sample(rng);
+            let (dt, band) = self.draw_band(self.index().total(), self.books.clock_mass(), rng)?;
             self.time += dt;
-
-            let pick = rng.next_f64() * total;
-            // With no balls and no churn only arrivals have positive rate;
-            // route there unconditionally (also absorbs the ~2⁻⁵³ rounding
-            // case where `pick` lands exactly on `total` — under churn that
-            // boundary case belongs to the churn band instead).
-            if (m == 0 && self.churn.is_none()) || pick < epoch_rate {
-                let mut bins = Vec::with_capacity(self.params.arrivals.epoch_size() as usize);
-                for _ in 0..self.params.arrivals.epoch_size() {
-                    let bin = self
-                        .params
-                        .arrivals
-                        .place_among(self.membership.live_ids(), rng);
-                    let weight = self.sample_arrival_weight(rng).unwrap_or(1);
-                    self.arrive(bin, weight);
-                    bins.push(bin_u32(bin));
+            match band {
+                Band::Arrival => {
+                    let mut bins = Vec::with_capacity(self.params.arrivals.epoch_size() as usize);
+                    for _ in 0..self.params.arrivals.epoch_size() {
+                        let bin = self
+                            .params
+                            .arrivals
+                            .place_among(self.membership.live_ids(), rng);
+                        let weight = self.sample_arrival_weight(rng).unwrap_or(1);
+                        self.arrive(bin, weight);
+                        bins.push(bin_u32(bin));
+                    }
+                    break LiveEventKind::Arrival { bins };
                 }
-                break LiveEventKind::Arrival { bins };
-            } else if pick < epoch_rate + depart_rate {
-                // The departing ball's clock is rate-proportional across
-                // bins (uniform over m balls on unit engines) and uniform
-                // within its bin.
-                let bin = self.clock_bin(rng.next_below(clock_mass));
-                let (picked, _) = self.books.pick(bin, rng);
-                self.depart(bin, picked);
-                break LiveEventKind::Departure { bin: bin_u32(bin) };
-            } else if self.churn.is_none() || pick < epoch_rate + depart_rate + ring_rate {
-                let source = self.clock_bin(rng.next_below(clock_mass));
-                let (picked, ball) = self.books.pick(source, rng);
-                let decision = self.decide_ring(source, ball, rng);
-                break self.apply_ring(source, picked, decision);
-            } else if let Some(event) = self.churn.decide(self.time, rng) {
-                if let Some(kind) = self.apply_churn(event, rng) {
-                    break kind;
+                Band::Departure => {
+                    // The departing ball's clock is rate-proportional
+                    // across bins (uniform over m balls on unit engines)
+                    // and uniform within its bin.
+                    let bin = self.clock_bin(rng.next_below(self.books.clock_mass()));
+                    let (picked, _) = self.books.pick(bin, rng);
+                    self.depart(bin, picked);
+                    break LiveEventKind::Departure { bin: bin_u32(bin) };
+                }
+                Band::Ring => {
+                    let source = self.clock_bin(rng.next_below(self.books.clock_mass()));
+                    let (picked, ball) = self.books.pick(source, rng);
+                    let (dest, membership) = (&self.dest, &self.membership);
+                    let decision =
+                        self.decide_ring(source, ball, || dest.sample(source, membership, rng));
+                    break self.apply_ring(source, picked, decision);
+                }
+                Band::Churn => {
+                    if let Some(event) = self.churn.decide(self.time, rng) {
+                        if let Some(kind) = self.apply_churn(event, rng) {
+                            break kind;
+                        }
+                    }
                 }
             }
         };
+        Some(self.record_event(kind))
+    }
+
+    /// Draw the holding time and the source of the next event of the
+    /// superposed chain at ball count `m` and clock mass `clock_mass`:
+    /// `Exp(total)`, then one uniform `pick` over the stacked rates.
+    /// `None` when the total rate is zero.  This is the one statement of
+    /// the event law; [`step`](Self::step) and
+    /// [`run_ahead`](Self::run_ahead) both draw through it.
+    fn draw_band<R: Rng64 + ?Sized>(
+        &self,
+        m: u64,
+        clock_mass: u64,
+        rng: &mut R,
+    ) -> Option<(f64, Band)> {
+        let epoch_rate = self
+            .params
+            .arrivals
+            .epoch_rate(self.membership.live_count());
+        // Departure and ring clocks run per ball at the bin's speed, so
+        // their total rates scale with the rate mass R = Σ s_i·ℓ_i (= m on
+        // unit engines).
+        let depart_rate = clock_mass as f64 * self.params.service_rate;
+        let ring_rate = clock_mass as f64;
+        let total = epoch_rate + depart_rate + ring_rate + self.churn.max_rate();
+        if total <= 0.0 {
+            return None;
+        }
+
+        let dt = Exponential::new(total)
+            .expect("positive total rate")
+            .sample(rng);
+        let pick = rng.next_f64() * total;
+        // With no balls and no churn only arrivals have positive rate;
+        // route there unconditionally (also absorbs the ~2⁻⁵³ rounding
+        // case where `pick` lands exactly on `total` — under churn that
+        // boundary case belongs to the churn band instead).
+        let band = if (m == 0 && self.churn.is_none()) || pick < epoch_rate {
+            Band::Arrival
+        } else if pick < epoch_rate + depart_rate {
+            Band::Departure
+        } else if self.churn.is_none() || pick < epoch_rate + depart_rate + ring_rate {
+            Band::Ring
+        } else {
+            Band::Churn
+        };
+        Some((dt, band))
+    }
+
+    /// Number an applied event and count it.
+    fn record_event(&mut self, kind: LiveEventKind) -> LiveEvent {
         self.seq += 1;
         self.counters.events += 1;
         if let Some(m) = &self.metrics {
             m.events.inc();
         }
-
-        Some(LiveEvent {
+        LiveEvent {
             seq: self.seq,
             time: self.time,
             kind,
-        })
+        }
     }
 
     /// Apply one externally-chosen event (see [`LiveCommand`]).
@@ -957,7 +1069,10 @@ impl LiveEngine {
                         dest: Some(dest),
                         moved: dest != source && self.permits_pair(source, dest, ball),
                     },
-                    None => self.decide_ring(source, ball, rng),
+                    None => {
+                        let (dest, membership) = (&self.dest, &self.membership);
+                        self.decide_ring(source, ball, || dest.sample(source, membership, rng))
+                    }
                 };
                 self.apply_ring(source, picked, decision)
             }
@@ -1048,12 +1163,21 @@ impl LiveEngine {
 
     /// Run until simulated time reaches `until`, reporting every event to
     /// the observer.  Returns the number of events processed.
+    ///
+    /// The result is bit-identical to calling [`step`](Self::step) while
+    /// `time() < until`: the same events, counters, telemetry and RNG
+    /// state after the call.  On a tree too large for L2 whose events'
+    /// random draws read no load, the events are drawn ahead of applying
+    /// them and their memory is prefetched while they wait.
     pub fn run_until<R, O>(&mut self, until: f64, rng: &mut R, observer: &mut O) -> u64
     where
         R: Rng64 + ?Sized,
         O: LiveObserver,
     {
         observer.on_start(&self.tracker, self.time);
+        if self.index().capacity() >= AHEAD_MIN_CAPACITY && self.draws_are_load_free() {
+            return self.run_ahead(until, rng, observer);
+        }
         let mut processed = 0;
         while self.time < until {
             let Some(event) = self.step(rng) else {
@@ -1063,6 +1187,155 @@ impl LiveEngine {
             processed += 1;
         }
         processed
+    }
+
+    /// Whether the random part of every event — the time, the band, the
+    /// clock rank, the arrival bins and the ring candidates — is a
+    /// function of the ball count alone, never of a load: unit books (a
+    /// clock rank is a ball rank, a ball pick needs no draw), no churn
+    /// (the live set is fixed) and the complete graph (a candidate is a
+    /// uniform live bin, whatever the source).
+    fn draws_are_load_free(&self) -> bool {
+        self.hetero.is_none()
+            && self.churn.is_none()
+            && self.dest.is_complete()
+            && self.policy.choices() <= AHEAD_CHOICES
+    }
+
+    /// [`run_until`](Self::run_until) on an engine whose draws are
+    /// load-free: draw the random part of the next [`AHEAD`] events
+    /// first, then apply them strictly in order.
+    ///
+    /// The draws of one event never read a load, only the ball count, and
+    /// the ball count after an event follows from its band alone, so
+    /// drawing event `k + 1` before applying event `k` consumes the same
+    /// random words in the same order as the [`step`](Self::step) loop.
+    /// Applying runs the same helpers (`clock_bin`, `decide_ring` over the
+    /// drawn candidates, `apply_ring`, `arrive`, `depart`), so
+    /// trajectories, events, counters and telemetry are bit-identical.
+    /// Drawing stops at the first event that reaches `until`.
+    ///
+    /// What waiting buys is memory-level parallelism: at 2²⁰ bins each
+    /// event's tree and leaf reads miss cache, and a queued event's lines
+    /// are prefetched in two stages while earlier events apply — when it
+    /// is drawn, the level-1 node on its rank's path and the leaves of its
+    /// arrival bins and candidates; `AHEAD / 2` events later, the leaf
+    /// node of its rank.
+    fn run_ahead<R, O>(&mut self, until: f64, rng: &mut R, observer: &mut O) -> u64
+    where
+        R: Rng64 + ?Sized,
+        O: LiveObserver,
+    {
+        let mut queue: [Option<Drawn>; AHEAD] = Default::default();
+        let (mut head, mut len) = (0, 0);
+        // The ball count and the time once every drawn event is applied.
+        let (mut m, mut time) = (self.index().total(), self.time);
+        let mut drawing = time < until;
+        let mut processed = 0;
+        loop {
+            while drawing && len < AHEAD {
+                let Some(drawn) = self.draw_ahead(m, time, rng) else {
+                    drawing = false;
+                    break;
+                };
+                m = drawn.population_after(m);
+                time = drawn.time;
+                drawing = time < until;
+                queue[(head + len) % AHEAD] = Some(drawn);
+                len += 1;
+            }
+            if let Some(later) = &mut queue[(head + AHEAD / 2) % AHEAD] {
+                later.prefetch_leaf(self.index());
+            }
+            let Some(drawn) = queue[head].take() else {
+                break;
+            };
+            head = (head + 1) % AHEAD;
+            len -= 1;
+            let event = self.apply_drawn(drawn);
+            observer.on_event(&event, &self.tracker);
+            processed += 1;
+        }
+        processed
+    }
+
+    /// Draw the random part of the next event at ball count `m` and time
+    /// `time` (the engine's once every event drawn before it is applied),
+    /// and prefetch the first lines it will touch.  `None` when the total
+    /// rate is zero.
+    fn draw_ahead<R: Rng64 + ?Sized>(&self, m: u64, time: f64, rng: &mut R) -> Option<Drawn> {
+        let (dt, band) = self.draw_band(m, m, rng)?;
+        let index = self.index();
+        let mut descent = None;
+        let what = match band {
+            Band::Arrival => Ahead::Arrival(
+                (0..self.params.arrivals.epoch_size())
+                    .map(|_| {
+                        let bin = self
+                            .params
+                            .arrivals
+                            .place_among(self.membership.live_ids(), rng);
+                        index.prefetch_bin(bin);
+                        bin_u32(bin)
+                    })
+                    .collect(),
+            ),
+            Band::Departure | Band::Ring => {
+                let rank = rng.next_below(m);
+                descent = index.descent(rank).and_then(|d| index.descend(d, 1));
+                if let Some(d) = descent {
+                    index.prefetch(d);
+                }
+                if band == Band::Departure {
+                    Ahead::Departure { rank }
+                } else {
+                    // On the complete graph a candidate does not depend
+                    // on the source, which is not known yet.
+                    let mut candidates = [0; AHEAD_CHOICES];
+                    for c in &mut candidates[..self.policy.choices()] {
+                        *c = self
+                            .dest
+                            .sample(0, &self.membership, rng)
+                            .expect("the complete graph always offers a candidate");
+                        index.prefetch_bin(*c);
+                    }
+                    Ahead::Ring { rank, candidates }
+                }
+            }
+            Band::Churn => unreachable!("draw-ahead engines have no churn"),
+        };
+        Some(Drawn {
+            time: time + dt,
+            what,
+            descent,
+        })
+    }
+
+    /// Apply one drawn-ahead event, as [`step`](Self::step) applies the
+    /// same draws.  Unit books pick no ball: the picked index is `None`
+    /// and the weight `1`.
+    fn apply_drawn(&mut self, drawn: Drawn) -> LiveEvent {
+        self.time = drawn.time;
+        let kind = match drawn.what {
+            Ahead::Arrival(bins) => {
+                for &bin in &bins {
+                    self.arrive(bin as usize, 1);
+                }
+                LiveEventKind::Arrival { bins }
+            }
+            Ahead::Departure { rank } => {
+                let bin = self.clock_bin(rank);
+                self.depart(bin, None);
+                LiveEventKind::Departure { bin: bin_u32(bin) }
+            }
+            Ahead::Ring { rank, candidates } => {
+                let source = self.clock_bin(rank);
+                let mut drawn = candidates.into_iter();
+                let decision = self.decide_ring(source, 1, || drawn.next());
+                self.apply_ring(source, None, decision)
+            }
+        };
+        self.record_event(kind)
     }
 
     /// Apply an arrival of a ball of `weight` to `bin`, keeping the
@@ -1117,56 +1390,46 @@ impl LiveEngine {
     }
 
     /// Run the policy's decision for a ring of a ball of weight `ball` in
-    /// `source`: sample the candidate set through the topology layer and
-    /// apply the pair rule.
-    fn decide_ring<R: Rng64 + ?Sized>(
+    /// `source`: draw the candidate set through `sample` (the topology
+    /// layer, or candidates drawn ahead) and apply the pair rule.
+    fn decide_ring(
         &self,
         source: usize,
         ball: u64,
-        rng: &mut R,
+        mut sample: impl FnMut() -> Option<usize>,
     ) -> RingDecision {
-        let dest = &self.dest;
-        let membership = &self.membership;
-        // Count candidate draws through a Cell so the sampler closure
-        // stays `FnMut` over `rng` alone; the count feeds the per-policy
-        // probe counter without perturbing the draw sequence.
-        let probes = Cell::new(0u64);
+        // Count candidate draws for the per-policy probe counter; the
+        // count never feeds back into the decision.
+        let mut probes = 0u64;
+        let counted = || {
+            probes += 1;
+            sample()
+        };
         let decision = match &self.hetero {
             Some(h) => self.policy.decide_weighted(
                 HeteroRingContext {
-                    n: membership.live_count(),
+                    n: self.membership.live_count(),
                     total_weight: self.books.total_weight(),
                     total_speed: h.total_speed,
                 },
                 source,
                 bin_state(&self.books, h, source),
                 ball,
-                || {
-                    probes.set(probes.get() + 1);
-                    dest.sample(source, membership, rng)
-                },
+                counted,
                 |b| bin_state(&self.books, h, b),
             ),
             None => {
                 let index = self.index();
                 let ctx = RingContext {
-                    n: membership.live_count(),
+                    n: self.membership.live_count(),
                     m: index.total(),
                 };
-                self.policy.decide(
-                    ctx,
-                    source,
-                    index.load(source),
-                    || {
-                        probes.set(probes.get() + 1);
-                        dest.sample(source, membership, rng)
-                    },
-                    |b| index.load(b),
-                )
+                self.policy
+                    .decide(ctx, source, index.load(source), counted, |b| index.load(b))
             }
         };
         if let Some(m) = &self.metrics {
-            m.probes.add(probes.get());
+            m.probes.add(probes);
         }
         decision
     }

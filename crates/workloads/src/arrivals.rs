@@ -208,6 +208,9 @@ mod tests {
             "hotspot:2",
             "hotspot:2:1.5",
             "poisson:2:3",
+            "bursts:1.5:16:2",
+            "hotspot:2:0.25:1",
+            "poisson:",
             "meteor:1",
         ] {
             assert!(bad.parse::<ArrivalProcess>().is_err(), "{bad}");

@@ -254,6 +254,12 @@ impl core::str::FromStr for ChurnProcess {
                 }
                 ChurnProcess::None
             }
+            ["none", ..] => {
+                return Err(format!(
+                    "churn `none` takes no parameter (got `{}`)",
+                    s.trim()
+                ))
+            }
             ["steady", j, d] => ChurnProcess::Steady {
                 join_rate: num(j, "join rate")?,
                 drain_rate: num(d, "drain rate")?,
@@ -308,8 +314,19 @@ mod tests {
             "flash:0.1:0",
             "diurnal:0:1:1",
             "none:warm",
+            "steady:0.1:0.2:0.3",
+            "flash:0.05:4:2",
+            "diurnal:200:0.2:0.3:1",
+            "diurnal:200:0.2:0.3:warm:warm",
         ] {
             assert!(bad.parse::<ChurnProcess>().is_err(), "{bad}");
+        }
+        // A parameter on a name that takes none is an error naming the
+        // spelling, not silently dropped.
+        for bad in ["none:3", "none:"] {
+            let err = bad.parse::<ChurnProcess>().unwrap_err();
+            assert!(err.contains("takes no parameter"), "{bad}: {err}");
+            assert!(err.contains(bad), "{bad}: {err}");
         }
     }
 

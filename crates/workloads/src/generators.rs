@@ -217,14 +217,22 @@ impl core::str::FromStr for Workload {
             Some((head, param)) => (head.trim(), Some(param.trim())),
             None => (s.trim(), None),
         };
+        // A name that takes no parameter must come without one.
+        let plain = |workload| match param {
+            None => Ok(workload),
+            Some(_) => Err(format!(
+                "workload `{head}` takes no parameter (got `{}`)",
+                s.trim()
+            )),
+        };
         let param = |need: &str| param.ok_or_else(|| format!("`{head}` needs {need}"));
         let bad = |what: &str| format!("bad {what} in `{s}`");
         Ok(match head {
-            "all-in-one-bin" => Workload::AllInOneBin,
-            "uniform-random" => Workload::UniformRandom,
-            "two-choices" => Workload::TwoChoices,
-            "balanced" => Workload::Balanced,
-            "one-over-one-under" => Workload::OneOverOneUnder,
+            "all-in-one-bin" => plain(Workload::AllInOneBin)?,
+            "uniform-random" => plain(Workload::UniformRandom)?,
+            "two-choices" => plain(Workload::TwoChoices)?,
+            "balanced" => plain(Workload::Balanced)?,
+            "one-over-one-under" => plain(Workload::OneOverOneUnder)?,
             "zipf" => Workload::Zipf {
                 exponent: param("an exponent, e.g. `zipf:1.5`")?
                     .parse()
@@ -264,8 +272,26 @@ mod tests {
         ] {
             assert_eq!(s.parse::<Workload>().unwrap().to_string(), s);
         }
-        for bad in ["zipf", "zipf:steep", "block-imbalance", "moebius"] {
+        for bad in [
+            "zipf",
+            "zipf:steep",
+            "zipf:1.5:2",
+            "block-imbalance",
+            "moebius",
+        ] {
             assert!(bad.parse::<Workload>().is_err(), "{bad}");
+        }
+        // A parameter on a name that takes none is an error naming the
+        // spelling, not silently dropped.
+        for bad in [
+            "balanced:3",
+            "two-choices:4",
+            "all-in-one-bin:",
+            "uniform-random:x",
+        ] {
+            let err = bad.parse::<Workload>().unwrap_err();
+            assert!(err.contains("takes no parameter"), "{bad}: {err}");
+            assert!(err.contains(bad), "{bad}: {err}");
         }
     }
 

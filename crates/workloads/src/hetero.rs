@@ -129,6 +129,10 @@ impl core::str::FromStr for WeightDist {
         let s = s.trim();
         let dist = if s == "unit" {
             WeightDist::Unit
+        } else if s.starts_with("unit:") {
+            return Err(format!(
+                "weight distribution `unit` takes no parameter (got `{s}`)"
+            ));
         } else if let Some(rest) = s.strip_prefix("uniform:") {
             let (lo, hi) = rest
                 .split_once(':')
@@ -252,6 +256,10 @@ impl core::str::FromStr for SpeedProfile {
         let s = s.trim();
         let profile = if s == "uniform" {
             SpeedProfile::Uniform
+        } else if s.starts_with("uniform:") {
+            return Err(format!(
+                "speed profile `uniform` takes no parameter (got `{s}`)"
+            ));
         } else if let Some(rest) = s.strip_prefix("two-class:") {
             let (speed, fraction) = rest
                 .split_once(':')
@@ -358,12 +366,33 @@ mod tests {
             "uniform:1",
             "pareto:0:8",
             "pareto:1.5:0",
+            "uniform:1:8:9",
+            "pareto:1.5:64:2",
             "nope",
         ] {
             assert!(bad.parse::<WeightDist>().is_err(), "{bad}");
         }
-        for bad in ["", "two-class:0:0.5", "two-class:4:1.5", "two-class:4", "x"] {
+        for bad in [
+            "",
+            "two-class:0:0.5",
+            "two-class:4:1.5",
+            "two-class:4",
+            "two-class:4:0.25:1",
+            "x",
+        ] {
             assert!(bad.parse::<SpeedProfile>().is_err(), "{bad}");
+        }
+        // A parameter on a name that takes none is an error naming the
+        // spelling, not silently dropped.
+        for bad in ["unit:3", "unit:"] {
+            let err = bad.parse::<WeightDist>().unwrap_err();
+            assert!(err.contains("takes no parameter"), "{bad}: {err}");
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
+        for bad in ["uniform:2", "uniform:"] {
+            let err = bad.parse::<SpeedProfile>().unwrap_err();
+            assert!(err.contains("takes no parameter"), "{bad}: {err}");
+            assert!(err.contains(bad), "{bad}: {err}");
         }
     }
 
