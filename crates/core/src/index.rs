@@ -790,6 +790,8 @@ mod tests {
         assert_eq!(unit, delta);
     }
 
+    // The check is a `debug_assert!`: release builds compile it out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "empty bin")]
     fn sub_past_the_bin_mass_panics_in_debug() {
@@ -820,6 +822,8 @@ mod tests {
         assert_eq!(idx.total(), 5);
     }
 
+    // The check is a `debug_assert!`: release builds compile it out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "empty bin")]
     fn decrement_on_empty_bin_panics_in_debug() {

@@ -662,6 +662,8 @@ mod tests {
         assert_eq!(t.discrepancy(), 0.0);
     }
 
+    // The check is a `debug_assert!`: release builds compile it out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "empty bin")]
     fn removing_from_empty_bin_panics_in_debug() {
@@ -670,6 +672,8 @@ mod tests {
         t.record_remove(0);
     }
 
+    // The check is a `debug_assert!`: release builds compile it out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "empty bin")]
     fn moving_from_empty_bin_panics_in_debug() {

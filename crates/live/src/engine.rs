@@ -39,9 +39,10 @@ use rls_rng::{Rng64, RngExt};
 use rls_workloads::{ArrivalProcess, ChurnEvent, ChurnProcess, WeightDist};
 use serde::{Deserialize, Serialize};
 
+use std::cell::Cell;
 use std::sync::Arc;
 
-use rls_obs::Registry;
+use rls_obs::{Counter, Registry};
 
 use crate::books::{self, Books};
 use crate::command::LiveCommand;
@@ -107,6 +108,34 @@ pub struct LiveCounters {
     /// Events processed (arrival epochs + departures + rings + scale
     /// events).
     pub events: u64,
+}
+
+/// Most load-index levels a clock descent can read: `⌈64 / 3⌉` for an
+/// 8-ary tree over a `usize` capacity.
+const MAX_DESCENT_LEVELS: usize = 22;
+
+/// Attached telemetry: the registry's handles, the counters already
+/// added to them, and the counts only telemetry reads, kept in plain
+/// cells until the next publish (cells, so a ring decision or a clock
+/// descent, which only read the engine, can count themselves).
+#[derive(Debug, Clone)]
+struct Telemetry {
+    metrics: Arc<LiveMetrics>,
+    /// The engine's counters as of the last publish.
+    published: LiveCounters,
+    /// Candidate destinations sampled by ring decisions since then.
+    probes: Cell<u64>,
+    /// Clock-rank descents since then, by the number of tree levels
+    /// they read.
+    descents: [Cell<u64>; MAX_DESCENT_LEVELS + 1],
+}
+
+/// Adds `n` to `counter`, skipping the atomic when there is nothing to
+/// add.
+fn add(counter: &Counter, n: u64) {
+    if n > 0 {
+        counter.add(n);
+    }
 }
 
 /// The weight law and speeds of a weighted/speed-aware engine (see
@@ -284,10 +313,12 @@ pub struct LiveEngine {
     /// Weight law and speeds (`None`: unit process).
     hetero: Option<Hetero>,
     /// Telemetry taps ([`attach_metrics`](Self::attach_metrics)). Never
-    /// part of snapshot identity, never consulted by the dynamics: every
-    /// hook is a write-only atomic increment, which is what the
-    /// observers-on-vs-off bit-identity tests pin down.
-    metrics: Option<Arc<LiveMetrics>>,
+    /// part of snapshot identity, never consulted by the dynamics: events
+    /// only bump plain counts, and each public call ends by adding what
+    /// they gained to the registry ([`publish`](Self::publish)), which is
+    /// what the observers-on-vs-off bit-identity tests pin down.
+    /// Boxed, so an engine without metrics stays as small as before.
+    telemetry: Option<Box<Telemetry>>,
 }
 
 impl LiveEngine {
@@ -342,7 +373,7 @@ impl LiveEngine {
             seq: 0,
             counters: LiveCounters::default(),
             hetero: None,
-            metrics: None,
+            telemetry: None,
         })
     }
 
@@ -408,18 +439,53 @@ impl LiveEngine {
     /// Attach telemetry taps resolved from `registry` (the probe counter
     /// is labeled with this engine's policy spec string).
     ///
-    /// Attaching observers never changes the trajectory: hooks are
-    /// write-only atomic increments, consume no randomness and branch on
-    /// nothing observed — `tests/obs_identity.rs` checks bit-identity
-    /// against an unobserved engine for every (policy, topology, hetero)
-    /// scenario.
+    /// Attaching observers never changes the trajectory: events bump
+    /// plain counts (the [`LiveCounters`], plus probe and per-depth
+    /// descent counts while metrics are attached), and each public call
+    /// ([`step`](Self::step), [`run_until`](Self::run_until),
+    /// [`apply`](Self::apply), [`apply_with`](Self::apply_with),
+    /// [`apply_batch`](Self::apply_batch)) ends by adding what they
+    /// gained to the registry — write-only, consuming no randomness.
+    /// `tests/obs_identity.rs` checks bit-identity against an unobserved
+    /// engine for every (policy, topology, hetero) scenario.  The
+    /// registry counts from here on: events before the attach are not
+    /// added.
     pub fn attach_metrics(&mut self, registry: &Registry) {
-        self.metrics = Some(LiveMetrics::register(registry, &self.policy.to_string()));
+        self.telemetry = Some(Box::new(Telemetry {
+            metrics: LiveMetrics::register(registry, &self.policy.to_string()),
+            published: self.counters,
+            probes: Cell::new(0),
+            descents: Default::default(),
+        }));
     }
 
     /// The attached telemetry handles, if any.
     pub fn metrics(&self) -> Option<&Arc<LiveMetrics>> {
-        self.metrics.as_ref()
+        self.telemetry.as_ref().map(|t| &t.metrics)
+    }
+
+    /// Add the counts gained since the last publish to the attached
+    /// registry (a no-op without one).  Every public entry point that
+    /// applies events ends here, so a scrape is exact between calls; the
+    /// counters are added with [`Counter::add`], so cells shared with an
+    /// earlier engine on the same registry keep accumulating.
+    fn publish(&mut self) {
+        let Some(t) = &mut self.telemetry else {
+            return;
+        };
+        let (now, was, m) = (self.counters, t.published, &t.metrics);
+        add(&m.events, now.events - was.events);
+        add(&m.arrivals, now.arrivals - was.arrivals);
+        add(&m.departures, now.departures - was.departures);
+        let (rings, moved) = (now.rings - was.rings, now.migrations - was.migrations);
+        add(&m.rings, rings);
+        add(&m.moves_accepted, moved);
+        add(&m.moves_rejected, rings - moved);
+        add(&m.probes, t.probes.take());
+        for (depth, count) in t.descents.iter().enumerate() {
+            m.descent_depth.record_n(depth as u64, count.take());
+        }
+        t.published = now;
     }
 
     /// Current configuration: the count tree's leaves.
@@ -675,16 +741,18 @@ impl LiveEngine {
             seq,
             counters,
             hetero: None,
-            metrics: None,
+            telemetry: None,
         })
     }
 
     /// The bin owning clock rank `rank ∈ [0, clock_mass)` (see
-    /// [`Books::clock_bin`]), recording the descent depth.
+    /// [`Books::clock_bin`]), tallying the descent depth while metrics
+    /// are attached.
     fn clock_bin(&self, rank: u64) -> usize {
         let (bin, depth) = self.books.clock_bin(rank);
-        if let Some(m) = &self.metrics {
-            m.descent_depth.record(u64::from(depth));
+        if let Some(t) = &self.telemetry {
+            let count = &t.descents[depth as usize];
+            count.set(count.get() + 1);
         }
         bin
     }
@@ -716,6 +784,14 @@ impl LiveEngine {
     /// runs exactly once on the pre-elastic band layout, so churn-free
     /// trajectories are bit-identical to the pre-elastic engine.
     pub fn step<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> Option<LiveEvent> {
+        let event = self.next_event(rng);
+        self.publish();
+        event
+    }
+
+    /// [`step`](Self::step) without publishing telemetry (the
+    /// [`run_until`](Self::run_until) loop publishes once at its end).
+    fn next_event<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> Option<LiveEvent> {
         let kind = loop {
             let (dt, band) = self.draw_band(self.index().total(), self.books.clock_mass(), rng)?;
             self.time += dt;
@@ -812,9 +888,6 @@ impl LiveEngine {
     fn record_event(&mut self, kind: LiveEventKind) -> LiveEvent {
         self.seq += 1;
         self.counters.events += 1;
-        if let Some(m) = &self.metrics {
-            m.events.inc();
-        }
         LiveEvent {
             seq: self.seq,
             time: self.time,
@@ -839,7 +912,9 @@ impl LiveEngine {
         cmd: &LiveCommand,
         rng: &mut R,
     ) -> Result<LiveEvent, LiveError> {
-        self.apply_cached(cmd, rng, &mut None)
+        let event = self.apply_cached(cmd, rng, &mut None);
+        self.publish();
+        event
     }
 
     /// [`apply`](Self::apply) with a caller-held holding-time cache: when
@@ -1015,9 +1090,6 @@ impl LiveEngine {
         self.time += dt;
         self.seq += 1;
         self.counters.events += 1;
-        if let Some(m) = &self.metrics {
-            m.events.inc();
-        }
 
         let kind = match *cmd {
             LiveCommand::Arrive { bin, weight } => {
@@ -1158,6 +1230,7 @@ impl LiveEngine {
             }
             out.push(res);
         }
+        self.publish();
         out
     }
 
@@ -1175,17 +1248,21 @@ impl LiveEngine {
         O: LiveObserver,
     {
         observer.on_start(&self.tracker, self.time);
-        if self.index().capacity() >= AHEAD_MIN_CAPACITY && self.draws_are_load_free() {
-            return self.run_ahead(until, rng, observer);
-        }
-        let mut processed = 0;
-        while self.time < until {
-            let Some(event) = self.step(rng) else {
-                break;
+        let processed =
+            if self.index().capacity() >= AHEAD_MIN_CAPACITY && self.draws_are_load_free() {
+                self.run_ahead(until, rng, observer)
+            } else {
+                let mut processed = 0;
+                while self.time < until {
+                    let Some(event) = self.next_event(rng) else {
+                        break;
+                    };
+                    observer.on_event(&event, &self.tracker);
+                    processed += 1;
+                }
+                processed
             };
-            observer.on_event(&event, &self.tracker);
-            processed += 1;
-        }
+        self.publish();
         processed
     }
 
@@ -1345,9 +1422,6 @@ impl LiveEngine {
         self.tracker.record_insert(old);
         self.books.insert(bin, weight, speeds(&self.hetero));
         self.counters.arrivals += 1;
-        if let Some(m) = &self.metrics {
-            m.arrivals.inc();
-        }
     }
 
     /// Apply a departure from `bin` (`picked` names the ball when per-ball
@@ -1357,9 +1431,6 @@ impl LiveEngine {
         self.tracker.record_remove(old);
         self.books.remove(bin, picked, speeds(&self.hetero));
         self.counters.departures += 1;
-        if let Some(m) = &self.metrics {
-            m.departures.inc();
-        }
     }
 
     /// Does the policy's pair rule permit moving a ball of weight `ball`
@@ -1428,8 +1499,8 @@ impl LiveEngine {
                     .decide(ctx, source, index.load(source), counted, |b| index.load(b))
             }
         };
-        if let Some(m) = &self.metrics {
-            m.probes.add(probes);
+        if let Some(t) = &self.telemetry {
+            t.probes.set(t.probes.get() + probes);
         }
         decision
     }
@@ -1445,14 +1516,6 @@ impl LiveEngine {
         decision: RingDecision,
     ) -> LiveEventKind {
         self.counters.rings += 1;
-        if let Some(m) = &self.metrics {
-            m.rings.inc();
-            if decision.moved {
-                m.moves_accepted.inc();
-            } else {
-                m.moves_rejected.inc();
-            }
-        }
         let dest = decision.dest.unwrap_or(source);
         if decision.moved {
             let (lf, lt) = (self.index().load(source), self.index().load(dest));

@@ -2,8 +2,10 @@
 //!
 //! [`LiveMetrics`] and [`ShardedMetrics`] are pre-resolved handles into an
 //! [`rls_obs::Registry`]: the engine looks up each instrument once at
-//! attach time and the hot paths touch only relaxed atomics.  Attaching
-//! metrics is strictly write-only — the zero-perturbation invariant (see
+//! attach time.  The live engine's events only bump plain counts; each
+//! public call ends by adding what they gained to these handles, so a
+//! scrape is exact between calls and may trail a call still running.
+//! Attaching metrics is strictly write-only — the zero-perturbation invariant (see
 //! `docs/OBSERVABILITY.md` and the bit-identity tests in
 //! `tests/obs_identity.rs`) is that an engine with metrics attached
 //! consumes the exact same random stream and produces the exact same

@@ -104,6 +104,12 @@ pub struct SteadySummary {
     pub migrations: u64,
 }
 
+/// Overloads below this get a slot of [`SteadyState`]'s time vector;
+/// larger ones (a restored or scripted pile-up) go to a map, so memory
+/// grows with the number of distinct large overloads, not with the
+/// largest one.
+const DENSE_OVERLOADS: u64 = 1024;
+
 /// Accumulates steady-state statistics over `[warmup, ∞)`.
 ///
 /// Works from either the event stream (as a [`LiveObserver`]) or directly
@@ -117,8 +123,14 @@ pub struct SteadyState {
     last_gap: f64,
     last_overload: u64,
     gap_integral: f64,
-    /// Time spent at each overload value.
-    overload_time: BTreeMap<u64, f64>,
+    /// Time spent at each overload value below [`DENSE_OVERLOADS`],
+    /// indexed by overload (`0.0`: never held).
+    overload_time: Vec<f64>,
+    /// Time spent at each larger overload value.
+    overload_tail: BTreeMap<u64, f64>,
+    /// `(m, n, ⌈m/n⌉)` at the last event: rings move neither count, so
+    /// most events reuse the division.
+    ceil_avg: (u64, u64, u64),
     arrivals: u64,
     departures: u64,
     rings: u64,
@@ -135,7 +147,9 @@ impl SteadyState {
             last_gap: 0.0,
             last_overload: 0,
             gap_integral: 0.0,
-            overload_time: BTreeMap::new(),
+            overload_time: Vec::new(),
+            overload_tail: BTreeMap::new(),
+            ceil_avg: (0, 0, 0),
             arrivals: 0,
             departures: 0,
             rings: 0,
@@ -154,7 +168,16 @@ impl SteadyState {
             let dt = time - self.last_time;
             if dt > 0.0 {
                 self.gap_integral += self.last_gap * dt;
-                *self.overload_time.entry(self.last_overload).or_insert(0.0) += dt;
+                let overload = self.last_overload;
+                if overload < DENSE_OVERLOADS {
+                    let slot = overload as usize;
+                    if slot >= self.overload_time.len() {
+                        self.overload_time.resize(slot + 1, 0.0);
+                    }
+                    self.overload_time[slot] += dt;
+                } else {
+                    *self.overload_tail.entry(overload).or_insert(0.0) += dt;
+                }
             }
             self.last_time = time;
         }
@@ -205,47 +228,67 @@ impl SteadyState {
         }
     }
 
+    /// Every overload held for a positive time, ascending, with that
+    /// time.
+    fn overload_times(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let dense = self.overload_time.iter().enumerate();
+        dense
+            .filter(|&(_, &t)| t > 0.0)
+            .map(|(overload, &t)| (overload as u64, t))
+            .chain(
+                self.overload_tail
+                    .iter()
+                    .map(|(&overload, &t)| (overload, t)),
+            )
+    }
+
     /// Time-weighted overload quantiles (p50, p99) and the max.
     fn overload_quantiles(&self) -> (f64, f64, u64) {
-        let total: f64 = self.overload_time.values().sum();
+        let total: f64 = self.overload_times().map(|(_, t)| t).sum();
         if total <= 0.0 {
             return (0.0, 0.0, 0);
         }
+        let max = self
+            .overload_times()
+            .last()
+            .map_or(0, |(overload, _)| overload);
         let quantile = |q: f64| -> f64 {
             let target = q * total;
             let mut acc = 0.0;
-            for (&overload, &t) in &self.overload_time {
+            for (overload, t) in self.overload_times() {
                 acc += t;
                 if acc >= target {
                     return overload as f64;
                 }
             }
-            *self.overload_time.keys().next_back().unwrap() as f64
+            max as f64
         };
-        (
-            quantile(0.5),
-            quantile(0.99),
-            *self.overload_time.keys().next_back().unwrap(),
-        )
+        (quantile(0.5), quantile(0.99), max)
     }
 
-    fn gap_and_overload(tracker: &LoadTracker) -> (f64, u64) {
-        let avg = tracker.average();
-        let gap = (tracker.max_load() as f64 - avg).max(0.0);
-        let n = tracker.n() as u64;
-        let ceil_avg = tracker.m().div_ceil(n.max(1));
-        (gap, tracker.max_load().saturating_sub(ceil_avg))
+    fn gap_and_overload(&mut self, tracker: &LoadTracker) -> (f64, u64) {
+        let (m, n) = (tracker.m(), tracker.n() as u64);
+        if (m, n) != (self.ceil_avg.0, self.ceil_avg.1) {
+            self.ceil_avg = (m, n, m.div_ceil(n.max(1)));
+        }
+        let overload = tracker.max_load().saturating_sub(self.ceil_avg.2);
+        (gap(tracker), overload)
     }
+}
+
+/// The gap `max − m/n` of the tracked state (`0` when below average).
+fn gap(tracker: &LoadTracker) -> f64 {
+    (tracker.max_load() as f64 - tracker.average()).max(0.0)
 }
 
 impl LiveObserver for SteadyState {
     fn on_start(&mut self, tracker: &LoadTracker, time: f64) {
-        let (gap, overload) = Self::gap_and_overload(tracker);
+        let (gap, overload) = self.gap_and_overload(tracker);
         self.record(time, gap, overload);
     }
 
     fn on_event(&mut self, event: &LiveEvent, tracker: &LoadTracker) {
-        let (gap, overload) = Self::gap_and_overload(tracker);
+        let (gap, overload) = self.gap_and_overload(tracker);
         self.record(event.time, gap, overload);
         if event.time > self.warmup {
             match &event.kind {
@@ -382,14 +425,16 @@ impl Reconvergence {
 
 impl LiveObserver for Reconvergence {
     fn on_event(&mut self, event: &LiveEvent, tracker: &LoadTracker) {
-        let (gap, _) = SteadyState::gap_and_overload(tracker);
         if matches!(
             event.kind,
             LiveEventKind::BinsJoined { .. } | LiveEventKind::BinsDrained { .. }
         ) {
             self.note_scale_event(event.time);
         }
-        self.observe_gap(event.time, gap);
+        // Only an outstanding episode reads the gap.
+        if self.outstanding.is_some() {
+            self.observe_gap(event.time, gap(tracker));
+        }
     }
 }
 
@@ -412,6 +457,28 @@ mod tests {
         // (cumulative 0:1s, 2:2s ≥ 2s target).
         assert_eq!(summary.p50_overload, 2.0);
         assert_eq!(summary.p99_overload, 4.0);
+    }
+
+    #[test]
+    fn large_overloads_are_kept_in_order_without_a_dense_slot_each() {
+        let huge = u64::MAX / 2;
+        let mut s = SteadyState::new(0.0);
+        s.record(0.0, 0.0, huge); // a pile-up: held over [0, 1)
+        s.record(1.0, 0.0, 3); // held over [1, 4)
+        s.record(4.0, 0.0, DENSE_OVERLOADS); // held over [4, 4.5)
+        s.record(4.5, 0.0, 3);
+        assert_eq!(s.overload_time.len(), 4, "only overloads 0..=3 are dense");
+        let summary = s.finish(5.0); // overload 3 again over [4.5, 5)
+                                     // Time at overload: 3 → 3.5, 1024 → 0.5, huge → 1 (of 5).
+        assert_eq!(summary.p50_overload, 3.0);
+        assert_eq!(summary.p99_overload, huge as f64);
+        assert_eq!(summary.max_overload, huge);
+        let mut cut = SteadyState::new(0.0);
+        cut.record(0.0, 0.0, 3);
+        cut.record(3.5, 0.0, DENSE_OVERLOADS);
+        let summary = cut.finish(4.0);
+        assert_eq!(summary.p99_overload, DENSE_OVERLOADS as f64);
+        assert_eq!(summary.max_overload, DENSE_OVERLOADS);
     }
 
     #[test]

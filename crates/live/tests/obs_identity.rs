@@ -1,15 +1,19 @@
 //! The observability invariant, pinned: attaching `rls-obs` telemetry to
-//! an engine never changes its trajectory.  Every hook is a write-only
-//! atomic tap — no RNG draw, no branch on an observed value — so an
-//! instrumented engine and a bare one given the same seed must produce
-//! bit-identical event streams, load vectors and counters on every
-//! `(policy, topology)` pair, with and without heterogeneity, under both
-//! scripted commands (proptest) and free-running simulation.
+//! an engine never changes its trajectory.  Every hook is a plain tally,
+//! published to the registry once per public call — no RNG draw, no
+//! branch on an observed value — so an instrumented engine and a bare one
+//! given the same seed must produce bit-identical event streams, load
+//! vectors and counters on every `(policy, topology)` pair, with and
+//! without heterogeneity, under both scripted commands (proptest) and
+//! free-running simulation.  And what is published is exact: after every
+//! public call each series equals what the engine counted.
 
 use proptest::prelude::*;
 use rls_core::{Config, RebalancePolicy, RlsRule, RlsVariant};
 use rls_graph::Topology;
-use rls_live::{LiveCommand, LiveEngine, LiveParams, Recorder, ShardedEngine, SteadyState};
+use rls_live::{
+    LiveCommand, LiveCounters, LiveEngine, LiveParams, Recorder, ShardedEngine, SteadyState,
+};
 use rls_obs::Registry;
 use rls_rng::rng_from_seed;
 use rls_workloads::{ArrivalProcess, WeightDist};
@@ -200,4 +204,227 @@ proptest! {
         prop_assert_eq!(bare.time().to_bits(), tapped.time().to_bits());
         prop_assert_eq!(bare.counters(), tapped.counters());
     }
+}
+
+/// What an engine's registry must hold after any public call: the
+/// counter deltas since the attach, plus the descents and probes the
+/// calls made, counted from what they were asked to do.
+struct Expected {
+    /// The counters when metrics were attached.
+    base: LiveCounters,
+    /// Clock descents: one per departure or ring whose bin was sampled.
+    descents: u64,
+    /// Candidate draws: `choices` per ring whose destination was sampled.
+    probes: u64,
+    choices: u64,
+}
+
+impl Expected {
+    fn attach(eng: &mut LiveEngine, registry: &Registry) -> Self {
+        eng.attach_metrics(registry);
+        Self {
+            base: eng.counters(),
+            descents: 0,
+            probes: 0,
+            choices: eng.policy().choices() as u64,
+        }
+    }
+
+    /// Simulated events between two counter readings: every departure
+    /// and ring samples its bin, every ring its candidates.
+    fn simulated(&mut self, before: LiveCounters, after: LiveCounters) {
+        let rings = after.rings - before.rings;
+        self.descents += after.departures - before.departures + rings;
+        self.probes += rings * self.choices;
+    }
+
+    /// One applied command, if it succeeded.
+    fn commanded(&mut self, cmd: &LiveCommand, applied: bool) {
+        match *cmd {
+            _ if !applied => {}
+            LiveCommand::Depart { bin: None, .. } => self.descents += 1,
+            LiveCommand::Ring { source, dest } => {
+                self.descents += u64::from(source.is_none());
+                self.probes += if dest.is_none() { self.choices } else { 0 };
+            }
+            _ => {}
+        }
+    }
+
+    /// Every `rls_engine_*` series equals what the engine counted.
+    fn check(&self, eng: &LiveEngine, call: &str) {
+        let m = eng.metrics().expect("attached");
+        let (now, base) = (eng.counters(), self.base);
+        let rings = now.rings - base.rings;
+        let moved = now.migrations - base.migrations;
+        let series = [
+            ("events", m.events.get(), now.events - base.events),
+            ("arrivals", m.arrivals.get(), now.arrivals - base.arrivals),
+            (
+                "departures",
+                m.departures.get(),
+                now.departures - base.departures,
+            ),
+            ("rings", m.rings.get(), rings),
+            ("moves_accepted", m.moves_accepted.get(), moved),
+            ("moves_rejected", m.moves_rejected.get(), rings - moved),
+            ("probes", m.probes.get(), self.probes),
+            (
+                "descent_depth count",
+                m.descent_depth.count(),
+                self.descents,
+            ),
+        ];
+        for (name, published, counted) in series {
+            assert_eq!(published, counted, "{name} after {call}");
+        }
+        // No engine here grows its tree, so every descent reads the same
+        // number of levels.
+        let clock = eng.rate_index().unwrap_or(eng.index());
+        if clock.total() > 0 {
+            let levels = u64::from(clock.bin_at_depth(0).1);
+            let depths = m.descent_depth.snapshot();
+            assert_eq!(
+                depths.sum(),
+                self.descents * levels,
+                "depth sum after {call}"
+            );
+            if self.descents > 0 {
+                assert_eq!(depths.max(), levels, "depth max after {call}");
+            }
+        }
+    }
+}
+
+/// Commands for the `apply*` entry points: sampled and pinned
+/// coordinates of each kind, plus ones the engine rejects.
+fn commands() -> Vec<LiveCommand> {
+    vec![
+        LiveCommand::Arrive {
+            bin: None,
+            weight: None,
+        },
+        LiveCommand::Arrive {
+            bin: Some(3),
+            weight: None,
+        },
+        LiveCommand::Depart {
+            bin: None,
+            weight: None,
+        },
+        LiveCommand::Depart {
+            bin: Some(5),
+            weight: None,
+        },
+        LiveCommand::Ring {
+            source: None,
+            dest: None,
+        },
+        LiveCommand::Ring {
+            source: Some(2),
+            dest: None,
+        },
+        LiveCommand::Ring {
+            source: None,
+            dest: Some(0),
+        },
+        LiveCommand::Ring {
+            source: Some(1),
+            dest: Some(1),
+        },
+        LiveCommand::Depart {
+            bin: Some(N + 4),
+            weight: None,
+        },
+        LiveCommand::Ring {
+            source: Some(N),
+            dest: None,
+        },
+    ]
+}
+
+/// After every public entry point (`step`, `run_until`, `apply`,
+/// `apply_with`, `apply_batch`) the registry holds exactly what the engine
+/// counted since metrics were attached: the engine counts in plain fields
+/// and publishes once per call.
+#[test]
+fn every_entry_point_publishes_exactly_the_counted_deltas() {
+    for &policy in POLICIES {
+        for topology in [Topology::Complete, Topology::Cycle] {
+            for hetero in [false, true] {
+                let seed = 0x5EED;
+                let mut eng = engine(policy, topology, hetero, seed);
+                let mut rng = rng_from_seed(seed);
+                // History before the attach is not published.
+                eng.run_until(1.0, &mut rng, &mut ());
+                let registry = Registry::new();
+                let mut want = Expected::attach(&mut eng, &registry);
+                want.check(&eng, "attach");
+
+                for _ in 0..20 {
+                    let before = eng.counters();
+                    eng.step(&mut rng);
+                    want.simulated(before, eng.counters());
+                    want.check(&eng, "step");
+                }
+                let before = eng.counters();
+                eng.run_until(eng.time() + 2.0, &mut rng, &mut SteadyState::new(0.0));
+                want.simulated(before, eng.counters());
+                want.check(&eng, "run_until");
+
+                // Pinned coordinates are rejected where the topology has
+                // no such edge: only what was applied is counted.
+                for cmd in commands() {
+                    let applied = eng.apply(&cmd, &mut rng).is_ok();
+                    want.commanded(&cmd, applied);
+                    want.check(&eng, "apply");
+                }
+                let mut observer = SteadyState::new(0.0);
+                for cmd in commands() {
+                    let applied = eng.apply_with(&cmd, &mut rng, &mut observer).is_ok();
+                    want.commanded(&cmd, applied);
+                    want.check(&eng, "apply_with");
+                }
+                let batch: Vec<LiveCommand> = commands().into_iter().cycle().take(25).collect();
+                let results = eng.apply_batch(&batch, &mut rng, &mut observer);
+                for (cmd, result) in batch.iter().zip(&results) {
+                    want.commanded(cmd, result.is_ok());
+                }
+                want.check(&eng, "apply_batch");
+            }
+        }
+    }
+}
+
+/// `run_until` on a tree of 2²⁰ leaf slots (2¹⁹ + 1 bins, unit, complete
+/// graph, greedy-2) draws events ahead of applying them; it publishes
+/// exactly what the step loop would.
+#[test]
+fn run_until_publishes_exactly_on_the_draw_ahead_path() {
+    let n = (1 << 19) + 1;
+    let initial = Config::uniform(n, 1).unwrap();
+    let params =
+        LiveParams::balanced(ArrivalProcess::Poisson { rate_per_bin: 1.0 }, n, n as u64).unwrap();
+    let policy = RebalancePolicy::GreedyD { d: 2 };
+    let build = || LiveEngine::with_policy(initial.clone(), params, policy, Topology::Complete, 3);
+    let (mut ahead, mut steps) = (build().unwrap(), build().unwrap());
+    let (reg_ahead, reg_steps) = (Registry::new(), Registry::new());
+    let mut want = Expected::attach(&mut ahead, &reg_ahead);
+    steps.attach_metrics(&reg_steps);
+    let (mut rng_ahead, mut rng_steps) = (rng_from_seed(11), rng_from_seed(11));
+    for until in [1e-3, 2e-3] {
+        let before = ahead.counters();
+        ahead.run_until(until, &mut rng_ahead, &mut ());
+        want.simulated(before, ahead.counters());
+        want.check(&ahead, "run_until (draw-ahead)");
+        while steps.time() < until {
+            steps.step(&mut rng_steps);
+        }
+        assert_eq!(
+            reg_ahead.render_prometheus(),
+            reg_steps.render_prometheus(),
+            "draw-ahead and step loop publish the same series"
+        );
+    }
+    assert!(ahead.counters().rings > 1000, "the run saw rings");
 }

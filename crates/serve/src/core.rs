@@ -723,6 +723,45 @@ mod tests {
     }
 
     #[test]
+    fn engine_series_keep_accumulating_in_the_same_cells_across_a_restore() {
+        let registry = Registry::new();
+        let mut c = core(5, ServePolicy::default());
+        c.attach_metrics(&registry);
+        let cells = Arc::clone(c.engine().metrics().expect("attached"));
+        let drive = |c: &mut ServeCore| {
+            for i in 0..40u64 {
+                c.arrive(&ArriveRequest::default()).unwrap();
+                if i % 3 == 0 {
+                    c.depart(&DepartRequest { bin: None }).unwrap();
+                }
+            }
+        };
+        drive(&mut c);
+        let first = c.engine().counters();
+        let snap = rls_live::Snapshot::from_json(&c.snapshot_json()).unwrap();
+        drive(&mut c);
+        // The restored engine carries the snapshot's counters; only what
+        // it does from here on is added on top of what was published.
+        c.restore(&snap).unwrap();
+        assert_eq!(c.engine().counters(), first);
+        let restored = c.engine().metrics().expect("re-attached");
+        assert!(
+            Arc::ptr_eq(&cells.events, &restored.events),
+            "the same cells"
+        );
+        let published = (cells.events.get(), cells.rings.get(), cells.probes.get());
+        drive(&mut c);
+        let now = c.engine().counters();
+        assert_eq!(cells.events.get(), published.0 + now.events - first.events);
+        assert_eq!(cells.rings.get(), published.1 + now.rings - first.rings);
+        // RLS draws one candidate per ring.
+        assert_eq!(cells.probes.get(), published.2 + now.rings - first.rings);
+        let text = registry.render_prometheus();
+        let events = format!("rls_engine_events_total {}", cells.events.get());
+        assert!(text.contains(&events), "one series, not one per engine");
+    }
+
+    #[test]
     fn same_seed_same_commands_same_trajectory() {
         let mut a = core(7, ServePolicy::default());
         let mut b = core(7, ServePolicy::default());

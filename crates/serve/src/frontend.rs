@@ -56,9 +56,7 @@ use std::time::{Duration, Instant};
 use crate::core::ServeCore;
 use crate::http;
 use crate::metrics::{endpoint_index, ServeMetrics};
-use crate::server::{
-    elapsed_ns, execute, flight_coords, route, to_json, EngineCmd, ErrorBody, Reply, Routed,
-};
+use crate::server::{execute, flight_coords, route, to_json, EngineCmd, ErrorBody, Reply, Routed};
 use crate::ServeError;
 
 /// Read chunk size.
@@ -382,6 +380,10 @@ impl Conn<'_> {
     /// bytes were consumed, or `None` once the connection is to be
     /// dropped (a close was answered, a framing error, a failed write).
     /// Zero-copy: frames borrow `buf`.
+    ///
+    /// With metrics on, the clock is read once per stage boundary: each
+    /// stage starts where the one before it ended, the first frame's
+    /// parse stage at `read_at`.
     fn answer_buffered(
         &mut self,
         buf: &[u8],
@@ -391,16 +393,18 @@ impl Conn<'_> {
         read_at: Instant,
     ) -> Option<usize> {
         let mut consumed = 0usize;
+        // The clock at the last stage boundary.
+        let mut mark = read_at;
         loop {
-            let (used, more) = self.frame_batch(&buf[consumed..], batch, limits);
+            let (used, more) = self.frame_batch(&buf[consumed..], batch, limits, &mut mark);
             consumed += used;
             if batch.slots.is_empty() {
                 return Some(consumed);
             }
             if !batch.cmds.is_empty() {
-                execute_batch(batch, core, read_at, self.metrics);
+                execute_batch(batch, core, read_at, &mut mark, self.metrics);
             }
-            if !self.encode_and_write(batch, limits) {
+            if !self.encode_and_write(batch, limits, &mut mark) {
                 return None;
             }
             if !more {
@@ -414,14 +418,25 @@ impl Conn<'_> {
     /// frame that closes the connection, a framing error, or a
     /// `GET /v1/snapshot` (the one reply whose size grows with the
     /// instance).  Returns the bytes consumed and whether complete
-    /// frames may follow.
-    fn frame_batch(&mut self, buf: &[u8], batch: &mut Batch, limits: &Limits) -> (usize, bool) {
+    /// frames may follow.  Each framed request's parse stage runs from
+    /// `mark` (the previous stage boundary) to the end of its routing.
+    fn frame_batch(
+        &mut self,
+        buf: &[u8],
+        batch: &mut Batch,
+        limits: &Limits,
+        mark: &mut Instant,
+    ) -> (usize, bool) {
         let mut consumed = 0usize;
         while batch.slots.len() < MAX_BATCH {
             match http::parse_frame_within(&buf[consumed..], limits.max_body_bytes) {
                 Ok(Some((frame, used))) => {
                     consumed += used;
-                    if self.route_frame(&frame, batch) {
+                    let ends = self.route_frame(&frame, batch);
+                    if let Some(m) = self.metrics {
+                        m.stage_parse_ns.record(lap(mark));
+                    }
+                    if ends {
                         return (consumed, true);
                     }
                 }
@@ -448,7 +463,6 @@ impl Conn<'_> {
     fn route_frame(&mut self, frame: &http::Frame<'_>, batch: &mut Batch) -> bool {
         let metrics = self.metrics;
         let keep_alive = !frame.close;
-        let parse_start = metrics.map(|_| Instant::now());
         let mut parts = frame.start_line.split_ascii_whitespace();
         let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
             batch.slots.push(Slot {
@@ -466,9 +480,6 @@ impl Conn<'_> {
             );
         }
         let routed = route(method, path, frame.body);
-        if let (Some(m), Some(start)) = (metrics, parse_start) {
-            m.stage_parse_ns.record(elapsed_ns(start));
-        }
         let mut ends = !keep_alive;
         let answer = match routed {
             Ok(Routed::Engine(cmd)) => {
@@ -491,11 +502,11 @@ impl Conn<'_> {
     /// Phase 3, without the lock: encode each reply and append the
     /// responses in frame order, writing whenever `max_unflushed_bytes`
     /// have gathered and once more at the end.  The write stage runs
-    /// from here to the batch's last byte written.  Returns whether the
+    /// from `mark` (the end of the batch's last command, or of its
+    /// framing) to the batch's last byte written.  Returns whether the
     /// connection stays open.
-    fn encode_and_write(&mut self, batch: &mut Batch, limits: &Limits) -> bool {
+    fn encode_and_write(&mut self, batch: &mut Batch, limits: &Limits, mark: &mut Instant) -> bool {
         let metrics = self.metrics;
-        let write_start = metrics.map(|_| Instant::now());
         let mut replies = batch.replies.drain(..);
         let mut keep_alive = true;
         for slot in batch.slots.drain(..) {
@@ -543,8 +554,8 @@ impl Conn<'_> {
         if !self.write_out() {
             return false;
         }
-        if let (Some(m), Some(start)) = (metrics, write_start) {
-            m.stage_write_ns.record(elapsed_ns(start));
+        if let Some(m) = metrics {
+            m.stage_write_ns.record(lap(mark));
         }
         keep_alive
     }
@@ -569,43 +580,51 @@ impl Conn<'_> {
 /// hold of the core's lock, keeping their typed replies.  A poisoned lock
 /// (an earlier command panicked) leaves the replies short, and the first
 /// command without one is answered that the engine has stopped.
+///
+/// With metrics on, the clock is read once when the lock is taken and
+/// once after each command: a command's apply stage starts where the one
+/// before it ended, and its queue stage runs from `read_at` to there.
+/// `mark` ends at the last command's end.
 fn execute_batch(
     batch: &mut Batch,
     core: &Mutex<ServeCore>,
     read_at: Instant,
+    mark: &mut Instant,
     metrics: Option<&ServeMetrics>,
 ) {
     let Ok(mut core) = core.lock() else {
         batch.cmds.clear();
         return;
     };
+    if metrics.is_some() {
+        *mark = Instant::now();
+    }
     for cmd in batch.cmds.drain(..) {
         batch
             .replies
-            .push(execute_timed(&mut core, cmd, read_at, metrics));
+            .push(execute_timed(&mut core, cmd, read_at, mark, metrics));
     }
 }
 
 /// Execute one engine command on the locked core, recording its queue
-/// and apply stages and a flight event.
+/// and apply stages and a flight event; its apply stage starts at `mark`,
+/// which moves to its end.
 fn execute_timed(
     core: &mut ServeCore,
     cmd: EngineCmd,
     read_at: Instant,
+    mark: &mut Instant,
     metrics: Option<&ServeMetrics>,
 ) -> Result<Reply, ServeError> {
     let (kind, a, b) = flight_coords(&cmd);
-    let apply_start = Instant::now();
-    let queue_ns = u64::try_from(apply_start.saturating_duration_since(read_at).as_nanos())
-        .unwrap_or(u64::MAX);
+    let queue_ns = span_ns(read_at, *mark);
     let reply = match panic::catch_unwind(AssertUnwindSafe(|| execute(core, cmd))) {
         Ok(reply) => reply,
         Err(cause) => {
             // Log the fatal command and dump the recorder, so the
             // post-mortem names the exact command sequence.
             if let Some(m) = metrics {
-                m.flight
-                    .record(kind, a, b, queue_ns, elapsed_ns(apply_start));
+                m.flight.record(kind, a, b, queue_ns, lap(mark));
                 eprintln!("the engine panicked mid-command; flight recorder dump:");
                 eprintln!("{}", m.flight_json());
             }
@@ -613,12 +632,26 @@ fn execute_timed(
         }
     };
     if let Some(m) = metrics {
-        let apply_ns = elapsed_ns(apply_start);
+        let apply_ns = lap(mark);
         m.stage_queue_ns.record(queue_ns);
         m.stage_apply_ns.record(apply_ns);
         m.flight.record(kind, a, b, queue_ns, apply_ns);
     }
     reply
+}
+
+/// Nanoseconds from `from` to `to` (`0` if `to` is earlier).
+fn span_ns(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Read the clock once: the nanoseconds since `mark`, which moves to now
+/// (the next stage starts where this one ends).
+fn lap(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = span_ns(*mark, now);
+    *mark = now;
+    ns
 }
 
 /// Give back a buffer's capacity once a large body or reply has passed

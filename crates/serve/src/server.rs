@@ -14,7 +14,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use rls_live::Snapshot;
 
@@ -190,10 +189,6 @@ pub(crate) fn serve_within(
         stop,
         thread: Some(thread),
     })
-}
-
-pub(crate) fn elapsed_ns(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Flight-recorder annotation of a command: kind code plus up to two
