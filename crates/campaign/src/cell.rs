@@ -3,13 +3,14 @@
 
 use rls_core::{RebalancePolicy, RlsRule, RlsVariant};
 use rls_graph::{DestSampler, Topology};
-use rls_live::{LiveEngine, LiveParams, Reconvergence, SteadyState, DEFAULT_RECONV_THRESHOLD};
+use rls_live::{Instance, Reconvergence, SteadyState, DEFAULT_RECONV_THRESHOLD};
 use rls_protocols::crs_local_search::{CrsLocalSearch, CrsPlacement};
 use rls_protocols::{GreedyD, SelfishDistributed, SelfishGlobal, ThresholdProtocol};
 use rls_rng::{Rng64, SplitMix64, StreamFactory, StreamId};
 use rls_sim::observer::PhaseTracker;
 use rls_sim::stats::Summary;
 use rls_sim::{NoAdversary, RlsPolicy, Simulation, StopWhen};
+use rls_workloads::ChurnProcess;
 use serde::{Deserialize, Serialize};
 
 use crate::hash::sha256_u64;
@@ -176,7 +177,20 @@ fn run_dynamic_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignEr
             "dynamic cells ignore [stop]; remove it from the spec",
         ));
     }
-    let params = LiveParams::balanced(dynamic.arrival.0, cell.n, cell.m)
+    let instance = Instance {
+        n: cell.n,
+        m: cell.m,
+        workload: cell.workload.0,
+        arrival: dynamic.arrival.0,
+        service: None,
+        policy,
+        topology: cell.topology.0,
+        weights: dynamic.weight_dist(),
+        speeds: dynamic.speed_profile(),
+        churn: cell.churn.map_or(ChurnProcess::None, |c| c.0),
+    };
+    instance
+        .params()
         .map_err(|e| CampaignError::spec(format!("cell dynamics: {e}")))?;
     let horizon = dynamic.warmup + dynamic.window;
 
@@ -197,41 +211,17 @@ fn run_dynamic_cell(cell: &CellSpec, seed: u64) -> Result<CellResult, CampaignEr
     let (mut total_events, mut total_reconverged) = (0u64, 0u64);
     for trial in 0..cell.trials as u64 {
         let mut wl_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_WORKLOAD));
-        let initial = cell
-            .workload
-            .0
-            .generate(cell.n, cell.m, &mut wl_rng)
+        let initial = instance
+            .initial(&mut wl_rng)
             .map_err(|e| CampaignError::spec(format!("cell workload: {e}")))?;
-        // Weighted/speed-aware cells use the heterogeneous constructor
-        // (initial ball weights come from the workload stream, leaving the
-        // dynamics stream identical to the unit cell's); the classic shape
-        // keeps the plain constructor so unit cells stay bit-identical to
-        // earlier engine versions.
-        let mut engine = if dynamic.is_hetero() {
-            LiveEngine::with_hetero(
-                initial,
-                params,
-                policy,
-                cell.topology.0,
-                graph_seed,
-                dynamic.weight_dist(),
-                dynamic.speed_profile().speeds(cell.n),
-                &mut wl_rng,
-            )
-        } else {
-            LiveEngine::with_policy(initial, params, policy, cell.topology.0, graph_seed)
-        }
-        .map_err(|e| CampaignError::spec(format!("cell instance: {e}")))?;
-        if let Some(churn) = cell.churn {
-            engine
-                .set_churn(churn.0)
-                .map_err(|e| CampaignError::spec(format!("cell churn: {e}")))?;
-        }
+        // Initial ball weights, if any, come from the workload stream,
+        // leaving the dynamics stream identical to the unit cell's.
+        let mut engine = instance
+            .live_engine(initial, graph_seed, &mut wl_rng)
+            .map_err(|e| CampaignError::spec(format!("cell instance: {e}")))?;
         let mut run_rng = factory.rng(StreamId::trial(trial).with_component(COMPONENT_DYNAMICS));
         // Churned cells fan out to a second observer measuring the
-        // time-to-re-converge after each scale event; static-membership
-        // cells keep the bare observer so their trajectories (and cached
-        // identities) stay bit-identical to earlier engine versions.
+        // time-to-re-converge after each scale event.
         let summary = if cell.churn.is_some() {
             let mut obs = (
                 SteadyState::new(dynamic.warmup),

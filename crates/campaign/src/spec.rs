@@ -376,12 +376,6 @@ impl DynamicSpec {
     pub fn speed_profile(&self) -> SpeedProfile {
         self.speeds.map(|s| s.0).unwrap_or(SpeedProfile::Uniform)
     }
-
-    /// Whether the cell departs from the classic unit-weight,
-    /// uniform-speed engine.
-    pub fn is_hetero(&self) -> bool {
-        !self.weight_dist().is_unit() || !self.speed_profile().is_uniform()
-    }
 }
 
 /// When a cell's runs stop.

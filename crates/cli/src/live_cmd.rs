@@ -21,10 +21,9 @@
 
 use rls_campaign::hash::sha256_hex;
 use rls_core::{RebalancePolicy, RlsRule};
-use rls_graph::Topology;
 use rls_live::{
-    replay as replay_log, EventLog, LogFooter, LogHeader, Recorder, ShardedEngine, Snapshot,
-    SteadyState, SteadySummary,
+    replay as replay_log, EventLog, LogFooter, LogHeader, Recorder, Snapshot, SteadyState,
+    SteadySummary,
 };
 use rls_rng::rng_from_seed;
 
@@ -118,9 +117,11 @@ fn expect_single_path(raw: &[String], verb: &str) -> Result<String, String> {
 
 fn parse_run_args(raw: &[String]) -> Result<RunArgs, String> {
     let mut args = RunArgs::default();
+    let mut instance_flag = None;
     let mut flags = Flags::new(raw);
     while let Some(flag) = flags.next() {
         if args.instance.parse_flag(flag, &mut flags)? {
+            instance_flag = Some(flag);
             continue;
         }
         match flag {
@@ -153,6 +154,11 @@ fn parse_run_args(raw: &[String]) -> Result<RunArgs, String> {
             "--record/--snapshot/--resume are sequential-engine features; drop --shards".into(),
         );
     }
+    if let (Some(_), Some(flag)) = (&args.resume, instance_flag) {
+        return Err(format!(
+            "--resume restores the snapshot's instance and seed; drop {flag}"
+        ));
+    }
     Ok(args)
 }
 
@@ -173,26 +179,11 @@ fn warmup_of(args: &RunArgs) -> f64 {
 fn run_sequential(args: &RunArgs) -> Result<String, String> {
     let warmup = warmup_of(args);
 
+    let instance = &args.instance;
+    // Parsing refused instance flags beside --resume: the snapshot is the
+    // whole instance.
     let (mut engine, mut rng, resumed_from) = match &args.resume {
         Some(path) => {
-            // The snapshot carries the authoritative dynamics; reject
-            // contradictory CLI flags rather than silently ignoring them.
-            let instance = &args.instance;
-            if instance.service.is_some() {
-                return Err(
-                    "--resume restores the snapshot's dynamics; drop --service (and rely on \
-                     the snapshot's --n/--m/--workload/--arrival/--seed as well)"
-                        .to_string(),
-                );
-            }
-            if instance.policy != RebalancePolicy::rls() || instance.topology != Topology::Complete
-            {
-                return Err(
-                    "--resume restores the snapshot's policy and topology; drop \
-                     --policy/--topology"
-                        .to_string(),
-                );
-            }
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
             let snapshot = Snapshot::from_json(&text).map_err(|e| format!("`{path}`: {e}"))?;
@@ -201,11 +192,20 @@ fn run_sequential(args: &RunArgs) -> Result<String, String> {
             (engine, rng, Some((key, snapshot.time)))
         }
         None => (
-            args.instance.live_engine()?,
-            rng_from_seed(args.instance.seed),
+            instance
+                .spec
+                .live_engine(
+                    instance.initial()?,
+                    instance.graph_seed(),
+                    &mut instance.weight_rng(),
+                )
+                .map_err(str_of)?,
+            rng_from_seed(instance.seed),
             None,
         ),
     };
+    // A resumed run's seed is the snapshot's RNG state, not `--seed`.
+    let seed = resumed_from.is_none().then_some(instance.seed);
     // From here on the engine is the single source of truth for the
     // instance shape and dynamics (on --resume they come from the
     // snapshot, not the CLI flags).
@@ -241,7 +241,7 @@ fn run_sequential(args: &RunArgs) -> Result<String, String> {
         n,
         initial_loads.iter().sum::<u64>() as f64 / n as f64,
         &params.arrivals.to_string(),
-        args.instance.seed,
+        seed,
         engine.time(),
         &summary,
         engine.counters().events,
@@ -265,15 +265,15 @@ fn run_sequential(args: &RunArgs) -> Result<String, String> {
                 graph_seed: Some(engine.graph_seed()),
                 warmup: start_time + warmup,
                 description: format!(
-                    "seed {}, arrival {}, service {:.6}, policy {}, topology {}{}",
-                    args.instance.seed,
+                    "{}arrival {}, service {:.6}, policy {}, topology {}{}",
+                    seed.map_or(String::new(), |seed| format!("seed {seed}, ")),
                     params.arrivals,
                     params.service_rate,
                     engine.policy(),
                     engine.topology(),
                     match &args.resume {
                         Some(snap) => format!(", resumed from {snap}"),
-                        None => format!(", workload {}", args.instance.workload),
+                        None => format!(", workload {}", instance.spec.workload),
                     }
                 ),
             },
@@ -301,31 +301,28 @@ fn run_sequential(args: &RunArgs) -> Result<String, String> {
 }
 
 fn run_sharded(args: &RunArgs) -> Result<String, String> {
-    let instance = &args.instance;
-    let boot = instance.boot()?;
-    let mut engine = ShardedEngine::with_policy(
-        boot.initial,
-        boot.params,
-        instance.policy,
-        instance.topology,
-        boot.graph_seed,
-        args.shards,
-        args.slice,
-        instance.seed,
-    )
-    .map_err(str_of)?;
+    let (instance, spec) = (&args.instance, &args.instance.spec);
+    let mut engine = spec
+        .sharded_engine(
+            instance.initial()?,
+            instance.graph_seed(),
+            args.shards,
+            args.slice,
+            instance.seed,
+        )
+        .map_err(str_of)?;
     let outcome = engine.run(args.time, warmup_of(args), args.threads);
     let mut out = String::new();
     render_summary(
         &mut out,
         &format!(
             "live run (sharded engine, {} shards, slice {}, policy {}, topology {})",
-            args.shards, args.slice, instance.policy, instance.topology
+            args.shards, args.slice, spec.policy, spec.topology
         ),
-        instance.n,
-        instance.m as f64 / instance.n as f64,
-        &instance.arrival.to_string(),
-        instance.seed,
+        spec.n,
+        spec.m as f64 / spec.n as f64,
+        &spec.arrival.to_string(),
+        Some(instance.seed),
         outcome.time,
         &outcome.summary,
         outcome.counters.events,
@@ -340,13 +337,14 @@ fn render_summary(
     n: usize,
     rho: f64,
     arrival: &str,
-    seed: u64,
+    seed: Option<u64>,
     time: f64,
     summary: &SteadySummary,
     events: u64,
 ) {
+    let seed = seed.map_or(String::new(), |seed| format!(", seed {seed}"));
     let mut table = crate::table::Table::new(
-        format!("{title}: n = {n}, ρ = {rho:.2}, arrival {arrival}, seed {seed}"),
+        format!("{title}: n = {n}, ρ = {rho:.2}, arrival {arrival}{seed}"),
         &["quantity", "value"],
     );
     let fmt = crate::table::fmt_f64;
@@ -467,8 +465,11 @@ mod tests {
 
     fn small(n: usize, m: u64) -> InstanceArgs {
         InstanceArgs {
-            n,
-            m,
+            spec: rls_live::Instance {
+                n,
+                m,
+                ..Default::default()
+            },
             ..InstanceArgs::default()
         }
     }
@@ -505,10 +506,10 @@ mod tests {
         let LiveCommand::Run(args) = cmd else {
             panic!("expected run");
         };
-        assert_eq!(args.instance.n, 16);
-        assert_eq!(args.instance.m, 128);
+        assert_eq!(args.instance.spec.n, 16);
+        assert_eq!(args.instance.spec.m, 128);
         assert_eq!(args.shards, 4);
-        assert_eq!(args.instance.arrival.to_string(), "bursts:2:8");
+        assert_eq!(args.instance.spec.arrival.to_string(), "bursts:2:8");
 
         assert_eq!(
             parse_live_args(&strings(&["replay", "log.json"])).unwrap(),
@@ -537,6 +538,31 @@ mod tests {
         ] {
             assert!(parse_live_args(&strings(bad)).is_err(), "{bad:?}");
         }
+
+        // A resumed run takes its whole instance, seed included, from the
+        // snapshot: any instance flag beside --resume is named and refused.
+        for flag in [
+            "--n",
+            "--m",
+            "--workload",
+            "--arrival",
+            "--service",
+            "--policy",
+            "--topology",
+            "--seed",
+        ] {
+            let value = match flag {
+                "--workload" => "all-in-one-bin",
+                "--arrival" => "bursts:2:8",
+                "--policy" => "greedy-2",
+                "--topology" => "torus",
+                _ => "3",
+            };
+            let err =
+                parse_live_args(&strings(&["run", flag, value, "--resume", "s.json"])).unwrap_err();
+            assert!(err.ends_with(&format!("drop {flag}")), "{err}");
+        }
+        assert!(parse_live_args(&strings(&["run", "--resume", "s.json", "--time", "9"])).is_ok());
     }
 
     #[test]
@@ -549,7 +575,7 @@ mod tests {
             record: Some(log.clone()),
             ..RunArgs::default()
         };
-        args.instance.arrival = "poisson:2".parse().unwrap();
+        args.instance.spec.arrival = "poisson:2".parse().unwrap();
         let out = execute_live(&LiveCommand::Run(Box::new(args))).unwrap();
         assert!(out.contains("mean gap"), "{out}");
         assert!(out.contains("recorded"), "{out}");

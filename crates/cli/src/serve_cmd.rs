@@ -11,9 +11,11 @@
 //! ```
 //!
 //! `run` boots the balancer and serves until killed (or for `--for`
-//! seconds).  `replay` feeds a recorded `rls-live` event log through the
-//! HTTP path and verifies the final load vector against the offline
-//! replay exactly.  Serving throughput and latency are measured by the
+//! seconds).  Its engine is the `rls_live::Instance` the instance flags,
+//! `--weights` and `--speeds` describe, built from `--seed`'s streams
+//! exactly as `live run` builds it.  `replay` feeds a recorded `rls-live`
+//! event log through the HTTP path and verifies the final load vector
+//! against the offline replay exactly.  Serving throughput and latency are measured by the
 //! repository benchmark (`perfbench/`, workloads `serve-closed` and
 //! `serve-open`).
 //!
@@ -27,13 +29,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rls_live::{EventLog, LiveEngine};
+use rls_live::EventLog;
 use rls_obs::Registry;
-use rls_rng::rng_from_seed;
 use rls_serve::{
     core_from_log, replay_over_http, serve, HttpServer, ServeCore, ServePolicy, ServerConfig,
 };
-use rls_workloads::{SpeedProfile, WeightDist};
 
 use crate::instance::{str_of, Flags, InstanceArgs};
 
@@ -56,9 +56,9 @@ pub enum ServeCommand {
 pub struct ServeArgs {
     /// Bind address.
     pub addr: String,
-    /// The instance flags `serve run` shares with `live run` (the arrival
-    /// process is the placement law for sampled arrivals and the engine's
-    /// time scale).
+    /// The instance flags `serve run` shares with `live run`, plus
+    /// `--weights` and `--speeds` (the arrival process is the placement
+    /// law for sampled arrivals and the engine's time scale).
     pub instance: InstanceArgs,
     /// Warm-up (engine-time units) excluded from `/v1/stats`.
     pub warmup: f64,
@@ -67,10 +67,6 @@ pub struct ServeArgs {
     pub rebalance: Option<f64>,
     /// Exit after this many wall-clock seconds (`None` = serve forever).
     pub for_seconds: Option<f64>,
-    /// Ball-weight law (`unit` = the classic engine).
-    pub weights: WeightDist,
-    /// Bin-speed profile (`uniform` = the classic engine).
-    pub speeds: SpeedProfile,
     /// Write a JSON snapshot of every metric to this path periodically.
     pub metrics_json: Option<String>,
     /// Seconds between `--metrics-json` snapshots.
@@ -85,8 +81,6 @@ impl Default for ServeArgs {
             warmup: 0.0,
             rebalance: None,
             for_seconds: None,
-            weights: WeightDist::Unit,
-            speeds: SpeedProfile::Uniform,
             metrics_json: None,
             metrics_interval: 1.0,
         }
@@ -118,8 +112,8 @@ fn parse_run(raw: &[String]) -> Result<ServeArgs, String> {
             "--warmup" => args.warmup = flags.value(flag)?,
             "--rebalance" => args.rebalance = Some(flags.value(flag)?),
             "--for" => args.for_seconds = Some(flags.value(flag)?),
-            "--weights" => args.weights = flags.value(flag)?,
-            "--speeds" => args.speeds = flags.value(flag)?,
+            "--weights" => args.instance.spec.weights = flags.value(flag)?,
+            "--speeds" => args.instance.spec.speeds = flags.value(flag)?,
             "--metrics-json" => args.metrics_json = Some(flags.value(flag)?),
             "--metrics-interval" => args.metrics_interval = flags.value(flag)?,
             other => return Err(format!("unknown serve run flag `{other}`")),
@@ -147,7 +141,7 @@ fn parse_replay(raw: &[String]) -> Result<ServeCommand, String> {
 }
 
 fn validate_server(args: &ServeArgs) -> Result<(), String> {
-    if args.instance.n == 0 {
+    if args.instance.spec.n == 0 {
         return Err("--n must be at least 1".to_string());
     }
     if !(args.warmup.is_finite() && args.warmup >= 0.0) {
@@ -169,34 +163,25 @@ fn validate_server(args: &ServeArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the core and boot a server from CLI arguments.  The returned
+/// Build the engine and its core, and boot a server.  The returned
 /// registry is the one `/v1/metrics` renders; the CLI's snapshot writer
 /// reads the same instruments.
 fn boot(args: &ServeArgs) -> Result<(HttpServer, f64, Registry), String> {
-    let instance = &args.instance;
-    // The classic (unit-weight, uniform-speed) shape uses the plain
-    // constructor so default runs stay bit-identical to earlier releases.
-    let engine = if args.weights.is_unit() && args.speeds.is_uniform() {
-        instance.live_engine()?
-    } else {
-        let boot = instance.boot()?;
-        LiveEngine::with_hetero(
-            boot.initial,
-            boot.params,
-            instance.policy,
-            instance.topology,
-            boot.graph_seed,
-            args.weights,
-            args.speeds.speeds(instance.n),
-            &mut rng_from_seed(instance.seed ^ 0x4E16),
+    let (instance, spec) = (&args.instance, &args.instance.spec);
+    // The same engine `live run` builds from these flags (weighted or
+    // speed-aware when `--weights`/`--speeds` ask for it).
+    let engine = spec
+        .live_engine(
+            instance.initial()?,
+            instance.graph_seed(),
+            &mut instance.weight_rng(),
         )
-        .map_err(str_of)?
-    };
+        .map_err(str_of)?;
     // Default rebalance intensity: the paper's regime has rings at rate m
     // against arrivals at rate λ, i.e. m/λ rings per arrival.
     let rings_per_arrival = args
         .rebalance
-        .unwrap_or(instance.m as f64 / instance.arrival.total_rate(instance.n));
+        .unwrap_or(spec.m as f64 / spec.arrival.total_rate(spec.n));
     let mut core = ServeCore::new(
         engine,
         instance.seed,
@@ -254,6 +239,7 @@ pub fn execute_serve(command: &ServeCommand) -> Result<String, String> {
 
 fn run_cmd(args: &ServeArgs) -> Result<String, String> {
     let (server, rings, registry) = boot(args)?;
+    let spec = &args.instance.spec;
     let writer = args
         .metrics_json
         .clone()
@@ -266,14 +252,14 @@ fn run_cmd(args: &ServeArgs) -> Result<String, String> {
          GET /v1/snapshot · POST /v1/restore · GET /healthz · GET /v1/metrics · \
          GET /v1/debug/flight\n",
         server.addr(),
-        args.instance.n,
-        args.instance.m,
-        args.instance.arrival,
+        spec.n,
+        spec.m,
+        spec.arrival,
         args.instance.seed,
-        args.instance.policy,
-        args.instance.topology,
-        args.weights,
-        args.speeds,
+        spec.policy,
+        spec.topology,
+        spec.weights,
+        spec.speeds,
     );
     match args.for_seconds {
         Some(seconds) => {
@@ -364,10 +350,23 @@ mod tests {
     use super::*;
     use rls_core::RebalancePolicy;
     use rls_graph::Topology;
-    use rls_live::LiveParams;
+    use rls_live::{Instance, LiveEngine, LiveParams};
+    use rls_rng::rng_from_seed;
+    use rls_workloads::{SpeedProfile, WeightDist};
 
     fn strings(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn small(n: usize, m: u64) -> InstanceArgs {
+        InstanceArgs {
+            spec: Instance {
+                n,
+                m,
+                ..Instance::default()
+            },
+            ..InstanceArgs::default()
+        }
     }
 
     #[test]
@@ -391,7 +390,7 @@ mod tests {
         let ServeCommand::Run(args) = cmd else {
             panic!("expected run");
         };
-        assert_eq!((args.instance.n, args.instance.m), (32, 256));
+        assert_eq!((args.instance.spec.n, args.instance.spec.m), (32, 256));
         assert_eq!(args.rebalance, Some(4.0));
         assert_eq!(args.for_seconds, Some(0.5));
 
@@ -416,8 +415,8 @@ mod tests {
         let ServeCommand::Run(args) = cmd else {
             panic!("expected run");
         };
-        assert_eq!(args.instance.policy, RebalancePolicy::GreedyD { d: 2 });
-        assert_eq!(args.instance.topology, Topology::Torus2D);
+        assert_eq!(args.instance.spec.policy, RebalancePolicy::GreedyD { d: 2 });
+        assert_eq!(args.instance.spec.topology, Topology::Torus2D);
 
         let cmd = parse_serve_args(&strings(&[
             "run",
@@ -431,14 +430,14 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(
-            args.weights,
+            args.instance.spec.weights,
             WeightDist::Pareto {
                 alpha: 1.5,
                 cap: 64
             }
         );
         assert_eq!(
-            args.speeds,
+            args.instance.spec.speeds,
             SpeedProfile::TwoClass {
                 speed: 4,
                 fraction: 0.25
@@ -499,11 +498,7 @@ mod tests {
     fn run_for_a_moment_then_report() {
         let args = ServeArgs {
             addr: "127.0.0.1:0".to_string(),
-            instance: InstanceArgs {
-                n: 8,
-                m: 64,
-                ..InstanceArgs::default()
-            },
+            instance: small(8, 64),
             for_seconds: Some(0.05),
             ..ServeArgs::default()
         };
@@ -520,11 +515,7 @@ mod tests {
 
         let args = ServeArgs {
             addr: "127.0.0.1:0".to_string(),
-            instance: InstanceArgs {
-                n: 8,
-                m: 64,
-                ..InstanceArgs::default()
-            },
+            instance: small(8, 64),
             for_seconds: Some(0.05),
             metrics_json: Some(path.to_string_lossy().to_string()),
             metrics_interval: 0.02,
@@ -544,18 +535,15 @@ mod tests {
 
     #[test]
     fn run_boots_a_weighted_server() {
+        let mut instance = small(8, 64);
+        instance.spec.weights = WeightDist::UniformInt { lo: 1, hi: 8 };
+        instance.spec.speeds = SpeedProfile::TwoClass {
+            speed: 4,
+            fraction: 0.25,
+        };
         let args = ServeArgs {
             addr: "127.0.0.1:0".to_string(),
-            instance: InstanceArgs {
-                n: 8,
-                m: 64,
-                ..InstanceArgs::default()
-            },
-            weights: WeightDist::UniformInt { lo: 1, hi: 8 },
-            speeds: SpeedProfile::TwoClass {
-                speed: 4,
-                fraction: 0.25,
-            },
+            instance,
             for_seconds: Some(0.05),
             ..ServeArgs::default()
         };

@@ -48,3 +48,17 @@ fn a_runtime_error_prints_only_the_error() {
     assert!(!err.contains("usage:"), "{err}");
     assert_eq!(err.lines().count(), 1, "{err}");
 }
+
+#[test]
+fn an_instance_flag_beside_resume_is_an_argument_error() {
+    // The snapshot is the whole instance: a flag that would describe
+    // another one is refused before the snapshot is even read.
+    let out = run(&[
+        "live", "run", "--resume", "s.json", "--time", "10", "--m", "7",
+    ]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("--resume"), "{err}");
+    assert!(err.contains("drop --m"), "{err}");
+    assert!(err.contains("usage: rls-experiments"), "{err}");
+}

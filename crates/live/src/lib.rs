@@ -6,6 +6,9 @@
 //! the paper's rate-1 rebalance clocks, so the load vector is a living
 //! object with steady-state observables instead of a stopping time.
 //!
+//! * [`Instance`] — one online instance (size, workload, arrival law,
+//!   policy, topology, weights, speeds, churn) and the one place an engine
+//!   is built from it or refuses it with [`LiveError::Unsupported`].
 //! * [`LiveEngine`] — the sequential engine: one O(1)-per-event superposed
 //!   source merging arrivals ([`rls_workloads::ArrivalProcess`]),
 //!   per-ball exponential departures and RLS rings.
@@ -52,6 +55,7 @@ mod books;
 pub mod command;
 pub mod engine;
 pub mod event;
+pub mod instance;
 pub mod metrics;
 pub mod observer;
 pub mod replay;
@@ -61,6 +65,7 @@ pub mod snapshot;
 pub use command::LiveCommand;
 pub use engine::{LiveCounters, LiveEngine, LiveParams};
 pub use event::{LiveEvent, LiveEventKind};
+pub use instance::Instance;
 pub use metrics::{LiveMetrics, ShardedMetrics};
 pub use observer::{
     LiveObserver, ReconvSummary, Reconvergence, SteadyState, SteadySummary,
@@ -82,6 +87,23 @@ pub enum LiveError {
     /// An externally-driven [`LiveCommand`] cannot be applied to the
     /// current state (out-of-range bin, departure from an empty bin, …).
     Command(String),
+    /// An engine does not run an instance with this axis value.  Boxed so
+    /// the error does not grow: served commands return a
+    /// `Result<_, LiveError>` each.
+    Unsupported(Box<Unsupported>),
+}
+
+/// What [`LiveError::Unsupported`] names: the `engine` that refused, the
+/// instance `axis` it has no support for, and that axis's `value` in its
+/// text form.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Unsupported {
+    /// The engine that refused (`"sharded"`).
+    pub engine: &'static str,
+    /// The instance axis (`"weights"`, `"speeds"`, `"churn"`, `"arrival"`).
+    pub axis: &'static str,
+    /// The axis's value, e.g. `bursts:2:8`.
+    pub value: String,
 }
 
 impl LiveError {
@@ -100,6 +122,14 @@ impl LiveError {
     pub(crate) fn command(message: impl Into<String>) -> Self {
         LiveError::Command(message.into())
     }
+
+    pub(crate) fn unsupported(engine: &'static str, axis: &'static str, value: String) -> Self {
+        LiveError::Unsupported(Box::new(Unsupported {
+            engine,
+            axis,
+            value,
+        }))
+    }
 }
 
 impl fmt::Display for LiveError {
@@ -109,6 +139,11 @@ impl fmt::Display for LiveError {
             LiveError::Snapshot(m) => write!(f, "live snapshot: {m}"),
             LiveError::Log(m) => write!(f, "live event log: {m}"),
             LiveError::Command(m) => write!(f, "live command: {m}"),
+            LiveError::Unsupported(u) => write!(
+                f,
+                "{} `{}` is not supported by the {} engine",
+                u.axis, u.value, u.engine
+            ),
         }
     }
 }
@@ -126,5 +161,17 @@ mod tests {
             .contains("bad rate"));
         assert!(LiveError::snapshot("x").to_string().contains("snapshot"));
         assert!(LiveError::log("y").to_string().contains("event log"));
+        assert_eq!(
+            LiveError::unsupported("sharded", "arrival", "bursts:2:8".into()).to_string(),
+            "arrival `bursts:2:8` is not supported by the sharded engine"
+        );
+    }
+
+    #[test]
+    fn the_unsupported_variant_does_not_grow_the_error() {
+        // `apply_batch` returns one `Result<LiveEvent, LiveError>` per
+        // served command; with its payload boxed, the new variant leaves the
+        // error at the size it had with four `String` variants.
+        assert_eq!(std::mem::size_of::<LiveError>(), 32);
     }
 }

@@ -21,7 +21,9 @@
 //! The engine runs the paper's process: unit balls on a fixed set of bins,
 //! under any `(policy, topology)` pair.  Weighted balls, bin speeds and
 //! membership churn are sequential-engine features; the sharded engine
-//! has no constructor or setter for them.
+//! has no constructor or setter for them, and
+//! [`Instance::sharded_engine`](crate::Instance::sharded_engine) refuses
+//! an instance that asks for them.
 //!
 //! Each shard keeps a counted tree [`LoadIndex`] over its own bins, so
 //! sampling a resident ball (departures, RLS rings) is `O(log local_n)`
@@ -167,21 +169,21 @@ impl ShardedEngine {
         seed: u64,
     ) -> Result<Self, LiveError> {
         params.validate()?;
-        policy.validate().map_err(LiveError::params)?;
-        let dest = DestSampler::build(topology, initial.n(), graph_seed)
-            .map_err(|e| LiveError::params(format!("topology `{topology}`: {e}")))?;
         // Only placement laws that factor across the bin partition can be
         // sharded: a hotspot targets one global bin, and a burst epoch
         // scatters its balls over *all* bins jointly — confining either to
         // one shard would simulate a different law than the sequential
         // engine.
         if !matches!(params.arrivals, ArrivalProcess::Poisson { .. }) {
-            return Err(LiveError::params(format!(
-                "`{}` arrivals are not supported by the sharded engine \
-                 (placement is not shard-local); use the sequential engine",
-                params.arrivals.name()
-            )));
+            return Err(LiveError::unsupported(
+                "sharded",
+                "arrival",
+                params.arrivals.to_string(),
+            ));
         }
+        policy.validate().map_err(LiveError::params)?;
+        let dest = DestSampler::build(topology, initial.n(), graph_seed)
+            .map_err(|e| LiveError::params(format!("topology `{topology}`: {e}")))?;
         let n = initial.n();
         if shards == 0 || shards > n {
             return Err(LiveError::params(format!(
