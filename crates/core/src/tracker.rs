@@ -32,6 +32,9 @@ pub struct LoadTracker {
     m: u64,
     floor_avg: u64,
     ceil_avg: u64,
+    /// The populations `window.0..=window.1` at which `⌊m/n⌋` and
+    /// `⌈m/n⌉` keep their current values (see [`average_window`]).
+    window: (u64, u64),
     min_load: u64,
     max_load: u64,
     overloaded: u64,
@@ -39,6 +42,19 @@ pub struct LoadTracker {
     bins_above: usize,
     bins_at: usize,
     bins_below: usize,
+}
+
+/// The populations `lo..=hi` at which `⌊·/n⌋` and `⌈·/n⌉` take the
+/// values they take at `m`: `m` alone when `n` divides it (one ball more
+/// moves the ceiling, one less the floor), otherwise every population
+/// strictly between the multiples of `n` on either side of `m`.
+fn average_window(m: u64, n: u64) -> (u64, u64) {
+    let below = m - m % n;
+    if below == m {
+        (m, m)
+    } else {
+        (below + 1, below.saturating_add(n - 1))
+    }
 }
 
 impl LoadTracker {
@@ -55,6 +71,7 @@ impl LoadTracker {
             m: cfg.m(),
             floor_avg: cfg.floor_average(),
             ceil_avg: cfg.ceil_average(),
+            window: average_window(cfg.m(), cfg.n() as u64),
             min_load: cfg.min_load(),
             max_load: cfg.max_load(),
             overloaded: cfg.overloaded_balls(),
@@ -167,10 +184,11 @@ impl LoadTracker {
     }
 
     /// One bin moves from load `old` to `new` after `m` changed by the
-    /// same step: incremental unless `⌊m/n⌋` or `⌈m/n⌉` moved with it.
+    /// same step: incremental unless `⌊m/n⌋` or `⌈m/n⌉` moved with it,
+    /// which is `m` leaving the kept window (two compares, no division).
     fn change_population(&mut self, old: u64, new: u64) {
-        let n = self.n as u64;
-        if self.m / n == self.floor_avg && self.m.div_ceil(n) == self.ceil_avg {
+        let (lo, hi) = self.window;
+        if lo <= self.m && self.m <= hi {
             self.change_bin(old, new);
         } else {
             self.shift_load(old, new);
@@ -231,6 +249,7 @@ impl LoadTracker {
         let n = self.n as u64;
         self.floor_avg = self.m / n;
         self.ceil_avg = self.m.div_ceil(n);
+        self.window = average_window(self.m, n);
         self.overloaded = 0;
         self.holes = 0;
         self.bins_above = 0;
@@ -492,6 +511,22 @@ impl LoadCounts {
 mod tests {
     use super::*;
     use crate::{Move, RlsRule};
+
+    #[test]
+    fn average_window_is_where_floor_and_ceiling_hold() {
+        for n in 1..=7u64 {
+            for m in 0..=40u64 {
+                let (lo, hi) = average_window(m, n);
+                for p in 0..=60u64 {
+                    let same = p / n == m / n && p.div_ceil(n) == m.div_ceil(n);
+                    assert_eq!((lo..=hi).contains(&p), same, "n={n} m={m} p={p}");
+                }
+            }
+        }
+        // The window's top saturates instead of overflowing.
+        assert_eq!(average_window(u64::MAX - 2, 10), (u64::MAX - 4, u64::MAX));
+        assert_eq!(average_window(u64::MAX, 1), (u64::MAX, u64::MAX));
+    }
 
     #[test]
     fn new_matches_configuration() {

@@ -347,23 +347,36 @@ impl Program for ShardedCounterModel {
     }
 }
 
-/// Two threads each `Histogram::record`-ing one value (bucket, count,
-/// sum `fetch_add`s plus a `fetch_max`, all relaxed) racing one
-/// snapshotter that reads the buckets and derives the count from them —
-/// exactly what `Histogram::snapshot` does.
+/// Two threads recording into one histogram (bucket, count and sum
+/// `fetch_add`s plus a `fetch_max`, all relaxed) racing one snapshotter
+/// that reads the buckets and derives the count from them — exactly what
+/// `Histogram::snapshot` does.  Each writer runs either
+/// `Histogram::record` of one value or `Histogram::record_all` of a batch
+/// (one `fetch_add` per distinct bucket, then count, sum and max once).
 ///
 /// Verified: each snapshot's derived count never exceeds the records
 /// started, snapshots are bucket-wise monotone, and the final state is
-/// exact (count, sum, max, and per-bucket totals all agree with the two
+/// exact (count, sum, max, and per-bucket totals all agree with the
 /// recorded values) — which is why merging per-thread snapshots equals
-/// recording the union.
+/// recording the union, and why a batch record equals its single records.
 #[derive(Debug)]
 pub struct HistogramModel {
-    values: [u64; 2],
+    /// Each writer's values; a writer with several records them as one
+    /// batch.
+    writes: [Vec<u64>; 2],
+    /// Each writer's atomic operations, in program order.
+    ops: [Vec<HistogramOp>; 2],
     w_pc: [usize; 2],
     r_pc: usize,
     partial: u64,
     counts: Vec<u64>,
+}
+
+/// One atomic operation of a histogram writer.
+#[derive(Debug, Clone, Copy)]
+enum HistogramOp {
+    Add(usize, u64),
+    Max(u64),
 }
 
 const H_BUCKET0: usize = 0;
@@ -373,10 +386,42 @@ const H_SUM: usize = 3;
 const H_MAX: usize = 4;
 
 impl HistogramModel {
-    /// Each writer records one value; the two land in distinct buckets.
+    /// Each writer records one value; the two land in distinct buckets
+    /// (`values[i]` in bucket `i`).
     pub fn new(values: [u64; 2]) -> Self {
+        Self::with_writes([vec![values[0]], vec![values[1]]])
+    }
+
+    /// Writer 0 records the batch `[a, b, a]` with `record_all` (bucket 0
+    /// gets two, bucket 1 one, in one add each); writer 1 records `b`
+    /// alone.
+    pub fn batched(values: [u64; 2]) -> Self {
+        let [a, b] = values;
+        Self::with_writes([vec![a, b, a], vec![b]])
+    }
+
+    /// Writer `w` records `writes[w]` (one value: `record`; more: one
+    /// `record_all`).  Values equal to writer 0's first land in bucket 0,
+    /// every other value in bucket 1.
+    fn with_writes(writes: [Vec<u64>; 2]) -> Self {
+        let bucket_of = |v: u64| usize::from(v != writes[0][0]);
+        let ops = writes.clone().map(|values| {
+            let mut per_bucket = [0u64; 2];
+            for &v in &values {
+                per_bucket[bucket_of(v)] += 1;
+            }
+            let mut ops: Vec<HistogramOp> = (0..2)
+                .filter(|&b| per_bucket[b] > 0)
+                .map(|b| HistogramOp::Add(H_BUCKET0 + b, per_bucket[b]))
+                .collect();
+            ops.push(HistogramOp::Add(H_COUNT, values.len() as u64));
+            ops.push(HistogramOp::Add(H_SUM, values.iter().sum()));
+            ops.push(HistogramOp::Max(values.iter().copied().max().unwrap_or(0)));
+            ops
+        });
         Self {
-            values,
+            writes,
+            ops,
             w_pc: [0; 2],
             r_pc: 0,
             partial: 0,
@@ -394,19 +439,17 @@ impl Program for HistogramModel {
     }
     fn done(&self, tid: usize) -> bool {
         match tid {
-            0 | 1 => self.w_pc[tid] >= 4,
+            0 | 1 => self.w_pc[tid] >= self.ops[tid].len(),
             _ => self.r_pc >= 4, // two passes x two bucket loads
         }
     }
     fn step(&mut self, tid: usize, env: &mut Env<'_>) {
         if tid < 2 {
-            // ORDERING in the real code is Relaxed throughout `record`.
-            let v = self.values[tid];
-            match self.w_pc[tid] {
-                0 => env.fetch_add(tid, H_BUCKET0 + tid, 1, MemOrder::Relaxed),
-                1 => env.fetch_add(tid, H_COUNT, 1, MemOrder::Relaxed),
-                2 => env.fetch_add(tid, H_SUM, v, MemOrder::Relaxed),
-                _ => env.fetch_max(tid, H_MAX, v, MemOrder::Relaxed),
+            // ORDERING in the real code is Relaxed throughout `record`
+            // and `record_all`.
+            match self.ops[tid][self.w_pc[tid]] {
+                HistogramOp::Add(loc, v) => env.fetch_add(tid, loc, v, MemOrder::Relaxed),
+                HistogramOp::Max(v) => env.fetch_max(tid, H_MAX, v, MemOrder::Relaxed),
             };
             self.w_pc[tid] += 1;
         } else {
@@ -422,23 +465,28 @@ impl Program for HistogramModel {
     }
     fn check(&self, env: &Env<'_>) -> Result<(), String> {
         // Final ground truth: nothing lost, nothing double-counted.
-        let [a, b] = self.values;
-        if env.latest(H_BUCKET0) != 1 || env.latest(H_BUCKET1) != 1 {
+        let all: Vec<u64> = self.writes.iter().flatten().copied().collect();
+        let first = self.writes[0][0];
+        let in_bucket0 = all.iter().filter(|&&v| v == first).count() as u64;
+        let total = all.len() as u64;
+        if env.latest(H_BUCKET0) != in_bucket0 || env.latest(H_BUCKET1) != total - in_bucket0 {
             return Err("bucket increments lost".into());
         }
-        if env.latest(H_COUNT) != 2 {
-            return Err(format!("count {} != 2", env.latest(H_COUNT)));
+        if env.latest(H_COUNT) != total {
+            return Err(format!("count {} != {total}", env.latest(H_COUNT)));
         }
-        if env.latest(H_SUM) != a + b {
-            return Err(format!("sum {} != {}", env.latest(H_SUM), a + b));
+        let sum: u64 = all.iter().sum();
+        if env.latest(H_SUM) != sum {
+            return Err(format!("sum {} != {sum}", env.latest(H_SUM)));
         }
-        if env.latest(H_MAX) != a.max(b) {
-            return Err(format!("max {} != {}", env.latest(H_MAX), a.max(b)));
+        let max = all.iter().copied().max().unwrap_or(0);
+        if env.latest(H_MAX) != max {
+            return Err(format!("max {} != {max}", env.latest(H_MAX)));
         }
         // Snapshot coherence: derived counts within bounds and monotone.
         let mut prev = 0u64;
         for &c in &self.counts {
-            if c > 2 {
+            if c > total {
                 return Err(format!("snapshot derived count {c} > records started"));
             }
             if c < prev {

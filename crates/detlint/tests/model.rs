@@ -140,3 +140,12 @@ fn histogram_record_snapshot_is_coherent() {
         .unwrap_or_else(|v| panic!("histogram violated: {v}"));
     assert!(n > 100, "suspiciously small exploration: {n}");
 }
+
+#[test]
+fn histogram_batch_record_is_exact_and_coherent() {
+    // A `record_all` batch racing a single `record` and a snapshotter.
+    let n = Checker::default()
+        .check(|| HistogramModel::batched([3, 5]))
+        .unwrap_or_else(|v| panic!("histogram batch record violated: {v}"));
+    assert!(n > 100, "suspiciously small exploration: {n}");
+}

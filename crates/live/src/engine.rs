@@ -46,7 +46,7 @@ use rls_obs::{Counter, Registry};
 
 use crate::books::{self, Books};
 use crate::command::LiveCommand;
-use crate::event::{bin_u32, DrainRecord, JoinRecord, LiveEvent, LiveEventKind};
+use crate::event::{bin_u32, ArrivalBins, DrainRecord, JoinRecord, LiveEvent, LiveEventKind};
 use crate::metrics::LiveMetrics;
 use crate::observer::LiveObserver;
 use crate::LiveError;
@@ -128,6 +128,9 @@ struct Telemetry {
     /// Clock-rank descents since then, by the number of tree levels
     /// they read.
     descents: [Cell<u64>; MAX_DESCENT_LEVELS + 1],
+    /// Whether publishing waits for
+    /// [`release_telemetry`](LiveEngine::release_telemetry).
+    held: bool,
 }
 
 /// Adds `n` to `counter`, skipping the atomic when there is nothing to
@@ -216,7 +219,7 @@ struct Drawn {
 #[derive(Debug)]
 enum Ahead {
     /// The placed bins, in draw order.
-    Arrival(Vec<u32>),
+    Arrival(ArrivalBins),
     /// The departing ball's clock rank.
     Departure { rank: u64 },
     /// The ringing ball's clock rank and the candidates in draw order
@@ -444,9 +447,10 @@ impl LiveEngine {
     /// descent counts while metrics are attached), and each public call
     /// ([`step`](Self::step), [`run_until`](Self::run_until),
     /// [`apply`](Self::apply), [`apply_with`](Self::apply_with),
-    /// [`apply_batch`](Self::apply_batch)) ends by adding what they
-    /// gained to the registry — write-only, consuming no randomness.
-    /// `tests/obs_identity.rs` checks bit-identity against an unobserved
+    /// [`apply_batch`](Self::apply_batch), [`run_rings`](Self::run_rings))
+    /// ends by adding what they gained to the registry (unless a caller
+    /// [holds](Self::hold_telemetry) it for a batch of calls) —
+    /// write-only, consuming no randomness.  `tests/obs_identity.rs` checks bit-identity against an unobserved
     /// engine for every (policy, topology, hetero) scenario.  The
     /// registry counts from here on: events before the attach are not
     /// added.
@@ -456,7 +460,31 @@ impl LiveEngine {
             published: self.counters,
             probes: Cell::new(0),
             descents: Default::default(),
+            held: false,
         }));
+    }
+
+    /// Hold the telemetry the following calls gain instead of publishing
+    /// it at the end of each: a caller that runs a batch of calls (the
+    /// serving layer, one pipelined batch under one lock hold) then
+    /// publishes once per batch with
+    /// [`release_telemetry`](Self::release_telemetry).  The counts are the
+    /// same; only when they reach the registry moves.  A no-op without
+    /// metrics.
+    pub fn hold_telemetry(&mut self) {
+        if let Some(t) = &mut self.telemetry {
+            t.held = true;
+        }
+    }
+
+    /// Publish what was held since
+    /// [`hold_telemetry`](Self::hold_telemetry), and publish at the end of
+    /// every call again from here on.
+    pub fn release_telemetry(&mut self) {
+        if let Some(t) = &mut self.telemetry {
+            t.held = false;
+        }
+        self.publish();
     }
 
     /// The attached telemetry handles, if any.
@@ -465,12 +493,13 @@ impl LiveEngine {
     }
 
     /// Add the counts gained since the last publish to the attached
-    /// registry (a no-op without one).  Every public entry point that
+    /// registry (a no-op without one, or while it is
+    /// [held](Self::hold_telemetry)).  Every public entry point that
     /// applies events ends here, so a scrape is exact between calls; the
     /// counters are added with [`Counter::add`], so cells shared with an
     /// earlier engine on the same registry keep accumulating.
     fn publish(&mut self) {
-        let Some(t) = &mut self.telemetry else {
+        let Some(t) = self.telemetry.as_deref_mut().filter(|t| !t.held) else {
             return;
         };
         let (now, was, m) = (self.counters, t.published, &t.metrics);
@@ -649,21 +678,18 @@ impl LiveEngine {
         self.hetero.is_none() || self.books.matches(speeds(&self.hetero))
     }
 
-    /// Draw how many auto-rebalance rings to run after one arrival:
-    /// `Poisson(mean)`, the same memoryless law as the paper's per-ball
-    /// ring clocks.  This is the single entry point the serving layer
-    /// uses, so the serve and live ring-count laws cannot drift.
+    /// The law of how many auto-rebalance rings to run after one
+    /// arrival: `Poisson(mean)`, the same memoryless law as the paper's
+    /// per-ball ring clocks.  The serving layer builds it once from its
+    /// policy and samples it per arrival, so the serve and live
+    /// ring-count laws cannot drift.
     ///
     /// A degenerate mean (non-positive, NaN, or infinite — e.g. a
     /// ring-to-arrival ratio computed against a subnormal arrival rate)
-    /// yields `0` rings rather than panicking the caller's engine thread.
-    pub fn sample_auto_rings<R: Rng64 + ?Sized>(&self, mean: f64, rng: &mut R) -> u64 {
-        if !(mean.is_finite() && mean > 0.0) {
-            return 0;
-        }
-        Poisson::new(mean)
-            .expect("finite positive mean")
-            .sample(rng)
+    /// has no law: `None`, which callers read as `0` rings rather than
+    /// panicking their engine thread.
+    pub fn auto_ring_law(mean: f64) -> Option<Poisson> {
+        Poisson::new(mean).ok()
     }
 
     /// Rebuild an engine from raw parts (snapshot restore).  The load
@@ -797,7 +823,7 @@ impl LiveEngine {
             self.time += dt;
             match band {
                 Band::Arrival => {
-                    let mut bins = Vec::with_capacity(self.params.arrivals.epoch_size() as usize);
+                    let mut bins = ArrivalBins::new();
                     for _ in 0..self.params.arrivals.epoch_size() {
                         let bin = self
                             .params
@@ -1105,9 +1131,9 @@ impl LiveEngine {
                     None => self.sample_arrival_weight(rng).unwrap_or(1),
                 };
                 self.arrive(bin, weight);
-                LiveEventKind::Arrival {
-                    bins: vec![bin_u32(bin)],
-                }
+                let mut bins = ArrivalBins::new();
+                bins.push(bin_u32(bin));
+                LiveEventKind::Arrival { bins }
             }
             LiveCommand::Depart { bin, weight } => {
                 let bin = match bin {
@@ -1232,6 +1258,53 @@ impl LiveEngine {
         }
         self.publish();
         out
+    }
+
+    /// Run `k` rings of sampled balls toward sampled destinations — `k`
+    /// [`LiveCommand::Ring`]s with no pinned coordinate — reporting each
+    /// to the observer, and return how many migrated a ball.
+    ///
+    /// The same rings as [`apply_batch`](Self::apply_batch) over `k`
+    /// such commands, through the same step and holding-time cache, with
+    /// the same events, counters, telemetry and RNG state after the call;
+    /// it only builds no command and no result vector.  A sampled ring
+    /// fails only in an empty system, which rings cannot change, so the
+    /// first failure is returned and the engine is left as it was (`k = 0`
+    /// is `Ok(0)` even then).  Telemetry is published once, at the end.
+    pub fn run_rings<R, O>(
+        &mut self,
+        k: u64,
+        rng: &mut R,
+        observer: &mut O,
+    ) -> Result<u64, LiveError>
+    where
+        R: Rng64 + ?Sized,
+        O: LiveObserver,
+    {
+        const RING: LiveCommand = LiveCommand::Ring {
+            source: None,
+            dest: None,
+        };
+        let mut holding: Option<Exponential> = None;
+        let mut moved = 0;
+        let mut outcome = Ok(());
+        for _ in 0..k {
+            match self.apply_cached(&RING, rng, &mut holding) {
+                Ok(event) => {
+                    moved += u64::from(matches!(
+                        event.kind,
+                        LiveEventKind::Ring { moved: true, .. }
+                    ));
+                    observer.on_event(&event, &self.tracker);
+                }
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            }
+        }
+        self.publish();
+        outcome.map(|()| moved)
     }
 
     /// Run until simulated time reaches `until`, reporting every event to
@@ -1982,18 +2055,49 @@ mod tests {
 
     #[test]
     fn auto_ring_draws_survive_degenerate_means() {
-        let eng = engine(8, 64);
         let mut rng = rng_from_seed(20);
-        assert_eq!(eng.sample_auto_rings(0.0, &mut rng), 0);
-        assert_eq!(eng.sample_auto_rings(-1.0, &mut rng), 0);
-        assert_eq!(eng.sample_auto_rings(f64::NAN, &mut rng), 0);
-        assert_eq!(eng.sample_auto_rings(f64::INFINITY, &mut rng), 0);
+        for mean in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(LiveEngine::auto_ring_law(mean).is_none(), "mean {mean}");
+        }
         // A real mean draws a real Poisson count.
-        let total: u64 = (0..200).map(|_| eng.sample_auto_rings(2.0, &mut rng)).sum();
+        let law = LiveEngine::auto_ring_law(2.0).expect("a positive finite mean");
+        let total: u64 = (0..200).map(|_| law.sample(&mut rng)).sum();
         assert!(
             (200..=700).contains(&total),
             "Poisson(2)·200 ≈ 400, got {total}"
         );
+    }
+
+    #[test]
+    fn held_telemetry_publishes_the_same_counts_once() {
+        let registry = Registry::new();
+        let mut eng = engine(8, 64);
+        eng.attach_metrics(&registry);
+        let mut rng = rng_from_seed(21);
+        let arrive = LiveCommand::Arrive {
+            bin: None,
+            weight: None,
+        };
+        eng.apply(&arrive, &mut rng).unwrap();
+        let m = Arc::clone(eng.metrics().unwrap());
+        let published = registry.render_prometheus();
+        eng.hold_telemetry();
+        eng.apply(&arrive, &mut rng).unwrap();
+        eng.run_rings(5, &mut rng, &mut ()).unwrap();
+        assert_eq!(
+            registry.render_prometheus(),
+            published,
+            "held, not published"
+        );
+        eng.release_telemetry();
+        let counters = eng.counters();
+        assert_eq!(m.events.get(), counters.events);
+        assert_eq!(m.arrivals.get(), counters.arrivals);
+        assert_eq!(m.rings.get(), counters.rings);
+        assert_eq!(m.descent_depth.snapshot().count(), counters.rings);
+        // Released: the next call publishes at its end again.
+        eng.run_rings(1, &mut rng, &mut ()).unwrap();
+        assert_eq!(m.rings.get(), eng.counters().rings);
     }
 
     #[test]

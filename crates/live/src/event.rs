@@ -7,7 +7,139 @@
 //! record carries every resolved random choice — which bins, whether the
 //! RLS rule permitted the migration — so replay needs no random numbers.
 
-use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::ops::Deref;
+
+use serde::{Deserialize, Serialize, Value};
+
+/// Bins an [`ArrivalBins`] holds without a heap allocation: every unit
+/// arrival (the Poisson and hotspot laws, and every served request) fits.
+const INLINE_BINS: usize = 4;
+
+/// The destination bins of one arrival epoch, in draw order.
+///
+/// Up to four bins are stored inline, so an arrival event allocates
+/// nothing; a larger burst spills to a `Vec`.  Either way it reads as a
+/// `[u32]` slice and serializes as the same JSON array a `Vec<u32>`
+/// would, so event logs and snapshots do not depend on where the bins
+/// live.
+#[derive(Clone)]
+pub struct ArrivalBins(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bins: [u32; INLINE_BINS] },
+    Spilled(Vec<u32>),
+}
+
+impl ArrivalBins {
+    /// No bins yet.
+    pub const fn new() -> Self {
+        ArrivalBins(Repr::Inline {
+            len: 0,
+            bins: [0; INLINE_BINS],
+        })
+    }
+
+    /// Append one bin, spilling to the heap past the inline capacity.
+    pub fn push(&mut self, bin: u32) {
+        match &mut self.0 {
+            Repr::Inline { len, bins } if usize::from(*len) < INLINE_BINS => {
+                bins[usize::from(*len)] = bin;
+                *len += 1;
+            }
+            Repr::Inline { bins, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_BINS);
+                spilled.extend_from_slice(bins);
+                spilled.push(bin);
+                self.0 = Repr::Spilled(spilled);
+            }
+            Repr::Spilled(bins) => bins.push(bin),
+        }
+    }
+}
+
+impl Default for ArrivalBins {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Deref for ArrivalBins {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match &self.0 {
+            Repr::Inline { len, bins } => &bins[..usize::from(*len)],
+            Repr::Spilled(bins) => bins,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a ArrivalBins {
+    type Item = &'a u32;
+    type IntoIter = std::slice::Iter<'a, u32>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl FromIterator<u32> for ArrivalBins {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        let mut bins = Self::new();
+        for bin in iter {
+            bins.push(bin);
+        }
+        bins
+    }
+}
+
+impl From<Vec<u32>> for ArrivalBins {
+    fn from(bins: Vec<u32>) -> Self {
+        if bins.len() <= INLINE_BINS {
+            bins.into_iter().collect()
+        } else {
+            ArrivalBins(Repr::Spilled(bins))
+        }
+    }
+}
+
+impl fmt::Debug for ArrivalBins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for ArrivalBins {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ArrivalBins {}
+
+impl<const N: usize> PartialEq<[u32; N]> for ArrivalBins {
+    fn eq(&self, other: &[u32; N]) -> bool {
+        **self == *other
+    }
+}
+
+impl Serialize for ArrivalBins {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl Deserialize for ArrivalBins {
+    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
+        Vec::<u32>::from_value(v).map(Self::from)
+    }
+}
 
 /// One bin joining the live set, with every resolved random choice the
 /// warm start made (each entry of `warm_from` donated exactly one ball to
@@ -38,7 +170,7 @@ pub enum LiveEventKind {
     /// (bursty processes inject several balls per epoch).
     Arrival {
         /// Destination bin of each injected ball.
-        bins: Vec<u32>,
+        bins: ArrivalBins,
     },
     /// One ball departed from this bin.
     Departure {
@@ -125,7 +257,9 @@ mod tests {
         let arrival = LiveEvent {
             seq: 1,
             time: 0.5,
-            kind: LiveEventKind::Arrival { bins: vec![0, 3] },
+            kind: LiveEventKind::Arrival {
+                bins: vec![0, 3].into(),
+            },
         };
         assert_eq!(arrival.balls_added(), 2);
         assert_eq!(arrival.balls_removed(), 0);
@@ -139,12 +273,39 @@ mod tests {
     }
 
     #[test]
+    fn arrival_bins_read_and_encode_like_a_vec_inline_or_spilled() {
+        for len in [0usize, 1, INLINE_BINS, INLINE_BINS + 1, 3 * INLINE_BINS] {
+            let plain: Vec<u32> = (1..).step_by(7).take(len).collect();
+            let mut pushed = ArrivalBins::new();
+            for &bin in &plain {
+                pushed.push(bin);
+            }
+            let converted = ArrivalBins::from(plain.clone());
+            assert_eq!(&*pushed, plain.as_slice());
+            assert_eq!(pushed, converted);
+            assert_eq!(format!("{pushed:?}"), format!("{plain:?}"));
+            let json = serde_json::to_string(&pushed).unwrap();
+            assert_eq!(json, serde_json::to_string(&plain).unwrap());
+            assert_eq!(
+                serde_json::to_string_pretty(&pushed).unwrap(),
+                serde_json::to_string_pretty(&plain).unwrap()
+            );
+            let back: ArrivalBins = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, pushed);
+            let inline = matches!(pushed.0, Repr::Inline { .. });
+            assert_eq!(inline, len <= INLINE_BINS, "len {len}");
+        }
+    }
+
+    #[test]
     fn serde_round_trip_is_exact() {
         let events = vec![
             LiveEvent {
                 seq: 1,
                 time: 0.123_456_789_123_456_78,
-                kind: LiveEventKind::Arrival { bins: vec![7] },
+                kind: LiveEventKind::Arrival {
+                    bins: vec![7].into(),
+                },
             },
             LiveEvent {
                 seq: 2,

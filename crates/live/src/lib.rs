@@ -64,7 +64,7 @@ pub mod snapshot;
 
 pub use command::LiveCommand;
 pub use engine::{LiveCounters, LiveEngine, LiveParams};
-pub use event::{LiveEvent, LiveEventKind};
+pub use event::{ArrivalBins, LiveEvent, LiveEventKind};
 pub use instance::Instance;
 pub use metrics::{LiveMetrics, ShardedMetrics};
 pub use observer::{

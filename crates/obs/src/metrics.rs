@@ -184,6 +184,10 @@ const FIRST_LOG_RANGE: u32 = SUB_BITS + 1;
 /// `SUB_BUCKETS` per remaining power-of-two range.
 const NUM_BUCKETS: usize = (2 * SUB_BUCKETS + (64 - FIRST_LOG_RANGE as u64) * SUB_BUCKETS) as usize;
 
+/// Values [`Histogram::record_all`] sorts into bucket runs at a time (a
+/// stack buffer of indices, so a batch record allocates nothing).
+const RECORD_CHUNK: usize = 64;
+
 /// A lock-free log-linear histogram over `u64` values.
 ///
 /// Layout (HdrHistogram-style): values below `2^(SUB_BITS+1) = 32` land
@@ -288,6 +292,43 @@ impl Histogram {
         self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
         // ORDERING: relaxed — fetch_max atomicity keeps the running max.
         self.max.fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Records every value of `values`: the same buckets, count, sum and
+    /// max as one [`record`](Self::record) per value, with one
+    /// `fetch_add` per distinct bucket (per 64 values) and
+    /// the count, sum and max once.  A writer that gathers its samples
+    /// in a plain buffer touches the shared cache lines once per flush
+    /// instead of four times per sample.  An empty slice records nothing.
+    pub fn record_all(&self, values: &[u64]) {
+        if values.is_empty() {
+            return;
+        }
+        let (mut sum, mut max) = (0u64, 0u64);
+        let mut indices = [0usize; RECORD_CHUNK];
+        for chunk in values.chunks(RECORD_CHUNK) {
+            let indices = &mut indices[..chunk.len()];
+            for (index, &value) in indices.iter_mut().zip(chunk) {
+                *index = Self::bucket_index(value);
+                sum = sum.wrapping_add(value);
+                max = max.max(value);
+            }
+            // Equal buckets become runs: one add per run.
+            indices.sort_unstable();
+            let mut run = 0;
+            for end in 1..=indices.len() {
+                if end == indices.len() || indices[end] != indices[run] {
+                    // ORDERING: relaxed — as in `record`.
+                    self.buckets[indices[run]].fetch_add((end - run) as u64, Ordering::Relaxed);
+                    run = end;
+                }
+            }
+        }
+        // ORDERING: relaxed — as in `record`.
+        self.count.fetch_add(values.len() as u64, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        // ORDERING: relaxed — fetch_max atomicity keeps the running max.
+        self.max.fetch_max(max, Ordering::Relaxed);
     }
 
     /// Number of recorded observations.
@@ -645,6 +686,40 @@ mod tests {
         let h = Histogram::new();
         h.record_n(u64::MAX, 0);
         assert_eq!(h.snapshot(), HistogramSnapshot::empty(), "n = 0 is a no-op");
+    }
+
+    #[test]
+    fn record_all_equals_one_record_per_value() {
+        let mut x = 0x2545f4914f6cdd1du64;
+        // Lengths around the chunk size; values clustered (shared
+        // buckets) and spread over the exact and log-linear ranges.
+        for len in [1usize, 2, 16, 63, 64, 65, 200] {
+            let values: Vec<u64> = (0..len)
+                .map(|i| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    if i % 3 == 0 {
+                        x % 40
+                    } else {
+                        (x >> 33) >> (x % 31)
+                    }
+                })
+                .collect();
+            let (batched, single) = (Histogram::new(), Histogram::new());
+            batched.record(7);
+            single.record(7);
+            batched.record_all(&values);
+            for &v in &values {
+                single.record(v);
+            }
+            let (b, s) = (batched.snapshot(), single.snapshot());
+            assert_eq!(b, s, "len {len}");
+            assert_eq!((b.count(), b.sum(), b.max()), (s.count(), s.sum(), s.max()));
+        }
+        let h = Histogram::new();
+        h.record_all(&[]);
+        assert_eq!(h.snapshot(), HistogramSnapshot::empty(), "empty is a no-op");
     }
 
     #[test]

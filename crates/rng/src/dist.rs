@@ -64,40 +64,79 @@ impl Distribution for Exponential {
 }
 
 /// The Poisson distribution `Poi(λ)`.
+///
+/// Sampling is Knuth's method on chunks of mean at most 500, so the
+/// running product cannot underflow.  The chunks' `exp(−chunk)`
+/// thresholds are computed once, at construction: the full chunks (all
+/// sharing one threshold), then at most one shorter tail.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     lambda: f64,
+    /// Chunks of mean exactly [`POISSON_CHUNK`], drawn first.
+    full_chunks: u64,
+    /// Their threshold `exp(−500)`.
+    full_threshold: f64,
+    /// The last chunk's threshold `exp(−chunk)`, when a chunk below
+    /// [`POISSON_CHUNK`] remains after the full ones.
+    tail_threshold: Option<f64>,
 }
+
+/// The largest mean one chunk of [`Poisson`] sampling covers.
+const POISSON_CHUNK: f64 = 500.0;
 
 impl Poisson {
     /// `Poi(lambda)`; the mean must be positive and finite.
     pub fn new(lambda: f64) -> Result<Self, DistError> {
-        if lambda.is_finite() && lambda > 0.0 {
-            Ok(Self { lambda })
-        } else {
-            Err(DistError("poisson mean must be positive and finite"))
+        if !(lambda.is_finite() && lambda > 0.0) {
+            return Err(DistError("poisson mean must be positive and finite"));
         }
+        // Split λ exactly as a chunk-by-chunk loop would (the same
+        // subtractions, so the same tail), keeping the thresholds.
+        let mut remaining = lambda;
+        let (mut full_chunks, mut full_threshold) = (0u64, 0.0);
+        let mut tail_threshold = None;
+        while remaining > 0.0 {
+            let chunk = remaining.min(POISSON_CHUNK);
+            remaining -= chunk;
+            if chunk == POISSON_CHUNK {
+                full_chunks += 1;
+                full_threshold = (-chunk).exp();
+            } else {
+                tail_threshold = Some((-chunk).exp());
+            }
+        }
+        Ok(Self {
+            lambda,
+            full_chunks,
+            full_threshold,
+            tail_threshold,
+        })
     }
+}
+
+/// Knuth's count of unit-rate exponential arrivals: uniforms multiply
+/// until the product falls to `threshold = exp(−mean)`.
+#[inline]
+fn knuth_count<R: Rng64 + ?Sized>(threshold: f64, rng: &mut R) -> u64 {
+    let mut count = 0u64;
+    let mut product = rng.next_f64_open();
+    while product > threshold {
+        count += 1;
+        product *= rng.next_f64_open();
+    }
+    count
 }
 
 impl Distribution for Poisson {
     type Output = u64;
 
     fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> u64 {
-        // Count exponential inter-arrival times inside a unit interval; for
-        // large λ, split the interval so the running product cannot
-        // underflow (Knuth's method on at most 500-mean chunks).
-        let mut remaining = self.lambda;
         let mut count = 0u64;
-        while remaining > 0.0 {
-            let chunk = remaining.min(500.0);
-            remaining -= chunk;
-            let threshold = (-chunk).exp();
-            let mut product = rng.next_f64_open();
-            while product > threshold {
-                count += 1;
-                product *= rng.next_f64_open();
-            }
+        for _ in 0..self.full_chunks {
+            count += knuth_count(self.full_threshold, rng);
+        }
+        if let Some(threshold) = self.tail_threshold {
+            count += knuth_count(threshold, rng);
         }
         count
     }
@@ -186,6 +225,41 @@ mod tests {
                 (mean - lambda).abs() < 0.05 * lambda.max(1.0),
                 "Poi({lambda}) mean {mean}"
             );
+        }
+    }
+
+    /// The chunk-by-chunk sampler `Poisson::sample` replaced, which
+    /// called `exp` on every draw.
+    fn chunked_reference<R: Rng64 + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
+        let mut remaining = lambda;
+        let mut count = 0u64;
+        while remaining > 0.0 {
+            let chunk = remaining.min(500.0);
+            remaining -= chunk;
+            let threshold = (-chunk).exp();
+            let mut product = rng.next_f64_open();
+            while product > threshold {
+                count += 1;
+                product *= rng.next_f64_open();
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn poisson_draws_match_the_chunk_by_chunk_sampler() {
+        for lambda in [1e-9, 0.5, 8.0, 499.9, 500.0, 1234.5] {
+            let d = Poisson::new(lambda).unwrap();
+            let (mut a, mut b) = (rng_from_seed(21), rng_from_seed(21));
+            let draws = if lambda > 100.0 { 500 } else { 5_000 };
+            for i in 0..draws {
+                assert_eq!(
+                    d.sample(&mut a),
+                    chunked_reference(lambda, &mut b),
+                    "Poi({lambda}) draw {i}"
+                );
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "Poi({lambda}) stream");
         }
     }
 

@@ -15,6 +15,7 @@ use rls_live::{
     DEFAULT_RECONV_THRESHOLD, SNAPSHOT_VERSION,
 };
 use rls_obs::Registry;
+use rls_rng::dist::{Distribution, Poisson};
 use rls_rng::{rng_from_seed, DefaultRng};
 
 use crate::api::{
@@ -75,6 +76,9 @@ pub struct ServeCore {
     /// (armed by `/v1/bins/*`, reported by `/v1/stats`).
     reconv: Reconvergence,
     policy: ServePolicy,
+    /// The policy's ring-count law, built once ([`LiveEngine::auto_ring_law`];
+    /// `None`: no auto-rebalance rings).
+    ring_law: Option<Poisson>,
     /// Warm-up (engine-time units) excluded from the stats window; kept so
     /// a restore can re-arm the observer the same way.
     warmup: f64,
@@ -99,6 +103,7 @@ impl ServeCore {
             steady,
             reconv: Reconvergence::new(DEFAULT_RECONV_THRESHOLD),
             policy,
+            ring_law: LiveEngine::auto_ring_law(policy.rings_per_arrival),
             warmup,
             identity,
             metrics: None,
@@ -116,6 +121,19 @@ impl ServeCore {
     /// The attached telemetry, if any.
     pub fn metrics(&self) -> Option<&Arc<ServeMetrics>> {
         self.metrics.as_ref()
+    }
+
+    /// Hold the engine's telemetry over a batch of commands
+    /// ([`LiveEngine::hold_telemetry`]), so the batch publishes once, at
+    /// [`release_telemetry`](Self::release_telemetry).
+    pub(crate) fn hold_telemetry(&mut self) {
+        self.engine.hold_telemetry();
+    }
+
+    /// Publish the engine telemetry held since
+    /// [`hold_telemetry`](Self::hold_telemetry).
+    pub(crate) fn release_telemetry(&mut self) {
+        self.engine.release_telemetry();
     }
 
     /// The engine (read-only; the core owns all mutation).
@@ -161,9 +179,7 @@ impl ServeCore {
             Some(rings) => rings,
             // The engine owns the ring-count law (Poisson, like the
             // paper's clocks), so serve and live cannot drift apart.
-            None => self
-                .engine
-                .sample_auto_rings(self.policy.rings_per_arrival, &mut self.rng),
+            None => self.ring_law.map_or(0, |law| law.sample(&mut self.rng)),
         };
 
         // Resolve the ball's weight *here* so the reply can echo it: an
@@ -190,33 +206,21 @@ impl ServeCore {
             _ => unreachable!("arrive commands yield arrival events"),
         };
 
-        // The ring run goes through `apply_batch` in one call: bit-identical
-        // to the former per-command loop (batching happens at command
-        // granularity, never inside the RNG stream) but the holding-time
-        // law `Exp(total_rate)` is built once per run instead of once per
-        // ring — rings on a unit engine provably leave the total rate
-        // unchanged.  The arrival stays a separate `apply_with` above so a
-        // rejected arrival still short-circuits before any ring runs (an
-        // arrival invalidates the batch cache anyway, so nothing is lost).
-        let cmds = vec![
-            LiveCommand::Ring {
-                source: None,
-                dest: None,
-            };
-            rings as usize
-        ];
-        let mut moved = 0u64;
-        for ring in self.engine.apply_batch(
-            &cmds,
-            &mut self.rng,
-            &mut (&mut self.steady, &mut self.reconv),
-        ) {
-            // m ≥ 1 right after an arrival, so rings cannot fail.
-            let ring = ring.map_err(|e| ServeError::internal(e.to_string()))?;
-            if matches!(ring.kind, LiveEventKind::Ring { moved: true, .. }) {
-                moved += 1;
-            }
-        }
+        // The rings run in one `run_rings` call: the same rings as one
+        // `apply_with` per ring (the holding-time law `Exp(total_rate)` is
+        // built once per run instead of once per ring, since rings on a
+        // unit engine leave the total rate unchanged), with no command or
+        // result vector.  The arrival stays a separate `apply_with` above
+        // so a rejected arrival short-circuits before any ring runs.
+        // m ≥ 1 right after an arrival, so rings cannot fail.
+        let moved = self
+            .engine
+            .run_rings(
+                rings,
+                &mut self.rng,
+                &mut (&mut self.steady, &mut self.reconv),
+            )
+            .map_err(|e| ServeError::internal(e.to_string()))?;
 
         Ok(ArriveReply {
             bin,
@@ -410,6 +414,9 @@ impl ServeCore {
     /// engine and RNG in.  Building them reads only the snapshot, so the
     /// server does that before it takes the engine's lock.
     pub(crate) fn install(&mut self, restored: Restored) -> RestoreReply {
+        // Publish what the outgoing engine counted and a batch still
+        // holds; the restored engine publishes per call.
+        self.engine.release_telemetry();
         self.engine = restored.engine;
         // The restored engine starts bare; re-tap it into the same
         // registry (instruments are shared, so totals keep accumulating).

@@ -9,7 +9,8 @@
 //!   │   ──► frame ──► route       up to 64 frames, no lock       │
 //!   │   ──► lock ──► execute ──► unlock                          │
 //!   │                 the batch's engine commands, typed replies │
-//!   │   ──► encode ──► write      in frame order, no lock        │
+//!   │   ──► encode into the connection buffer, in frame order    │
+//!   │   ──► publish the batch's telemetry ──► write   no lock    │
 //!   └────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -55,8 +56,10 @@ use std::time::{Duration, Instant};
 
 use crate::core::ServeCore;
 use crate::http;
-use crate::metrics::{endpoint_index, ServeMetrics};
-use crate::server::{execute, flight_coords, route, to_json, EngineCmd, ErrorBody, Reply, Routed};
+use crate::metrics::{endpoint_index, ServeMetrics, Tally};
+use crate::server::{
+    execute, flight_coords, route, to_json, Body, EngineCmd, ErrorBody, Reply, Routed,
+};
 use crate::ServeError;
 
 /// Read chunk size.
@@ -258,7 +261,9 @@ fn serve_connection(
     let mut conn = Conn {
         stream,
         out: Vec::with_capacity(1024),
+        scratch: String::with_capacity(256),
         metrics,
+        tally: Tally::with_capacity(MAX_BATCH),
         stripe,
     };
     let mut batch = Batch::default();
@@ -333,7 +338,14 @@ struct Conn<'s> {
     stream: TcpStream,
     /// Encoded replies not yet written.
     out: Vec<u8>,
+    /// The reply body being encoded, reused from reply to reply.
+    scratch: String,
     metrics: Option<&'s ServeMetrics>,
+    /// Telemetry gathered since the last publish (kept only with
+    /// `metrics`); published once per batch, before its replies are
+    /// written.
+    tally: Tally,
+    /// This connection's stripe of the sharded byte counters.
     stripe: usize,
 }
 
@@ -402,7 +414,8 @@ impl Conn<'_> {
                 return Some(consumed);
             }
             if !batch.cmds.is_empty() {
-                execute_batch(batch, core, read_at, &mut mark, self.metrics);
+                let telemetry = self.metrics.map(|m| (m, &mut self.tally));
+                execute_batch(batch, core, read_at, &mut mark, telemetry);
             }
             if !self.encode_and_write(batch, limits, &mut mark) {
                 return None;
@@ -433,8 +446,8 @@ impl Conn<'_> {
                 Ok(Some((frame, used))) => {
                     consumed += used;
                     let ends = self.route_frame(&frame, batch);
-                    if let Some(m) = self.metrics {
-                        m.stage_parse_ns.record(lap(mark));
+                    if self.metrics.is_some() {
+                        self.tally.parse_ns.push(lap(mark));
                     }
                     if ends {
                         return (consumed, true);
@@ -461,7 +474,6 @@ impl Conn<'_> {
     /// Route one frame into the batch; an engine command joins the
     /// batch's commands.  Returns whether the batch ends with it.
     fn route_frame(&mut self, frame: &http::Frame<'_>, batch: &mut Batch) -> bool {
-        let metrics = self.metrics;
         let keep_alive = !frame.close;
         let mut parts = frame.start_line.split_ascii_whitespace();
         let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
@@ -473,11 +485,8 @@ impl Conn<'_> {
             return !keep_alive;
         };
         let endpoint = endpoint_index(path);
-        if let Some(m) = metrics {
-            m.request_bytes.add(
-                self.stripe,
-                (frame.start_line.len() + frame.body.len()) as u64,
-            );
+        if self.metrics.is_some() {
+            self.tally.request_bytes += (frame.start_line.len() + frame.body.len()) as u64;
         }
         let routed = route(method, path, frame.body);
         let mut ends = !keep_alive;
@@ -501,10 +510,11 @@ impl Conn<'_> {
 
     /// Phase 3, without the lock: encode each reply and append the
     /// responses in frame order, writing whenever `max_unflushed_bytes`
-    /// have gathered and once more at the end.  The write stage runs
-    /// from `mark` (the end of the batch's last command, or of its
-    /// framing) to the batch's last byte written.  Returns whether the
-    /// connection stays open.
+    /// have gathered and once more at the end.  A typed reply is encoded
+    /// into the connection's scratch buffer and copied into the output,
+    /// so no reply allocates.  The write stage runs from `mark` (the end
+    /// of the batch's last command, or of its framing) to the batch's
+    /// last byte written.  Returns whether the connection stays open.
     fn encode_and_write(&mut self, batch: &mut Batch, limits: &Limits, mark: &mut Instant) -> bool {
         let metrics = self.metrics;
         let mut replies = batch.replies.drain(..);
@@ -513,7 +523,7 @@ impl Conn<'_> {
             keep_alive = slot.keep_alive;
             let (status, content_type, body) = match slot.answer {
                 Answer::Engine => match replies.next() {
-                    Some(Ok(reply)) => (200, "application/json", reply.to_json()),
+                    Some(Ok(reply)) => (200, JSON, reply.encode(&mut self.scratch)),
                     Some(Err(e)) => error_reply(&e),
                     None => {
                         // An earlier command panicked on the core: its
@@ -524,26 +534,30 @@ impl Conn<'_> {
                     }
                 },
                 Answer::Metrics => match metrics {
-                    Some(m) => (200, "text/plain; version=0.0.4", m.render_prometheus()),
+                    Some(m) => {
+                        // The scrape counts every request answered
+                        // before it, as if each had published alone.
+                        m.publish(&mut self.tally, self.stripe);
+                        let text = m.render_prometheus();
+                        (200, "text/plain; version=0.0.4", Body::Owned(text))
+                    }
                     None => error_reply(&ServeError::not_found("/v1/metrics")),
                 },
                 Answer::Flight => match metrics {
-                    Some(m) => (200, "application/json", m.flight_json()),
+                    Some(m) => (200, JSON, Body::Owned(m.flight_json())),
                     None => error_reply(&ServeError::not_found("/v1/debug/flight")),
                 },
                 Answer::Error(e) => error_reply(&e),
-                Answer::Framing(status, body) => (status, "application/json", body),
+                Answer::Framing(status, body) => (status, JSON, Body::Owned(body)),
             };
-            if let Some(m) = metrics {
-                m.record_request(slot.endpoint, status);
+            if metrics.is_some() {
+                self.tally.count_request(slot.endpoint, status);
             }
-            http::append_response_typed(
-                &mut self.out,
-                status,
-                content_type,
-                body.as_bytes(),
-                keep_alive,
-            );
+            let body = match &body {
+                Body::Scratch => self.scratch.as_bytes(),
+                Body::Owned(text) => text.as_bytes(),
+            };
+            http::append_response_typed(&mut self.out, status, content_type, body, keep_alive);
             if !keep_alive {
                 break;
             }
@@ -560,9 +574,14 @@ impl Conn<'_> {
         keep_alive
     }
 
-    /// Write the replies gathered so far.  Returns `false` if the client
-    /// is gone (or did not drain them within the idle deadline).
+    /// Write the replies gathered so far, publishing the telemetry
+    /// gathered so far first: a client that has read its reply finds its
+    /// request counted.  Returns `false` if the client is gone (or did
+    /// not drain them within the idle deadline).
     fn write_out(&mut self) -> bool {
+        if let Some(m) = self.metrics {
+            m.publish(&mut self.tally, self.stripe);
+        }
         if self.out.is_empty() {
             return true;
         }
@@ -584,37 +603,44 @@ impl Conn<'_> {
 /// With metrics on, the clock is read once when the lock is taken and
 /// once after each command: a command's apply stage starts where the one
 /// before it ended, and its queue stage runs from `read_at` to there.
-/// `mark` ends at the last command's end.
+/// Both go to `tally`, to be published once the lock is released; only
+/// the flight recorder is written per command under the lock, so its
+/// events keep the execution order.  The engine's own series are held
+/// over the batch and published once, before the lock is released.
+/// `mark` ends at the last command's end (the publish is charged to the
+/// write stage).
 fn execute_batch(
     batch: &mut Batch,
     core: &Mutex<ServeCore>,
     read_at: Instant,
     mark: &mut Instant,
-    metrics: Option<&ServeMetrics>,
+    mut telemetry: Option<(&ServeMetrics, &mut Tally)>,
 ) {
     let Ok(mut core) = core.lock() else {
         batch.cmds.clear();
         return;
     };
-    if metrics.is_some() {
+    if telemetry.is_some() {
         *mark = Instant::now();
     }
+    core.hold_telemetry();
     for cmd in batch.cmds.drain(..) {
-        batch
-            .replies
-            .push(execute_timed(&mut core, cmd, read_at, mark, metrics));
+        let telemetry = telemetry.as_mut().map(|(m, tally)| (*m, &mut **tally));
+        let reply = execute_timed(&mut core, cmd, read_at, mark, telemetry);
+        batch.replies.push(reply);
     }
+    core.release_telemetry();
 }
 
-/// Execute one engine command on the locked core, recording its queue
-/// and apply stages and a flight event; its apply stage starts at `mark`,
-/// which moves to its end.
+/// Execute one engine command on the locked core, recording a flight
+/// event and keeping its queue and apply stages in `tally`; its apply
+/// stage starts at `mark`, which moves to its end.
 fn execute_timed(
     core: &mut ServeCore,
     cmd: EngineCmd,
     read_at: Instant,
     mark: &mut Instant,
-    metrics: Option<&ServeMetrics>,
+    telemetry: Option<(&ServeMetrics, &mut Tally)>,
 ) -> Result<Reply, ServeError> {
     let (kind, a, b) = flight_coords(&cmd);
     let queue_ns = span_ns(read_at, *mark);
@@ -623,7 +649,7 @@ fn execute_timed(
         Err(cause) => {
             // Log the fatal command and dump the recorder, so the
             // post-mortem names the exact command sequence.
-            if let Some(m) = metrics {
+            if let Some((m, _)) = telemetry {
                 m.flight.record(kind, a, b, queue_ns, lap(mark));
                 eprintln!("the engine panicked mid-command; flight recorder dump:");
                 eprintln!("{}", m.flight_json());
@@ -631,10 +657,10 @@ fn execute_timed(
             panic::resume_unwind(cause);
         }
     };
-    if let Some(m) = metrics {
+    if let Some((m, tally)) = telemetry {
         let apply_ns = lap(mark);
-        m.stage_queue_ns.record(queue_ns);
-        m.stage_apply_ns.record(apply_ns);
+        tally.queue_ns.push(queue_ns);
+        tally.apply_ns.push(apply_ns);
         m.flight.record(kind, a, b, queue_ns, apply_ns);
     }
     reply
@@ -663,18 +689,24 @@ fn release_excess(buf: &mut Vec<u8>) {
     }
 }
 
-/// An error's status, content type and `{"error": ...}` JSON body.
-fn error_reply(e: &ServeError) -> (u16, &'static str, String) {
-    let body = to_json(&ErrorBody {
+/// The content type of every JSON body.
+const JSON: &str = "application/json";
+
+/// An error's `{"error": ...}` JSON body.
+fn error_body(e: &ServeError) -> String {
+    to_json(&ErrorBody {
         error: e.message.clone(),
-    });
-    (e.status, "application/json", body)
+    })
+}
+
+/// An error's status, content type and body.
+fn error_reply(e: &ServeError) -> (u16, &'static str, Body) {
+    (e.status, JSON, Body::Owned(error_body(e)))
 }
 
 /// Serialize one error reply.
 fn append_error(out: &mut Vec<u8>, e: &ServeError, keep_alive: bool) {
-    let (status, content_type, body) = error_reply(e);
-    http::append_response_typed(out, status, content_type, body.as_bytes(), keep_alive);
+    http::append_response_typed(out, e.status, JSON, error_body(e).as_bytes(), keep_alive);
 }
 
 #[cfg(test)]

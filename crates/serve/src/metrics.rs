@@ -94,6 +94,53 @@ pub const FLIGHT_NONE: u64 = u64::MAX;
 /// Recent-event window kept by the flight recorder.
 const FLIGHT_CAPACITY: usize = 1024;
 
+/// One connection's telemetry since it last published, in plain fields:
+/// the stage samples of its frames and commands, its request and error
+/// counts by endpoint, and its request bytes.  The frontend fills it
+/// while it frames, executes and encodes a batch, and
+/// [`ServeMetrics::publish`] adds it to the shared instruments in one go,
+/// before the batch's replies are written.
+#[derive(Debug)]
+pub(crate) struct Tally {
+    /// Parse-stage samples, one per framed request.
+    pub(crate) parse_ns: Vec<u64>,
+    /// Queue-stage samples, one per engine command.
+    pub(crate) queue_ns: Vec<u64>,
+    /// Apply-stage samples, one per engine command.
+    pub(crate) apply_ns: Vec<u64>,
+    /// Requests by endpoint index ([`endpoint_index`]).
+    requests: [u64; ENDPOINTS.len()],
+    /// Non-2xx responses by endpoint index.
+    errors: [u64; ENDPOINTS.len()],
+    /// Request payload bytes (start line + body).
+    pub(crate) request_bytes: u64,
+}
+
+impl Tally {
+    /// An empty tally whose sample buffers hold `samples` each before
+    /// they grow (a batch's frame cap keeps them from growing).
+    pub(crate) fn with_capacity(samples: usize) -> Self {
+        Self {
+            parse_ns: Vec::with_capacity(samples),
+            queue_ns: Vec::with_capacity(samples),
+            apply_ns: Vec::with_capacity(samples),
+            requests: [0; ENDPOINTS.len()],
+            errors: [0; ENDPOINTS.len()],
+            request_bytes: 0,
+        }
+    }
+
+    /// Counts one handled request, as
+    /// [`ServeMetrics::record_request`] would.
+    pub(crate) fn count_request(&mut self, index: usize, status: u16) {
+        let index = index.min(ENDPOINTS.len() - 1);
+        self.requests[index] += 1;
+        if !(200..300).contains(&status) {
+            self.errors[index] += 1;
+        }
+    }
+}
+
 /// One request/error counter pair for an endpoint label.
 #[derive(Debug)]
 struct EndpointCounters {
@@ -181,6 +228,37 @@ impl ServeMetrics {
         e.requests.inc();
         if !(200..300).contains(&status) {
             e.errors.inc();
+        }
+    }
+
+    /// Adds a connection's [`Tally`] to the shared instruments and
+    /// empties it: one batch record per stage histogram, one add per
+    /// endpoint counter that moved, and the request bytes on the
+    /// connection's `stripe`.
+    pub(crate) fn publish(&self, tally: &mut Tally, stripe: usize) {
+        for (histogram, samples) in [
+            (&self.stage_parse_ns, &mut tally.parse_ns),
+            (&self.stage_queue_ns, &mut tally.queue_ns),
+            (&self.stage_apply_ns, &mut tally.apply_ns),
+        ] {
+            histogram.record_all(samples);
+            samples.clear();
+        }
+        for (e, (requests, errors)) in self
+            .endpoints
+            .iter()
+            .zip(tally.requests.iter_mut().zip(&mut tally.errors))
+        {
+            if *requests > 0 {
+                e.requests.add(std::mem::take(requests));
+            }
+            if *errors > 0 {
+                e.errors.add(std::mem::take(errors));
+            }
+        }
+        if tally.request_bytes > 0 {
+            self.request_bytes
+                .add(stripe, std::mem::take(&mut tally.request_bytes));
         }
     }
 
@@ -278,6 +356,39 @@ mod tests {
         assert!(text.contains("rls_serve_errors_total{endpoint=\"arrive\"} 1"));
         assert!(text.contains("rls_serve_requests_total{endpoint=\"other\"} 1"));
         assert!(text.contains("rls_serve_errors_total{endpoint=\"other\"} 1"));
+    }
+
+    #[test]
+    fn a_published_tally_equals_recording_each_request() {
+        let (tallied, direct) = (Registry::new(), Registry::new());
+        let (t, d) = (
+            ServeMetrics::register(&tallied),
+            ServeMetrics::register(&direct),
+        );
+        let mut tally = Tally::with_capacity(4);
+        for (i, (path, status)) in [("/v1/arrive", 200), ("/v1/depart", 409), ("/nope", 404)]
+            .into_iter()
+            .cycle()
+            .take(10)
+            .enumerate()
+        {
+            let ns = 100 * i as u64 + 7;
+            tally.count_request(endpoint_index(path), status);
+            d.record_request(endpoint_index(path), status);
+            tally.parse_ns.push(ns);
+            d.stage_parse_ns.record(ns);
+            tally.queue_ns.push(2 * ns);
+            d.stage_queue_ns.record(2 * ns);
+            tally.apply_ns.push(3 * ns);
+            d.stage_apply_ns.record(3 * ns);
+            tally.request_bytes += ns;
+            d.request_bytes.add(5, ns);
+        }
+        t.publish(&mut tally, 5);
+        assert_eq!(t.render_prometheus(), d.render_prometheus());
+        // Published means emptied: publishing again adds nothing.
+        t.publish(&mut tally, 5);
+        assert_eq!(t.render_prometheus(), d.render_prometheus());
     }
 
     #[test]

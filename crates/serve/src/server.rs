@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use rls_live::Snapshot;
+use serde::Serialize as _;
 
 use crate::api::{
     AddBinReply, AddBinRequest, ArriveReply, ArriveRequest, DepartReply, DepartRequest,
@@ -94,20 +95,34 @@ pub(crate) enum Reply {
     Health(HealthReply),
 }
 
+/// Where [`Reply::encode`] left a reply's JSON body.
+pub(crate) enum Body {
+    /// In the caller's scratch buffer.
+    Scratch,
+    /// In its own string: a snapshot, whose size grows with the instance,
+    /// so it never passes through (and never grows) a reused buffer.
+    Owned(String),
+}
+
 impl Reply {
-    /// The JSON body sent for this reply.
-    pub(crate) fn to_json(&self) -> String {
+    /// Encode the JSON body sent for this reply into `scratch` (cleared
+    /// first; a caller that keeps it across replies allocates nothing once
+    /// it has grown), or a snapshot's into its own string.  The bytes are
+    /// `serde_json::to_string`'s (a snapshot's, `to_string_pretty`'s).
+    pub(crate) fn encode(&self, scratch: &mut String) -> Body {
+        scratch.clear();
         match self {
-            Reply::Arrive(r) => to_json(r),
-            Reply::Depart(r) => to_json(r),
-            Reply::Ring(r) => to_json(r),
-            Reply::AddBin(r) => to_json(r),
-            Reply::DrainBin(r) => to_json(r),
-            Reply::Stats(r) => to_json(r),
-            Reply::Snapshot(s) => render_snapshot(s),
-            Reply::Restore(r) => to_json(r),
-            Reply::Health(r) => to_json(r),
+            Reply::Arrive(r) => r.write_json(scratch),
+            Reply::Depart(r) => r.write_json(scratch),
+            Reply::Ring(r) => r.write_json(scratch),
+            Reply::AddBin(r) => r.write_json(scratch),
+            Reply::DrainBin(r) => r.write_json(scratch),
+            Reply::Stats(r) => r.write_json(scratch),
+            Reply::Snapshot(s) => return Body::Owned(render_snapshot(s)),
+            Reply::Restore(r) => r.write_json(scratch),
+            Reply::Health(r) => r.write_json(scratch),
         }
+        Body::Scratch
     }
 }
 

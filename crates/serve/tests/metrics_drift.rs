@@ -116,6 +116,73 @@ fn every_cataloged_metric_is_exposed_and_finite() {
     server.shutdown();
 }
 
+/// The value of the first sample line starting with `needle`.
+fn sample(text: &str, needle: &str) -> u64 {
+    text.lines()
+        .find(|l| l.starts_with(needle))
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no sample for {needle}:\n{text}"))
+}
+
+/// Connections publish their telemetry once per pipelined batch, before
+/// the batch's replies are written: once every reply has been read, each
+/// request is counted, and each stage histogram holds one sample per
+/// request, exactly.
+#[test]
+fn pipelined_bursts_from_two_connections_are_counted_exactly() {
+    const BURSTS: usize = 50;
+    const DEPTH: usize = 16;
+    let (server, _registry) = boot_with_metrics();
+    let addr = server.addr();
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(move || {
+                let mut client = HttpClient::connect(addr).unwrap();
+                for _ in 0..BURSTS {
+                    for i in 0..DEPTH {
+                        let path = if i % 2 == 0 {
+                            "/v1/arrive"
+                        } else {
+                            "/v1/depart"
+                        };
+                        client.queue("POST", path, b"");
+                    }
+                    client.flush().unwrap();
+                    for _ in 0..DEPTH {
+                        assert_eq!(client.recv_status().unwrap(), 200);
+                    }
+                }
+            });
+        }
+    });
+    let sent = (2 * BURSTS * DEPTH) as u64;
+
+    let mut client = HttpClient::connect(addr).unwrap();
+    let text = client.request_ok("GET", "/v1/metrics", b"").unwrap();
+    let requests = |endpoint: &str| {
+        sample(
+            &text,
+            &format!("rls_serve_requests_total{{endpoint=\"{endpoint}\"}}"),
+        )
+    };
+    assert_eq!(requests("arrive"), sent / 2);
+    assert_eq!(requests("depart"), sent / 2);
+    let stage = |stage: &str| {
+        sample(
+            &text,
+            &format!("rls_serve_stage_ns_count{{stage=\"{stage}\"}}"),
+        )
+    };
+    // The scrape's own frame is parsed before it renders.
+    assert_eq!(stage("parse"), sent + 1);
+    assert_eq!(stage("queue"), sent);
+    assert_eq!(stage("apply"), sent);
+    assert_eq!(sample(&text, "rls_engine_arrivals_total"), sent / 2);
+    assert_eq!(sample(&text, "rls_engine_departures_total"), sent / 2);
+    server.shutdown();
+}
+
 #[test]
 fn flight_recorder_exposes_recent_commands() {
     let (server, _registry) = boot_with_metrics();
