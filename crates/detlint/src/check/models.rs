@@ -1,8 +1,8 @@
 // detlint: allow-file(D006) models reference the checker's MemOrder
 // vocabulary; every ordering below is itself the subject under test.
 //! Model programs for the workspace's lock-free observability
-//! primitives: the `FlightRecorder` seqlock, the `ShardedCounter`, and
-//! the `Histogram` record/snapshot pair from `crates/obs`.
+//! primitives: the `FlightRecorder` seqlock and the `Histogram`
+//! record/snapshot pair from `crates/obs`.
 //!
 //! Each model mirrors its real counterpart operation-for-operation (one
 //! modeled atomic per real atomic, same orderings; a retry loop is a
@@ -270,78 +270,6 @@ impl Program for SeqlockModel {
                 v,
                 2 * self.generations
             ));
-        }
-        Ok(())
-    }
-}
-
-/// Two writer threads incrementing distinct stripes of a
-/// `ShardedCounter` (relaxed RMWs, exactly like `ShardedCounter::add`)
-/// racing a reader that sums the stripes twice (`get` back to back).
-///
-/// Verified: per-reader sums are monotone (coherence), never exceed the
-/// total, and the final stripe total is exact — no increment is ever
-/// lost, which is the linearizable-as-a-monotone-counter guarantee the
-/// merge paths rely on.
-#[derive(Debug, Default)]
-pub struct ShardedCounterModel {
-    w_pc: [usize; 2],
-    r_pc: usize,
-    partial: u64,
-    sums: Vec<u64>,
-}
-
-/// Increments per writer thread.
-const ADDS_PER_WRITER: usize = 2;
-
-impl Program for ShardedCounterModel {
-    fn locs(&self) -> usize {
-        2 // one stripe per writer
-    }
-    fn threads(&self) -> usize {
-        3
-    }
-    fn done(&self, tid: usize) -> bool {
-        match tid {
-            0 | 1 => self.w_pc[tid] >= ADDS_PER_WRITER,
-            _ => self.r_pc >= 4, // two passes x two stripe loads
-        }
-    }
-    fn step(&mut self, tid: usize, env: &mut Env<'_>) {
-        if tid < 2 {
-            // ORDERING in the real code is Relaxed: only the RMW
-            // atomicity matters for a statistical counter.
-            env.fetch_add(tid, tid, 1, MemOrder::Relaxed);
-            self.w_pc[tid] += 1;
-        } else {
-            let stripe = self.r_pc % 2;
-            let v = env.load(2, stripe, MemOrder::Relaxed);
-            self.partial += v;
-            if stripe == 1 {
-                self.sums.push(self.partial);
-                self.partial = 0;
-            }
-            self.r_pc += 1;
-        }
-    }
-    fn check(&self, env: &Env<'_>) -> Result<(), String> {
-        let total = (2 * ADDS_PER_WRITER) as u64;
-        if env.latest(0) + env.latest(1) != total {
-            return Err(format!(
-                "lost increments: {} + {} != {total}",
-                env.latest(0),
-                env.latest(1)
-            ));
-        }
-        let mut prev = 0u64;
-        for &s in &self.sums {
-            if s > total {
-                return Err(format!("sum {s} exceeds total {total}"));
-            }
-            if s < prev {
-                return Err(format!("reader sums not monotone: {s} after {prev}"));
-            }
-            prev = s;
         }
         Ok(())
     }

@@ -23,9 +23,9 @@
 //!
 //! The [`check`] module is the dynamic half: a deterministic-DFS
 //! interleaving model checker with a release/acquire memory model that
-//! exhaustively verifies the `FlightRecorder` seqlock and the sharded
-//! metric primitives at small sizes — and demonstrably fails when an
-//! ordering is weakened.
+//! exhaustively verifies the `FlightRecorder` seqlock and the
+//! `Histogram` record protocol at small sizes — and demonstrably fails
+//! when an ordering is weakened.
 //!
 //! ```
 //! use rls_detlint::rules::lint_source;

@@ -2,15 +2,13 @@
 //! protocol passes exhaustively, with one writer and with two writers a
 //! ring lap apart; deliberately weakened orderings and the plain
 //! increment claim are caught as torn reads (the mutation tests that
-//! prove the checker has teeth); and the sharded metric primitives are
-//! exact at small sizes.
+//! prove the checker has teeth); and the histogram's single and batch
+//! records are exact at small sizes.
 
 // detlint: allow-file(D006) `MemOrder::Relaxed` here is model-checker
 // input — the ordering under test — not a real atomic access.
 
-use rls_detlint::check::models::{
-    HistogramModel, SeqlockClaim, SeqlockModel, SeqlockOrderings, ShardedCounterModel,
-};
+use rls_detlint::check::models::{HistogramModel, SeqlockClaim, SeqlockModel, SeqlockOrderings};
 use rls_detlint::check::{Checker, MemOrder};
 
 #[test]
@@ -123,14 +121,6 @@ fn counterexample_traces_replay_deterministically() {
         .expect_err("mutant");
     assert_eq!(a.trace, b.trace, "DFS must be deterministic");
     assert_eq!(a.executions, b.executions);
-}
-
-#[test]
-fn sharded_counter_is_exact_and_monotone() {
-    let n = Checker::default()
-        .check(ShardedCounterModel::default)
-        .unwrap_or_else(|v| panic!("sharded counter violated: {v}"));
-    assert!(n > 100, "suspiciously small exploration: {n}");
 }
 
 #[test]

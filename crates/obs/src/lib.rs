@@ -13,8 +13,6 @@
 //! ## Pieces
 //!
 //! * [`Counter`] / [`Gauge`] — relaxed `AtomicU64` cells.
-//! * [`ShardedCounter`] — a cache-line-striped counter for hot paths
-//!   incremented from many threads (sharded engine workers).
 //! * [`Histogram`] — a fixed-bucket log-linear histogram over `u64`
 //!   values (nanoseconds, depths, byte counts).  Lock-free recording,
 //!   mergeable snapshots, bounded relative quantile error
@@ -38,5 +36,5 @@ mod metrics;
 mod registry;
 
 pub use flight::{FlightEvent, FlightRecorder};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, ShardedCounter};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricKind, Registry};

@@ -1,5 +1,4 @@
-//! Atomic instruments: counters, gauges, sharded counters, and the
-//! log-linear histogram.
+//! Atomic instruments: counters, gauges and the log-linear histogram.
 //!
 //! Everything here is a write-only tap: recording is a handful of relaxed
 //! atomic operations, never a lock, never an allocation, and never a
@@ -103,71 +102,6 @@ impl Gauge {
     pub fn get(&self) -> u64 {
         // ORDERING: relaxed — a telemetry read; may lag concurrent writes.
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Number of stripes in a [`ShardedCounter`]. Power of two so the stripe
-/// pick is a mask.
-const STRIPES: usize = 16;
-
-/// Padding wrapper that spaces stripes across cache lines to avoid
-/// false sharing between writer threads.
-#[derive(Debug)]
-#[repr(align(64))]
-struct PaddedCell(AtomicU64);
-
-/// A cache-line-striped counter for paths incremented from many threads
-/// at once (sharded-engine workers, serve connection handlers).
-///
-/// Writers pick a stripe from a caller-supplied hint (worker index);
-/// readers sum all stripes.  Totals are exact, per-stripe distribution is
-/// not meaningful.
-#[derive(Debug)]
-pub struct ShardedCounter {
-    stripes: [PaddedCell; STRIPES],
-}
-
-impl Default for ShardedCounter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardedCounter {
-    /// Creates a sharded counter at zero.
-    pub fn new() -> Self {
-        Self {
-            stripes: std::array::from_fn(|_| PaddedCell(AtomicU64::new(0))),
-        }
-    }
-
-    /// Adds `n` on the stripe picked by `hint` (e.g. a worker or shard
-    /// index; any value works, collisions only cost contention).
-    #[inline]
-    pub fn add(&self, hint: usize, n: u64) {
-        // Cross-stripe order is meaningless by design; per-stripe totals
-        // are exact by fetch_add atomicity alone.
-        // ORDERING: relaxed — atomicity only (see above).
-        self.stripes[hint & (STRIPES - 1)]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one on the stripe picked by `hint`.
-    #[inline]
-    pub fn inc(&self, hint: usize) {
-        self.add(hint, 1);
-    }
-
-    /// Sum over all stripes.
-    pub fn get(&self) -> u64 {
-        // The sum is a moment-in-time estimate while writers run and
-        // exact once they quiesce; ShardedCounterModel pins both.
-        // ORDERING: relaxed — atomicity only (see above).
-        self.stripes
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
     }
 }
 
@@ -482,34 +416,6 @@ mod tests {
         assert_eq!(g.get(), 12);
         g.sub(100);
         assert_eq!(g.get(), 0, "gauge saturates at zero");
-    }
-
-    #[test]
-    fn sharded_counter_sums_across_stripes() {
-        let c = ShardedCounter::new();
-        for hint in 0..100 {
-            c.add(hint, 2);
-        }
-        assert_eq!(c.get(), 200);
-    }
-
-    #[test]
-    fn sharded_counter_concurrent_total_is_exact() {
-        let c = std::sync::Arc::new(ShardedCounter::new());
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                let c = c.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc(t);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 80_000);
     }
 
     #[test]

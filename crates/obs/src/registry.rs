@@ -13,12 +13,12 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::metrics::{Counter, Gauge, Histogram, ShardedCounter};
+use crate::metrics::{Counter, Gauge, Histogram};
 
 /// What a metric family is, for the Prometheus `# TYPE` line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Monotonic counter (`Counter` or `ShardedCounter`).
+    /// Monotonic counter.
     Counter,
     /// Free-moving gauge.
     Gauge,
@@ -39,7 +39,6 @@ impl MetricKind {
 #[derive(Debug, Clone)]
 enum Instrument {
     Counter(Arc<Counter>),
-    Sharded(Arc<ShardedCounter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
@@ -155,32 +154,6 @@ impl Registry {
         )
     }
 
-    /// Registers (or retrieves) an unlabeled cache-line-striped counter
-    /// (rendered identically to a plain counter).
-    pub fn sharded_counter(&self, name: &str, help: &str) -> Arc<ShardedCounter> {
-        self.sharded_counter_with(name, help, &[])
-    }
-
-    /// Registers (or retrieves) a labeled sharded-counter series.
-    pub fn sharded_counter_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Arc<ShardedCounter> {
-        self.get_or_insert(
-            name,
-            help,
-            MetricKind::Counter,
-            labels,
-            || Instrument::Sharded(Arc::new(ShardedCounter::new())),
-            |i| match i {
-                Instrument::Sharded(c) => Some(c.clone()),
-                _ => None,
-            },
-        )
-    }
-
     /// Registers (or retrieves) an unlabeled gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
         self.gauge_with(name, help, &[])
@@ -252,9 +225,6 @@ impl Registry {
                     Instrument::Counter(c) => {
                         let _ = writeln!(out, "{name}{labels} {}", c.get());
                     }
-                    Instrument::Sharded(c) => {
-                        let _ = writeln!(out, "{name}{labels} {}", c.get());
-                    }
                     Instrument::Gauge(g) => {
                         let _ = writeln!(out, "{name}{labels} {}", g.get());
                     }
@@ -292,9 +262,6 @@ impl Registry {
                 let _ = write!(out, "\"{key}\":");
                 match inst {
                     Instrument::Counter(c) => {
-                        let _ = write!(out, "{}", c.get());
-                    }
-                    Instrument::Sharded(c) => {
                         let _ = write!(out, "{}", c.get());
                     }
                     Instrument::Gauge(g) => {

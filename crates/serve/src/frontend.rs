@@ -205,7 +205,7 @@ fn accept_loop(
                 .name("rls-serve-conn".to_string())
                 .spawn(move || {
                     let _registration = Registration { open: &open, id };
-                    serve_connection(stream, &core, metrics.as_deref(), &limits, id);
+                    serve_connection(stream, &core, metrics.as_deref(), &limits);
                 })
         };
         match spawned {
@@ -242,14 +242,11 @@ fn refuse(mut stream: TcpStream, cap: usize, metrics: Option<&ServeMetrics>) {
 
 /// One connection's thread: read, answer every complete frame, repeat,
 /// until the client closes, a deadline passes or a reply asks to close.
-/// `stripe` spreads this connection's byte counts over the sharded
-/// counters.
 fn serve_connection(
     stream: TcpStream,
     core: &Mutex<ServeCore>,
     metrics: Option<&ServeMetrics>,
     limits: &Limits,
-    stripe: usize,
 ) {
     let _ = stream.set_nodelay(true);
     if stream.set_write_timeout(Some(limits.idle_timeout)).is_err() {
@@ -264,7 +261,6 @@ fn serve_connection(
         scratch: String::with_capacity(256),
         metrics,
         tally: Tally::with_capacity(MAX_BATCH),
-        stripe,
     };
     let mut batch = Batch::default();
     let mut buf: Vec<u8> = Vec::with_capacity(READ_CHUNK);
@@ -283,8 +279,8 @@ fn serve_connection(
                 "request head not completed within {:?}",
                 limits.header_timeout
             ));
-            if let Some(m) = metrics {
-                m.record_request(endpoint_index(""), e.status);
+            if metrics.is_some() {
+                conn.tally.count_request(endpoint_index(""), e.status);
             }
             append_error(&mut conn.out, &e, false);
             conn.write_out();
@@ -345,8 +341,6 @@ struct Conn<'s> {
     /// `metrics`); published once per batch, before its replies are
     /// written.
     tally: Tally,
-    /// This connection's stripe of the sharded byte counters.
-    stripe: usize,
 }
 
 /// One batch of pipelined frames between its three phases, kept per
@@ -537,7 +531,7 @@ impl Conn<'_> {
                     Some(m) => {
                         // The scrape counts every request answered
                         // before it, as if each had published alone.
-                        m.publish(&mut self.tally, self.stripe);
+                        m.publish(&mut self.tally);
                         let text = m.render_prometheus();
                         (200, "text/plain; version=0.0.4", Body::Owned(text))
                     }
@@ -580,14 +574,14 @@ impl Conn<'_> {
     /// not drain them within the idle deadline).
     fn write_out(&mut self) -> bool {
         if let Some(m) = self.metrics {
-            m.publish(&mut self.tally, self.stripe);
+            m.publish(&mut self.tally);
         }
         if self.out.is_empty() {
             return true;
         }
         let written = self.stream.write_all(&self.out).is_ok();
         if let (true, Some(m)) = (written, self.metrics) {
-            m.response_bytes.add(self.stripe, self.out.len() as u64);
+            m.response_bytes.add(self.out.len() as u64);
         }
         self.out.clear();
         release_excess(&mut self.out);

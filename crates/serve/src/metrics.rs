@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use rls_obs::{Counter, FlightRecorder, Histogram, Registry, ShardedCounter};
+use rls_obs::{Counter, FlightRecorder, Histogram, Registry};
 
 /// Endpoint labels, in classification order ([`endpoint_index`]).
 pub const ENDPOINTS: [&str; 12] = [
@@ -130,8 +130,9 @@ impl Tally {
         }
     }
 
-    /// Counts one handled request, as
-    /// [`ServeMetrics::record_request`] would.
+    /// Counts one handled request on endpoint `index`
+    /// ([`endpoint_index`]) with the final HTTP `status`; a non-2xx
+    /// status also counts an error.  Every request is counted here.
     pub(crate) fn count_request(&mut self, index: usize, status: u16) {
         let index = index.min(ENDPOINTS.len() - 1);
         self.requests[index] += 1;
@@ -160,10 +161,10 @@ pub struct ServeMetrics {
     pub stage_apply_ns: Arc<Histogram>,
     /// Time writing a (batched) response burst to the socket.
     pub stage_write_ns: Arc<Histogram>,
-    /// Request payload bytes (start line + body; striped by connection).
-    pub request_bytes: Arc<ShardedCounter>,
-    /// Response bytes written (striped by connection).
-    pub response_bytes: Arc<ShardedCounter>,
+    /// Request payload bytes (start line + body).
+    pub request_bytes: Arc<Counter>,
+    /// Response bytes written.
+    pub response_bytes: Arc<Counter>,
     /// Per-endpoint request/error counters (indexed like [`ENDPOINTS`]).
     endpoints: Vec<EndpointCounters>,
     /// The black box: recent engine commands with stage latencies.
@@ -202,11 +203,11 @@ impl ServeMetrics {
             stage_queue_ns: stage("queue"),
             stage_apply_ns: stage("apply"),
             stage_write_ns: stage("write"),
-            request_bytes: registry.sharded_counter(
+            request_bytes: registry.counter(
                 "rls_serve_request_bytes_total",
                 "Request payload bytes received (start line + body)",
             ),
-            response_bytes: registry.sharded_counter(
+            response_bytes: registry.counter(
                 "rls_serve_response_bytes_total",
                 "Response bytes written to sockets",
             ),
@@ -222,20 +223,18 @@ impl ServeMetrics {
     }
 
     /// Counts one handled request on endpoint `index`
-    /// ([`endpoint_index`]) with the final HTTP `status`.
+    /// ([`endpoint_index`]) with the final HTTP `status`, outside any
+    /// connection's [`Tally`] (a connection refused at the cap).
     pub fn record_request(&self, index: usize, status: u16) {
-        let e = &self.endpoints[index.min(ENDPOINTS.len() - 1)];
-        e.requests.inc();
-        if !(200..300).contains(&status) {
-            e.errors.inc();
-        }
+        let mut tally = Tally::with_capacity(0);
+        tally.count_request(index, status);
+        self.publish(&mut tally);
     }
 
     /// Adds a connection's [`Tally`] to the shared instruments and
     /// empties it: one batch record per stage histogram, one add per
-    /// endpoint counter that moved, and the request bytes on the
-    /// connection's `stripe`.
-    pub(crate) fn publish(&self, tally: &mut Tally, stripe: usize) {
+    /// endpoint counter that moved, and one for the request bytes.
+    pub(crate) fn publish(&self, tally: &mut Tally) {
         for (histogram, samples) in [
             (&self.stage_parse_ns, &mut tally.parse_ns),
             (&self.stage_queue_ns, &mut tally.queue_ns),
@@ -258,7 +257,7 @@ impl ServeMetrics {
         }
         if tally.request_bytes > 0 {
             self.request_bytes
-                .add(stripe, std::mem::take(&mut tally.request_bytes));
+                .add(std::mem::take(&mut tally.request_bytes));
         }
     }
 
@@ -382,12 +381,12 @@ mod tests {
             tally.apply_ns.push(3 * ns);
             d.stage_apply_ns.record(3 * ns);
             tally.request_bytes += ns;
-            d.request_bytes.add(5, ns);
+            d.request_bytes.add(ns);
         }
-        t.publish(&mut tally, 5);
+        t.publish(&mut tally);
         assert_eq!(t.render_prometheus(), d.render_prometheus());
         // Published means emptied: publishing again adds nothing.
-        t.publish(&mut tally, 5);
+        t.publish(&mut tally);
         assert_eq!(t.render_prometheus(), d.render_prometheus());
     }
 

@@ -8,9 +8,14 @@
 //! traffic should have landed) all fail here rather than silently
 //! shipping a dead dashboard.
 
+use std::io::{self, Read, Write as _};
+use std::net::{Shutdown, TcpStream};
+use std::time::Duration;
+
 use rls_core::{Config, RlsRule};
 use rls_live::{LiveEngine, LiveParams};
 use rls_obs::Registry;
+use rls_serve::http::{self, MessageReader};
 use rls_serve::{serve, HttpClient, ServeCore, ServePolicy, ServerConfig, CATALOG};
 use rls_workloads::ArrivalProcess;
 
@@ -125,36 +130,85 @@ fn sample(text: &str, needle: &str) -> u64 {
         .unwrap_or_else(|| panic!("no sample for {needle}:\n{text}"))
 }
 
+/// A socket that counts the bytes read through it.
+struct Counted<'a> {
+    stream: &'a TcpStream,
+    bytes: u64,
+}
+
+impl Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let read = Read::read(&mut self.stream, buf)?;
+        self.bytes += read as u64;
+        Ok(read)
+    }
+}
+
+/// The request bytes the server counts for one request: its start line
+/// and body.
+fn request_bytes(method: &str, path: &str, body: &[u8]) -> u64 {
+    (format!("{method} {path} HTTP/1.1").len() + body.len()) as u64
+}
+
 /// Connections publish their telemetry once per pipelined batch, before
 /// the batch's replies are written: once every reply has been read, each
-/// request is counted, and each stage histogram holds one sample per
-/// request, exactly.
+/// request is counted, each stage histogram holds one sample per request,
+/// and the request bytes are exact.  A client that closes and reads the
+/// server's close has seen its last reply's bytes counted, so the
+/// response bytes equal what the clients received at the socket.
 #[test]
 fn pipelined_bursts_from_two_connections_are_counted_exactly() {
     const BURSTS: usize = 50;
     const DEPTH: usize = 16;
     let (server, _registry) = boot_with_metrics();
     let addr = server.addr();
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(move || {
-                let mut client = HttpClient::connect(addr).unwrap();
-                for _ in 0..BURSTS {
-                    for i in 0..DEPTH {
-                        let path = if i % 2 == 0 {
-                            "/v1/arrive"
-                        } else {
-                            "/v1/depart"
-                        };
-                        client.queue("POST", path, b"");
-                    }
-                    client.flush().unwrap();
-                    for _ in 0..DEPTH {
-                        assert_eq!(client.recv_status().unwrap(), 200);
-                    }
-                }
-            });
+    let path = |i: usize| {
+        if i.is_multiple_of(2) {
+            "/v1/arrive"
+        } else {
+            "/v1/depart"
         }
+    };
+    let received: u64 = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(10)))
+                        .unwrap();
+                    let mut socket = Counted {
+                        stream: &stream,
+                        bytes: 0,
+                    };
+                    let mut reader = MessageReader::new();
+                    let mut start_line = || {
+                        reader
+                            .next_frame_with(&mut socket, &mut || false, |frame| {
+                                frame.start_line.to_string()
+                            })
+                            .unwrap()
+                    };
+                    let mut burst = Vec::new();
+                    for _ in 0..BURSTS {
+                        burst.clear();
+                        for i in 0..DEPTH {
+                            http::append_request(&mut burst, "POST", path(i), b"");
+                        }
+                        (&stream).write_all(&burst).unwrap();
+                        for _ in 0..DEPTH {
+                            assert_eq!(start_line().as_deref(), Some("HTTP/1.1 200 OK"));
+                        }
+                    }
+                    // The server closes once it reads ours, after its last
+                    // write has been counted.
+                    stream.shutdown(Shutdown::Write).unwrap();
+                    assert_eq!(start_line(), None);
+                    socket.bytes
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
     });
     let sent = (2 * BURSTS * DEPTH) as u64;
 
@@ -180,6 +234,15 @@ fn pipelined_bursts_from_two_connections_are_counted_exactly() {
     assert_eq!(stage("apply"), sent);
     assert_eq!(sample(&text, "rls_engine_arrivals_total"), sent / 2);
     assert_eq!(sample(&text, "rls_engine_departures_total"), sent / 2);
+    // The scrape's own request is counted before it renders; its reply
+    // is counted only once written.
+    let bursts =
+        (sent / 2) * (request_bytes("POST", path(0), b"") + request_bytes("POST", path(1), b""));
+    assert_eq!(
+        sample(&text, "rls_serve_request_bytes_total"),
+        bursts + request_bytes("GET", "/v1/metrics", b"")
+    );
+    assert_eq!(sample(&text, "rls_serve_response_bytes_total"), received);
     server.shutdown();
 }
 

@@ -76,11 +76,6 @@ impl TimeSeries {
     pub fn points(&self) -> &[SamplePoint] {
         &self.points
     }
-
-    /// Consume the observer and return the samples.
-    pub fn into_points(self) -> Vec<SamplePoint> {
-        self.points
-    }
 }
 
 impl Observer for TimeSeries {

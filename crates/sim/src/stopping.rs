@@ -1,10 +1,9 @@
 //! Stopping conditions for simulation runs.
 //!
 //! A run has a *goal* (the balance level whose hitting time we measure —
-//! perfect balance for Theorem 1, `x`-balance for the Phase-1 lemmas, a
-//! target number of overloaded balls for Lemma 15) and optional *budgets*
-//! (maximum simulated time / number of activations) that bound runaway runs
-//! in tests and benches.
+//! perfect balance for Theorem 1, `x`-balance for the Phase-1 lemmas) and
+//! optional *budgets* (maximum simulated time / number of activations)
+//! that bound runaway runs in tests and benches.
 
 use rls_core::LoadTracker;
 
@@ -15,9 +14,6 @@ pub enum Goal {
     PerfectBalance,
     /// Stop when `disc(ℓ) ≤ x`.
     XBalanced(f64),
-    /// Stop when the number of overloaded balls is at most the threshold
-    /// (Lemma 15 stops at `A ≤ n`).
-    OverloadedBallsAtMost(u64),
     /// Never stop on a goal; run until a budget is exhausted.
     Never,
 }
@@ -44,15 +40,6 @@ impl StopWhen {
     pub fn x_balanced(x: f64) -> Self {
         Self {
             goal: Goal::XBalanced(x),
-            max_time: None,
-            max_activations: None,
-        }
-    }
-
-    /// Stop when the number of overloaded balls drops to `limit` or below.
-    pub fn overloaded_balls_at_most(limit: u64) -> Self {
-        Self {
-            goal: Goal::OverloadedBallsAtMost(limit),
             max_time: None,
             max_activations: None,
         }
@@ -89,7 +76,6 @@ impl StopWhen {
         match self.goal {
             Goal::PerfectBalance => tracker.is_perfectly_balanced(),
             Goal::XBalanced(x) => tracker.is_x_balanced(x),
-            Goal::OverloadedBallsAtMost(limit) => tracker.overloaded_balls() <= limit,
             Goal::Never => false,
         }
     }
@@ -132,13 +118,6 @@ mod tests {
         let stop = StopWhen::x_balanced(2.0);
         assert!(stop.goal_met(&tracker(&[5, 3, 3, 1]), 0.0, 0));
         assert!(!stop.goal_met(&tracker(&[6, 3, 2, 1]), 0.0, 0));
-    }
-
-    #[test]
-    fn overloaded_balls_goal() {
-        let stop = StopWhen::overloaded_balls_at_most(2);
-        assert!(stop.goal_met(&tracker(&[5, 3, 4, 4]), 0.0, 0));
-        assert!(!stop.goal_met(&tracker(&[9, 1, 3, 3]), 0.0, 0));
     }
 
     #[test]
