@@ -10,11 +10,16 @@
 //! [`MembershipSnapshot`] reconstructs the exact live set — which is how
 //! snapshot restore and topology re-derivation stay deterministic.
 //!
-//! The live set is kept as a positional array (`active_ids`) with an id →
-//! position inverse, so "a uniformly random live bin" is one `next_index`
-//! draw — and for a freshly booted system the array is exactly `[0, n)`,
-//! which keeps static (churn-free) trajectories bit-identical to the
-//! pre-elastic engines.
+//! A freshly booted membership is **dense**: the live set is `0..n` in id
+//! order and no per-bin array exists, so a churn-free engine pays nothing
+//! per bin for elasticity.  The first scale event materializes the live
+//! set as a positional array (`live_ids`) with an id → position inverse
+//! (`pos`, where a sentinel marks a retired id), so "a uniformly random
+//! live bin" stays one `next_index` draw.  Both forms answer every query
+//! alike — position `k` of a dense set is id `k` — which keeps static
+//! (churn-free) trajectories bit-identical to the pre-elastic engines.
+
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -89,57 +94,94 @@ impl MembershipSnapshot {
     }
 }
 
+/// `pos` entry of a retired id.  Positions stay below it: ids (hence
+/// live counts) are capped at `u32::MAX` by [`Membership::join`].
+const RETIRED: u32 = u32::MAX;
+
 /// The live subset of a monotonically growing bin id space.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality is equality of the history (boot size and epoch log), which
+/// determines every other field.
+#[derive(Debug, Clone)]
 pub struct Membership {
-    /// `live[id]` — whether the id is currently a member.
-    live: Vec<bool>,
-    /// The live ids in positional order (swap-removed on retire).  For a
-    /// churn-free system this is exactly `[0, n)`, so uniform sampling
-    /// over it is bit-identical to uniform sampling over `0..n`.
+    /// The live ids in positional order (swap-removed on retire).  Empty
+    /// while the membership is dense (epoch 0).
     live_ids: Vec<u32>,
-    /// Position of each id inside `live_ids` (valid only while live).
+    /// Position of each id inside `live_ids`, [`RETIRED`] once it left.
+    /// Empty while the membership is dense.
     pos: Vec<u32>,
     /// Boot-time bin count.
     initial_n: usize,
     /// Every membership change since boot, in epoch order.
     log: Vec<MembershipRecord>,
+    /// The identity list [`live_ids`](Membership::live_ids) lends out for
+    /// a dense membership, built on the first such call.
+    dense_ids: OnceLock<Box<[u32]>>,
 }
 
+impl PartialEq for Membership {
+    fn eq(&self, other: &Self) -> bool {
+        self.initial_n == other.initial_n && self.log == other.log
+    }
+}
+
+impl Eq for Membership {}
+
 impl Membership {
-    /// A freshly booted system: ids `0..n`, all live, epoch 0.
+    /// A freshly booted system: ids `0..n`, all live, epoch 0.  Allocates
+    /// nothing per bin until the first [`join`](Self::join) or
+    /// [`retire`](Self::retire).
     ///
     /// # Panics
     /// Panics if `n == 0` or `n` exceeds `u32` range (the engines reject
     /// both long before this point).
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "membership needs at least one bin");
-        let n32: u32 = n.try_into().expect("bin count exceeds u32 range");
+        assert!(u32::try_from(n).is_ok(), "bin count exceeds u32 range");
         Self {
-            live: vec![true; n],
-            live_ids: (0..n32).collect(),
-            pos: (0..n32).collect(),
+            live_ids: Vec::new(),
+            pos: Vec::new(),
             initial_n: n,
             log: Vec::new(),
+            dense_ids: OnceLock::new(),
         }
+    }
+
+    /// Whether the live set is still the boot-time `0..initial_n` with no
+    /// per-bin arrays behind it.
+    #[inline]
+    fn is_dense(&self) -> bool {
+        self.log.is_empty()
     }
 
     /// Total ids ever allocated (live + retired); the next join uses this.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.live.len()
+        if self.is_dense() {
+            self.initial_n
+        } else {
+            self.pos.len()
+        }
     }
 
     /// Number of currently live bins.
     #[inline]
     pub fn live_count(&self) -> usize {
-        self.live_ids.len()
+        if self.is_dense() {
+            self.initial_n
+        } else {
+            self.live_ids.len()
+        }
     }
 
     /// Whether `bin` is currently a member.
     #[inline]
     pub fn is_live(&self, bin: usize) -> bool {
-        bin < self.live.len() && self.live[bin]
+        if self.is_dense() {
+            bin < self.initial_n
+        } else {
+            self.pos.get(bin).is_some_and(|&p| p != RETIRED)
+        }
     }
 
     /// Current epoch: the number of membership changes since boot.
@@ -153,24 +195,47 @@ impl Membership {
     /// the pre-elastic law.
     #[inline]
     pub fn is_elastic(&self) -> bool {
-        !self.log.is_empty()
+        !self.is_dense()
     }
 
     /// The live ids in positional (sampling) order.
-    #[inline]
-    pub fn live_ids(&self) -> &[u32] {
-        &self.live_ids
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        (0..self.live_count()).map(|k| self.live_at(k))
     }
 
-    /// The live id at sampling position `k` (`k < live_count`).
+    /// The live ids in positional (sampling) order, as a slice.  A dense
+    /// membership builds its identity list on the first call (4 bytes a
+    /// bin, kept until the first scale event), so hot paths use
+    /// [`iter`](Self::iter) and [`live_at`](Self::live_at) instead.
+    pub fn live_ids(&self) -> &[u32] {
+        if self.is_dense() {
+            self.dense_ids
+                .get_or_init(|| (0..id32(self.initial_n)).collect())
+        } else {
+            &self.live_ids
+        }
+    }
+
+    /// The live id at sampling position `k`.
+    ///
+    /// # Panics
+    /// Panics if `k >= live_count`.
     #[inline]
     pub fn live_at(&self, k: usize) -> usize {
-        self.live_ids[k] as usize
+        if self.is_dense() {
+            assert!(k < self.initial_n, "position {k} outside the live set");
+            k
+        } else {
+            self.live_ids[k] as usize
+        }
     }
 
     /// The live ids in ascending id order (structured-topology rebuilds
     /// map vertex `i` to the `i`-th smallest live id).
     pub fn sorted_live_ids(&self) -> Vec<u32> {
+        if self.is_dense() {
+            return (0..id32(self.initial_n)).collect();
+        }
         let mut ids = self.live_ids.clone();
         ids.sort_unstable();
         ids
@@ -188,22 +253,30 @@ impl Membership {
         self.initial_n
     }
 
+    /// Build the positional arrays of a dense membership (the identity
+    /// on `0..initial_n`) ahead of its first scale event.
+    fn materialize(&mut self) {
+        if self.is_dense() {
+            self.live_ids = match self.dense_ids.take() {
+                Some(ids) => ids.into_vec(),
+                None => (0..id32(self.initial_n)).collect(),
+            };
+            self.pos = self.live_ids.clone();
+        }
+    }
+
     /// Admit a new bin at the next fresh id and return that id.
+    ///
+    /// # Panics
+    /// Panics if the id would reach `u32::MAX`.
     pub fn join(&mut self) -> usize {
-        let id = self.live.len();
-        let id32: u32 = id.try_into().expect("bin count exceeds u32 range");
-        self.live.push(true);
-        let pos32: u32 = self
-            .live_ids
-            .len()
-            .try_into()
-            .expect("bin count exceeds u32 range");
-        self.pos.push(pos32);
-        self.live_ids.push(id32);
-        self.log.push(MembershipRecord {
-            bin: id32,
-            joined: true,
-        });
+        self.materialize();
+        let id = self.pos.len();
+        let bin = id32(id);
+        assert!(bin != RETIRED, "bin count exceeds u32 range");
+        self.pos.push(id32(self.live_ids.len()));
+        self.live_ids.push(bin);
+        self.log.push(MembershipRecord { bin, joined: true });
         id
     }
 
@@ -215,16 +288,16 @@ impl Membership {
     pub fn retire(&mut self, bin: usize) {
         assert!(self.is_live(bin), "bin {bin} is not a live member");
         assert!(self.live_count() > 1, "cannot retire the last live bin");
-        self.live[bin] = false;
-        let p = self.pos[bin] as usize;
+        self.materialize();
+        let p = std::mem::replace(&mut self.pos[bin], RETIRED) as usize;
         self.live_ids.swap_remove(p);
         if p < self.live_ids.len() {
             // Fix the inverse index of the id that filled the hole.
             let moved = self.live_ids[p] as usize;
-            self.pos[moved] = p.try_into().expect("bin count exceeds u32 range");
+            self.pos[moved] = id32(p);
         }
         self.log.push(MembershipRecord {
-            bin: bin.try_into().expect("bin count exceeds u32 range"),
+            bin: id32(bin),
             joined: false,
         });
     }
@@ -236,6 +309,11 @@ impl Membership {
             log: self.log.clone(),
         }
     }
+}
+
+/// An id or position as stored in the arrays.
+fn id32(i: usize) -> u32 {
+    i.try_into().expect("bin count exceeds u32 range")
 }
 
 #[cfg(test)]

@@ -58,28 +58,44 @@ fn average_window(m: u64, n: u64) -> (u64, u64) {
 }
 
 impl LoadTracker {
-    /// Build the tracker for an initial configuration.
+    /// Build the tracker for an initial configuration in one pass over
+    /// the loads: each run of equal loads is one histogram entry update,
+    /// so a uniform or all-in-one-bin start costs a compare per bin and a
+    /// probe per run.  The extremes and every average-relative aggregate
+    /// then come from the histogram, in `O(distinct loads)`.
     pub fn new(cfg: &Config) -> Self {
         let mut counts = LoadCounts::new();
-        for &l in cfg.loads() {
-            counts.increment(l);
+        let (&first, rest) = cfg.loads().split_first().expect("a Config has a bin");
+        let (mut load, mut bins) = (first, 1);
+        for &l in rest {
+            if l == load {
+                bins += 1;
+            } else {
+                counts.add(load, bins);
+                (load, bins) = (l, 1);
+            }
         }
-        let bc = cfg.bin_counts();
-        Self {
+        counts.add(load, bins);
+        let (min_load, max_load) = counts
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), (l, _)| (lo.min(l), hi.max(l)));
+        let mut tracker = Self {
             counts,
             n: cfg.n(),
             m: cfg.m(),
-            floor_avg: cfg.floor_average(),
-            ceil_avg: cfg.ceil_average(),
-            window: average_window(cfg.m(), cfg.n() as u64),
-            min_load: cfg.min_load(),
-            max_load: cfg.max_load(),
-            overloaded: cfg.overloaded_balls(),
-            holes: cfg.holes(),
-            bins_above: bc.above,
-            bins_at: bc.at,
-            bins_below: bc.below,
-        }
+            floor_avg: 0,
+            ceil_avg: 0,
+            window: (0, 0),
+            min_load,
+            max_load,
+            overloaded: 0,
+            holes: 0,
+            bins_above: 0,
+            bins_at: 0,
+            bins_below: 0,
+        };
+        tracker.refresh_average_relative();
+        tracker
     }
 
     /// Number of bins.
@@ -206,7 +222,7 @@ impl LoadTracker {
     pub fn bin_joined(&mut self, load: u64) {
         self.n += 1;
         self.m += load;
-        self.counts.increment(load);
+        self.counts.add(load, 1);
         if load < self.min_load {
             self.min_load = load;
         }
@@ -283,7 +299,7 @@ impl LoadTracker {
             .counts
             .decrement(old)
             .unwrap_or_else(|| panic!("tracker inconsistency: no bin at load {old}"));
-        self.counts.increment(new);
+        self.counts.add(new, 1);
 
         // Min / max: a single ±1 change moves the extremes by at most one.
         if new > self.max_load {
@@ -344,11 +360,7 @@ impl LoadTracker {
     /// bin — comparing against the capacity-wide [`Config`] would deflate
     /// the average and miscount the at/below classes.
     pub fn matches_live(&self, cfg: &Config, membership: &Membership) -> bool {
-        let live: Vec<u64> = membership
-            .live_ids()
-            .iter()
-            .map(|&b| cfg.load(b as usize))
-            .collect();
+        let live: Vec<u64> = membership.iter().map(|b| cfg.load(b)).collect();
         Config::from_loads(live).is_ok_and(|live_cfg| self.matches(&live_cfg))
     }
 
@@ -434,18 +446,20 @@ impl LoadCounts {
         }
     }
 
-    /// One more bin at `load`.
-    fn increment(&mut self, load: u64) {
+    /// `bins` more bins at `load` (`bins ≥ 1`).
+    #[inline]
+    fn add(&mut self, load: u64, bins: usize) {
+        debug_assert!(bins > 0);
         let i = self.probe(load);
         let slot = &mut self.slots[i];
         if slot.1 == 0 {
-            *slot = (load, 1);
+            *slot = (load, bins);
             self.len += 1;
             if self.len * 2 > self.slots.len() {
                 self.resize(self.slots.len() * 2);
             }
         } else {
-            slot.1 += 1;
+            slot.1 += bins;
         }
     }
 

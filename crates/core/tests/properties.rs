@@ -413,3 +413,147 @@ proptest! {
         }
     }
 }
+
+/// Start configurations the one-pass tracker build must get right: one
+/// bin, all loads equal, all balls in one bin, alternating runs, all
+/// loads distinct, a load span wider than `n`, and loads near
+/// `u64::MAX / n`.
+fn shaped_config() -> impl Strategy<Value = Config> {
+    (0usize..7, 1usize..=48, 0u64..=40, 0usize..1000).prop_map(|(shape, n, base, salt)| {
+        let step = base + 1;
+        let loads: Vec<u64> = match shape {
+            0 => vec![base],
+            1 => vec![base; n],
+            2 => (0..n)
+                .map(|i| if i == salt % n { base * n as u64 } else { 0 })
+                .collect(),
+            3 => {
+                let run = 1 + salt % 4;
+                (0..n)
+                    .map(|i| {
+                        if (i / run) % 2 == 0 {
+                            base
+                        } else {
+                            base + step
+                        }
+                    })
+                    .collect()
+            }
+            4 => (0..n).map(|i| base + 3 * ((i + salt) % n) as u64).collect(),
+            5 => (0..n)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        base
+                    } else {
+                        base + 2 * n as u64 + i as u64
+                    }
+                })
+                .collect(),
+            _ => {
+                let cap = u64::MAX / n as u64;
+                (0..n).map(|i| cap - ((i + salt) % 3) as u64).collect()
+            }
+        };
+        Config::from_loads(loads).unwrap()
+    })
+}
+
+/// `cfg` with each load moved by its delta (clamped at zero); the deltas
+/// only lower loads when raising them could overflow the total.
+fn perturbed(cfg: &Config, deltas: &[i64]) -> Config {
+    let moved = |lower_only: bool| -> Vec<u64> {
+        cfg.loads()
+            .iter()
+            .zip(deltas.iter().cycle())
+            .map(|(&l, &d)| {
+                let d = if lower_only { d.min(0) } else { d };
+                l.saturating_add_signed(d)
+            })
+            .collect()
+    };
+    Config::from_loads(moved(false))
+        .or_else(|_| Config::from_loads(moved(true)))
+        .unwrap()
+}
+
+/// A tracker built on `from` and brought to `to` (same `n`) one ball at a
+/// time: moves from surplus to deficit bins while both exist, then
+/// departures and arrivals for the rest.
+fn walked(from: &Config, to: &Config) -> LoadTracker {
+    let mut tracker = LoadTracker::new(from);
+    let mut loads = from.loads().to_vec();
+    let target = to.loads();
+    let n = loads.len();
+    let (mut surplus, mut deficit) = (0, 0);
+    loop {
+        while surplus < n && loads[surplus] <= target[surplus] {
+            surplus += 1;
+        }
+        while deficit < n && loads[deficit] >= target[deficit] {
+            deficit += 1;
+        }
+        if surplus == n || deficit == n {
+            break;
+        }
+        tracker.record_move(loads[surplus], loads[deficit]);
+        loads[surplus] -= 1;
+        loads[deficit] += 1;
+    }
+    for (load, &want) in loads.iter_mut().zip(target) {
+        while *load > want {
+            tracker.record_remove(*load);
+            *load -= 1;
+        }
+        while *load < want {
+            tracker.record_insert(*load);
+            *load += 1;
+        }
+    }
+    tracker
+}
+
+/// Everything a tracker reports, for comparing two trackers.
+#[allow(clippy::type_complexity)]
+fn summary(
+    t: &LoadTracker,
+) -> (
+    usize,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+    (usize, usize, usize),
+    Vec<(u64, usize)>,
+) {
+    let bc = t.bin_counts();
+    (
+        t.n(),
+        t.m(),
+        t.min_load(),
+        t.max_load(),
+        t.overloaded_balls(),
+        t.holes(),
+        (bc.above, bc.at, bc.below),
+        t.histogram().collect(),
+    )
+}
+
+proptest! {
+    /// `LoadTracker::new` builds its aggregates from the histogram in one
+    /// pass over the loads; they must equal the `Config`-derived oracle
+    /// and a tracker that reached the same loads by moves, arrivals and
+    /// departures from another configuration.
+    #[test]
+    fn one_pass_tracker_equals_the_oracle_and_a_walked_tracker(
+        (pick, random, shaped) in (0u8..2, config_strategy(), shaped_config()),
+        deltas in prop::collection::vec(-3i64..=3, 1..=16),
+    ) {
+        let cfg = if pick == 0 { random } else { shaped };
+        let built = LoadTracker::new(&cfg);
+        prop_assert!(built.matches(&cfg));
+        prop_assert_eq!(built.histogram().map(|(_, bins)| bins).sum::<usize>(), cfg.n());
+        let start = perturbed(&cfg, &deltas);
+        prop_assert_eq!(summary(&built), summary(&walked(&start, &cfg)));
+    }
+}

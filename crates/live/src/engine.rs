@@ -425,12 +425,7 @@ impl LiveEngine {
         // churn-free engine the live set is exactly `0..n`, so this is the
         // same sum in the same order as the pre-elastic engine computed.
         // (The books checked that the sum over all bins fits.)
-        let total_speed = self
-            .membership
-            .live_ids()
-            .iter()
-            .map(|&b| speeds[b as usize])
-            .sum();
+        let total_speed = self.membership.iter().map(|b| speeds[b]).sum();
         self.hetero = Some(Hetero {
             dist,
             speeds,
@@ -732,7 +727,13 @@ impl LiveEngine {
         let membership = membership
             .replay_with(|rec, m| dest.apply(rec, m))
             .map_err(LiveError::snapshot)?;
-        if let Some(bin) = (0..cfg.n()).find(|&b| !membership.is_live(b) && cfg.load(b) != 0) {
+        // Ids are never reused, so the retired ids are the log's retirements.
+        let mut retired = membership
+            .log()
+            .iter()
+            .filter(|rec| !rec.joined)
+            .map(|rec| rec.bin as usize);
+        if let Some(bin) = retired.find(|&b| cfg.load(b) != 0) {
             return Err(LiveError::snapshot(format!(
                 "retired bin {bin} carries load {} (drains relocate every ball)",
                 cfg.load(bin)
@@ -741,11 +742,7 @@ impl LiveEngine {
         // The tracker aggregates over *live* bins only: a retired slot sits
         // permanently at load zero and must not drag min/average/gap down.
         let tracker = if membership.is_elastic() {
-            let live_loads: Vec<u64> = membership
-                .live_ids()
-                .iter()
-                .map(|&b| cfg.load(b as usize))
-                .collect();
+            let live_loads: Vec<u64> = membership.iter().map(|b| cfg.load(b)).collect();
             LoadTracker::new(
                 &Config::from_loads(live_loads)
                     .map_err(|e| LiveError::snapshot(format!("live loads: {e}")))?,
@@ -825,10 +822,7 @@ impl LiveEngine {
                 Band::Arrival => {
                     let mut bins = ArrivalBins::new();
                     for _ in 0..self.params.arrivals.epoch_size() {
-                        let bin = self
-                            .params
-                            .arrivals
-                            .place_among(self.membership.live_ids(), rng);
+                        let bin = self.params.arrivals.place_live(&self.membership, rng);
                         let weight = self.sample_arrival_weight(rng).unwrap_or(1);
                         self.arrive(bin, weight);
                         bins.push(bin_u32(bin));
@@ -1121,10 +1115,7 @@ impl LiveEngine {
             LiveCommand::Arrive { bin, weight } => {
                 let bin = match bin {
                     Some(bin) => bin,
-                    None => self
-                        .params
-                        .arrivals
-                        .place_among(self.membership.live_ids(), rng),
+                    None => self.params.arrivals.place_live(&self.membership, rng),
                 };
                 let weight = match weight {
                     Some(w) => w,
@@ -1421,10 +1412,7 @@ impl LiveEngine {
             Band::Arrival => Ahead::Arrival(
                 (0..self.params.arrivals.epoch_size())
                     .map(|_| {
-                        let bin = self
-                            .params
-                            .arrivals
-                            .place_among(self.membership.live_ids(), rng);
+                        let bin = self.params.arrivals.place_live(&self.membership, rng);
                         index.prefetch_bin(bin);
                         bin_u32(bin)
                     })

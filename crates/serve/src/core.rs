@@ -507,22 +507,17 @@ fn hetero_stats(engine: &LiveEngine) -> Option<HeteroStats> {
     // only: a retired slot reports normalized load 0 and its machine is
     // gone, so capacity-wide iteration would deflate p50 after a drain and
     // hand the makespan bound speeds no assignment can use.
-    let live: Vec<usize> = engine
-        .membership()
-        .live_ids()
-        .iter()
-        .map(|&b| b as usize)
-        .collect();
-    let n = live.len();
-    let speeds: Vec<u64> = live.iter().map(|&b| engine.speed(b)).collect();
-    let mut norms: Vec<f64> = live.iter().map(|&b| engine.normalized_load(b)).collect();
+    let live = engine.membership();
+    let n = live.live_count();
+    let speeds: Vec<u64> = live.iter().map(|b| engine.speed(b)).collect();
+    let mut norms: Vec<f64> = live.iter().map(|b| engine.normalized_load(b)).collect();
     norms.sort_by(|a, b| a.partial_cmp(b).expect("normalized loads are finite"));
     let at = |p: f64| norms[((n - 1) as f64 * p).round() as usize];
 
     let bound = if engine.stores_ball_weights() {
         let weights: Vec<u64> = live
             .iter()
-            .flat_map(|&b| engine.ball_weights(b).expect("weighted engine").iter())
+            .flat_map(|b| engine.ball_weights(b).expect("weighted engine").iter())
             .copied()
             .collect();
         rls_analysis::makespan_bound(&weights, &speeds)

@@ -224,7 +224,7 @@ impl ServeMetrics {
 
     /// Counts one handled request on endpoint `index`
     /// ([`endpoint_index`]) with the final HTTP `status`, outside any
-    /// connection's [`Tally`] (a connection refused at the cap).
+    /// connection's `Tally` (a connection refused at the cap).
     pub fn record_request(&self, index: usize, status: u16) {
         let mut tally = Tally::with_capacity(0);
         tally.count_request(index, status);

@@ -16,6 +16,7 @@
 //!
 //! [`Workload`]: crate::Workload
 
+use rls_core::Membership;
 use rls_rng::{Rng64, RngExt};
 use serde::{Deserialize, Serialize};
 
@@ -92,27 +93,45 @@ impl ArrivalProcess {
 
     /// Sample the destination bin of one arriving ball.
     pub fn place<R: Rng64 + ?Sized>(&self, n: usize, rng: &mut R) -> usize {
-        match *self {
-            ArrivalProcess::Hotspot { bias, .. } if rng.next_bernoulli(bias) => 0,
-            _ => rng.next_index(n),
-        }
+        self.place_at(n, |k| k, rng)
     }
 
-    /// Sample the destination among an explicit id list — the elastic
-    /// engines' placement path, where the live bin set is no longer
-    /// `0..n`.  The hotspot's privileged bin is `ids[0]` (the live list
-    /// keeps the boot-time bin 0 in front until it retires).
+    /// Sample the destination among an explicit id list.  The hotspot's
+    /// privileged bin is `ids[0]`.
     ///
     /// For a dense list `ids == [0, n)` this consumes the exact same
-    /// draws as [`place`](Self::place) and returns the same bin, so
-    /// churn-free trajectories are unchanged.
+    /// draws as [`place`](Self::place) and returns the same bin.
     ///
     /// # Panics
     /// Panics if `ids` is empty.
     pub fn place_among<R: Rng64 + ?Sized>(&self, ids: &[u32], rng: &mut R) -> usize {
+        self.place_at(ids.len(), |k| ids[k] as usize, rng)
+    }
+
+    /// Sample the destination among the live bins — the elastic engines'
+    /// placement path, where the live bin set is no longer `0..n`.  The
+    /// hotspot's privileged bin is the one at live position 0 (the
+    /// boot-time bin 0 until it retires).
+    ///
+    /// Before the first scale event the live set is `0..n` and this
+    /// consumes the exact same draws as [`place`](Self::place), reading
+    /// no id array, so churn-free trajectories are unchanged.
+    pub fn place_live<R: Rng64 + ?Sized>(&self, membership: &Membership, rng: &mut R) -> usize {
+        self.place_at(membership.live_count(), |k| membership.live_at(k), rng)
+    }
+
+    /// The placement law over `count` positions, `at` mapping a position
+    /// to its bin.
+    #[inline]
+    fn place_at<R: Rng64 + ?Sized>(
+        &self,
+        count: usize,
+        at: impl Fn(usize) -> usize,
+        rng: &mut R,
+    ) -> usize {
         match *self {
-            ArrivalProcess::Hotspot { bias, .. } if rng.next_bernoulli(bias) => ids[0] as usize,
-            _ => ids[rng.next_index(ids.len())] as usize,
+            ArrivalProcess::Hotspot { bias, .. } if rng.next_bernoulli(bias) => at(0),
+            _ => at(rng.next_index(count)),
         }
     }
 
